@@ -10,14 +10,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    # |ad - bc - 1| bound maintained by normalized isometries
-    det_tol: float = 1e-12
     # two endpoint x's closer than this (relative) make a vertical geodesic
     line_tol: float = 1e-12
     # generated vertices closer than this are the same vertex
     dedup_radius: float = 1e-6
-    # candidates between dedup_radius and this bound are a hard error
-    dedup_ambiguity: float = 1e-4
     # smallest image height an isometry may produce
     min_image_y: float = 1e-300
     # ball radii beyond this saturate cosh/sinh usefully
@@ -26,8 +22,6 @@ class ToleranceConfig:
     quad_rel: float = 1e-10
     # equidistance slack for Dirichlet cell vertices
     cell_vertex_tol: float = 1e-8
-    # sample points this close to a cell boundary are resampled
-    boundary_resample: float = 1e-9
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

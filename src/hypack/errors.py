@@ -32,9 +32,9 @@ class UnsupportedOperationError(RuntimeError):
 class DedupCollisionError(RuntimeError):
     """Two generated points were ambiguously close.
 
-    Raised when candidates land inside the ambiguity band between the
-    duplicate threshold and the hard separation bound; it demands a tighter
-    tolerance rather than a silent guess.
+    Raised when two vertex candidates are farther apart than the duplicate
+    radius but closer than the disk radius, which no two real vertices
+    are; it demands a different tolerance rather than a silent guess.
     """
 
 

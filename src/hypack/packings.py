@@ -10,6 +10,7 @@ ambiguity of the Boroczky packing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .hgeom import (
     Isometry,
     apply,
     ball_area,
-    distance,
+    cosh_distance_xy,
     polygon_area,
 )
 from .regions import Region, SamplePlan, StripeRegion, quad_black_fraction
@@ -161,6 +162,16 @@ class StripeModel(Region):
 
 _WITHIN_ROW = math.acosh(1.5)
 
+# Window queries of either disk packing refuse to enumerate more disks.
+_DISK_CAP = 2_000_000
+
+
+def _too_many_disks(radius: float) -> RangeError:
+    return RangeError(
+        f"window of radius {radius:g} would enumerate more than {_DISK_CAP} "
+        f"disks; use a smaller window"
+    )
+
 
 def boroczky_max_radius() -> float:
     """Largest admissible disk radius arccosh(3/2)/2.
@@ -182,8 +193,6 @@ class BoroczkyPacking(Packing):
     O(1): only the row j = floor(log(y)/2) can cover a point, and only
     the nearest few columns.
     """
-
-    _DISK_CAP = 2_000_000
 
     def __init__(self, disk_radius: float | None = None):
         rho_max = boroczky_max_radius()
@@ -262,16 +271,12 @@ class BoroczkyPacking(Packing):
         C = math.cosh(reach)
         j_lo = math.ceil((L0 - reach - 0.5) / 2.0)
         j_hi = math.floor((L0 + reach - 0.5) / 2.0)
-        cap = self._DISK_CAP
-        log_cap = math.log(cap + 1.0)
+        log_cap = math.log(_DISK_CAP + 1.0)
         out: list[HDisk] = []
         for j in range(j_lo, j_hi + 1):
             t = 2.0 * j + 0.5 - L0
             if 0.5 * (reach - t) > log_cap:
-                raise RangeError(
-                    f"window of radius {ball.radius:g} would enumerate more "
-                    f"than {cap} disks; use a smaller window"
-                )
+                raise _too_many_disks(ball.radius)
             inv = math.exp(-t)
             disc = 2.0 * (C - 1.0) * inv - (1.0 - inv) ** 2
             if disc < 0.0:
@@ -284,11 +289,8 @@ class BoroczkyPacking(Packing):
             k_hi = math.floor(base + half_k - 0.5)
             if k_hi < k_lo:
                 continue
-            if len(out) + (k_hi - k_lo + 1) > cap:
-                raise RangeError(
-                    f"window of radius {ball.radius:g} would enumerate more "
-                    f"than {cap} disks; use a smaller window"
-                )
+            if len(out) + (k_hi - k_lo + 1) > _DISK_CAP:
+                raise _too_many_disks(ball.radius)
             a = 2.0 * j + 0.5
             if abs(a) > 700.0:
                 raise RangeError(f"row {j} lies beyond representable heights")
@@ -349,272 +351,187 @@ class FundamentalDomain:
         return sum(f * ball_area(r) for _, r, f in self.sectors)
 
 
-_BAND_H = 0.5
-_KEY_SHIFT = np.int64(1) << np.int64(41)
-
-
-def _cell_keys(x, log_y, db=0, dc=0):
-    """Spatial hash key per point: y-band of height 1/2, x-cells scaled to the band."""
-    band = np.floor(log_y / _BAND_H).astype(np.int64) + np.int64(db)
-    width = _BAND_H * np.exp(band * _BAND_H)
-    cell = np.floor(x / width).astype(np.int64) + np.int64(dc)
-    return band * _KEY_SHIFT + cell
-
-
-def _local_dist(a, b):
-    """Hyperbolic distance of nearby points: |a-b| over the geometric mean height."""
-    return np.abs(a - b) / np.sqrt(a.imag * b.imag)
+# Points of finite y > 0 reach the chamber within a few thousand sweeps;
+# more means float coordinates lost the point (y underflowed to zero).
+_MAX_SWEEPS = 10_000
 
 
 class TightPacking(Packing):
     """Disks of radius r_m about the vertices of the {3,m} triangulation.
 
-    Vertices are produced by breadth-first search from the seed (0, 1):
-    the m neighbors of a vertex are the rotations of one known neighbor
-    about it by multiples of 2pi/m. Generation is lazy and grows to cover
-    the largest window requested; queries go through a KD-tree over the
-    Euclidean forms of the coverage disks. Window radii are capped at
-    MAX_WINDOW_RADIUS because the vertex count grows like 6 cosh(R).
+    The packing is one disk carried around by the (2,3,m) triangle group,
+    whose chamber is bounded by x = 0, |z| = e^{r_m} and the geodesic
+    through (0, 1) at angle pi/m (the circle about (cot(pi/m), 0) of
+    radius csc(pi/m)). A point is covered iff its reflection into the
+    chamber lies within r_m of (0, 1). Window queries fold the window's
+    center the same way, take the vertices of a cached neighbourhood of
+    (0, 1) that lie in the folded window, and reflect them back. The
+    neighbourhood grows ring by ring from (0, 1); a window whose
+    neighbourhood would exceed two million vertices raises RangeError.
+    Folding moves a point around circles about (0, 1), on which half-plane
+    coordinates resolve distances to about 1e-16 e^{d(p, (0, 1))}.
     """
-
-    MAX_WINDOW_RADIUS = 20.0
 
     def __init__(self, m: int, *, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         self.m = _check_m(m)
         self.disk_radius = tight_radius(self.m)
         self.label = f"tight(m={self.m})"
         self._tol = tol
-        self._z = np.empty(0, dtype=complex)
-        self._skey = np.empty(0, dtype=np.int64)
-        self._sorder = np.empty(0, dtype=np.intp)
-        self._pend_w = np.empty(0, dtype=complex)
-        self._pend_p = np.empty(0, dtype=complex)
-        self._cap = -1.0
-        self._tree = None
+        self._e2r = math.exp(2.0 * self.disk_radius)
+        self._wall_c = 1.0 / math.tan(math.pi / self.m)
+        # csc^2 = cot^2 + 1 keeps (0, 1) exactly on the circle wall
+        self._wall_r2 = self._wall_c * self._wall_c + 1.0
+        # the neighbourhood: vertices, one neighbor of each and their cosh
+        # distances to (0, 1), nearest first, complete out to _reach
+        self._z = np.array([1j])
+        self._nbr = np.array([1j * self._e2r])
+        self._cd = np.array([1.0])
+        self._reach = 0.0
         self._fd = None
 
-    # -- generation --------------------------------------------------------
+    # -- the fold ------------------------------------------------------------
 
-    def ensure_radius(self, cap: float) -> None:
-        """Generate all vertices within hyperbolic distance cap of the seed."""
-        if cap <= self._cap:
-            return
-        self._generate(cap)
+    def _outside(self, wall: int, x, y):
+        """Mask of points strictly outside the chamber across one wall."""
+        if wall == 0:
+            return x < 0.0
+        if wall == 1:
+            return x * x + y * y > self._e2r
+        dx = x - self._wall_c
+        return dx * dx + y * y < self._wall_r2
 
-    def _generate(self, cap: float) -> None:
-        # Growth resumes: candidates beyond the cap wait as (vertex,
-        # known-neighbor) pairs in the pending frontier, so raising the
-        # cap never re-walks shells that are already generated.
-        m = self.m
-        step = 2.0 * self.disk_radius
-        cosh_cap = math.cosh(cap)
-        rot = np.exp(2j * math.pi * np.arange(m) / m)
-        if self._cap < 0.0:
-            self._z = np.array([1j], dtype=complex)
-            self._resort()
-            frontier_w = np.array([1j], dtype=complex)
-            frontier_p = np.array([1j * math.exp(step)], dtype=complex)
-        else:
-            cand, par = self._pend_w, self._pend_p
-            y = cand.imag
-            cd = 1.0 + (cand.real**2 + (y - 1.0) ** 2) / (2.0 * y)
-            keep = cd <= cosh_cap
-            self._pend_w, self._pend_p = cand[~keep], par[~keep]
-            cand, par = cand[keep], par[keep]
-            new = self._dedup(cand)
-            frontier_w, frontier_p = cand[new], par[new]
-            if frontier_w.size:
-                self._z = np.concatenate([self._z, frontier_w])
-                self._resort()
-        while frontier_w.size:
-            W, P = frontier_w, frontier_p
-            t = (P - W) / (P - W.conj())
-            n = W.size
-            cand = np.empty(m * n, dtype=complex)
-            par = np.empty(m * n, dtype=complex)
-            for k in range(m):
-                tk = rot[k] * t
-                cand[k * n:(k + 1) * n] = (W - W.conj() * tk) / (1.0 - tk)
-                par[k * n:(k + 1) * n] = W
-            x, y = cand.real, cand.imag
-            cd = 1.0 + (x * x + (y - 1.0) ** 2) / (2.0 * y)
-            keep = cd <= cosh_cap
-            self._pend_w = np.concatenate([self._pend_w, cand[~keep]])
-            self._pend_p = np.concatenate([self._pend_p, par[~keep]])
-            cand, par = cand[keep], par[keep]
-            new = self._dedup(cand)
-            frontier_w, frontier_p = cand[new], par[new]
-            if frontier_w.size:
-                self._z = np.concatenate([self._z, frontier_w])
-                self._resort()
-        self._cap = cap
-        pts = np.column_stack([self._z.real, self._z.imag])
-        self._tree = cKDTree(pts)
+    def _reflect(self, wall: int, x, y):
+        """Reflect points across one wall."""
+        if wall == 0:
+            return -x, y
+        if wall == 1:
+            s = self._e2r / (x * x + y * y)
+            return s * x, s * y
+        dx = x - self._wall_c
+        s = self._wall_r2 / (dx * dx + y * y)
+        return self._wall_c + s * dx, s * y
 
-    def _resort(self) -> None:
-        key = _cell_keys(self._z.real, np.log(self._z.imag))
-        self._sorder = np.argsort(key, kind="stable")
-        self._skey = key[self._sorder]
+    def _fold(self, xs, ys, word=None):
+        """Reflect each point into the chamber until no point moves.
 
-    def _dedup(self, cand) -> np.ndarray:
-        """Boolean mask of candidates that are genuinely new vertices.
-
-        Duplicates (within dedup_radius of an accepted or existing vertex)
-        are dropped; distances inside the ambiguity zone raise
-        DedupCollisionError because they cannot be classified safely.
+        Returns flat copies of the folded coordinates. For a single point,
+        the walls it crossed are appended to word in order.
         """
+        x = np.array(xs, dtype=float).ravel()
+        y = np.array(ys, dtype=float).ravel()
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
+            raise DomainError("half-plane points need finite x and finite y > 0")
+        live = np.arange(x.size)
+        for _ in range(_MAX_SWEEPS):
+            if live.size == 0:
+                return x, y
+            lx, ly = x[live], y[live]
+            moved = np.zeros(live.size, dtype=bool)
+            for wall in range(3):
+                out = self._outside(wall, lx, ly)
+                if out.any():
+                    lx[out], ly[out] = self._reflect(wall, lx[out], ly[out])
+                    moved |= out
+                    if word is not None:
+                        word.append(wall)
+            x[live], y[live] = lx, ly
+            live = live[moved]
+        raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
+
+    # -- the neighbourhood of (0, 1) -------------------------------------------
+
+    def _grow(self, radius: float) -> None:
+        """Extend the neighbourhood to every vertex within radius of (0, 1)."""
+        step = 2.0 * self.disk_radius
+        # only vertices within one edge of the old rim have neighbors beyond
+        # it; their known neighbors lie within one more edge
+        rim = self._reach - step - 1e-6
+        i0, i1 = np.searchsorted(self._cd, np.cosh(np.maximum([rim - step - 1e-6, rim], 0.0)))
+        prev, ring, nbr = self._z[i0:i1], self._z[i1:], self._nbr[i1:]
+        turns = np.arange(self.m)
+        cosh_cap = math.cosh(radius)
+        found, links = [self._z], [self._nbr]
+        while ring.size:
+            rot = np.exp(2j * math.pi * turns / self.m)[:, None]
+            tk = rot * ((nbr - ring) / (nbr - ring.conj()))
+            cand = ((ring - ring.conj() * tk) / (1.0 - tk)).ravel()
+            par = np.broadcast_to(ring, tk.shape).ravel()
+            keep = cosh_distance_xy(cand.real, cand.imag, 0.0, 1.0) <= cosh_cap
+            cand, par = cand[keep], par[keep]
+            new = self._fresh(cand, np.concatenate([prev, ring]))
+            prev, ring, nbr = ring, cand[new], par[new]
+            # a vertex found from p neighbors p and the two vertices flanking
+            # the edge to p, all found by now: only the other m - 3 can be new
+            turns = np.arange(2, self.m - 1)
+            found.append(ring)
+            links.append(nbr)
+        z, nb = np.concatenate(found), np.concatenate(links)
+        cd = cosh_distance_xy(z.real, z.imag, 0.0, 1.0)
+        order = np.argsort(cd, kind="stable")
+        self._z, self._nbr, self._cd = z[order], nb[order], cd[order]
+        self._reach = radius
+
+    def _fresh(self, cand, ref) -> np.ndarray:
+        """Mask of candidates that are new vertices: not in ref, first of their kind.
+
+        Points within dedup_radius of each other are one vertex. Real
+        vertices are 2 r_m apart, so two points closer than r_m but farther
+        than dedup_radius raise DedupCollisionError.
+        """
+        pts = np.concatenate([ref, cand])
+        tree = cKDTree(np.column_stack([pts.real, pts.imag]))
+        r, y = self.disk_radius, cand.imag
+        hits = tree.query_ball_point(
+            np.column_stack([cand.real, y * math.cosh(r)]), y * math.sinh(r)
+        )
+        counts = np.fromiter(map(len, hits), np.intp, cand.size)
+        flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, int(counts.sum()))
+        a, b = np.repeat(cand, counts), pts[flat]
+        gap = 2.0 * np.arcsinh(np.abs(a - b) / (2.0 * np.sqrt(a.imag * b.imag)))
         merge_r = self._tol.dedup_radius
-        ambig_r = self._tol.dedup_ambiguity
-        n = cand.size
-        drop = np.zeros(n, dtype=bool)
-        if n == 0:
-            return ~drop
-        x, ly = cand.real, np.log(cand.imag)
-        key = _cell_keys(x, ly)
-
-        # phase 1: merge candidates sharing a cell (first occurrence wins)
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        starts[1:] = skey[1:] != skey[:-1]
-        rep_sorted = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-        rep = order[rep_sorted]
-        dup = order != rep
-        if dup.any():
-            dd = _local_dist(cand[order[dup]], cand[rep[dup]])
-            if ((dd > merge_r) & (dd <= ambig_r)).any():
-                worst = float(dd[(dd > merge_r) & (dd <= ambig_r)].min())
-                raise DedupCollisionError(
-                    f"vertex candidates {worst:.3e} apart fall in the dedup "
-                    f"ambiguity zone ({merge_r:g}, {ambig_r:g}]"
-                )
-            merged = order[dup][dd <= merge_r]
-            drop[merged] = True
-
-        # phase 2: merge duplicates straddling a cell boundary
-        surv = np.flatnonzero(~drop)
-        if surv.size:
-            sorder = np.argsort(key[surv], kind="stable")
-            ssorted = key[surv][sorder]
-            for db in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if db == 0 and dc == 0:
-                        continue
-                    probe = _cell_keys(x[surv], ly[surv], db, dc)
-                    pos = np.searchsorted(ssorted, probe)
-                    ok = pos < ssorted.size
-                    ok[ok] = ssorted[pos[ok]] == probe[ok]
-                    if not ok.any():
-                        continue
-                    me = surv[ok]
-                    other = surv[sorder[pos[ok]]]
-                    dd = _local_dist(cand[me], cand[other])
-                    zone = (dd > merge_r) & (dd <= ambig_r)
-                    if zone.any():
-                        raise DedupCollisionError(
-                            f"vertex candidates {float(dd[zone].min()):.3e} apart "
-                            f"fall in the dedup ambiguity zone"
-                        )
-                    close = dd <= merge_r
-                    if close.any():
-                        loser = np.where(
-                            key[me[close]] > key[other[close]],
-                            me[close],
-                            other[close],
-                        )
-                        drop[loser] = True
-
-        # phase 3: drop candidates matching an existing vertex
-        surv = np.flatnonzero(~drop)
-        if surv.size and self._skey.size:
-            for db in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    probe = _cell_keys(x[surv], ly[surv], db, dc)
-                    pos = np.searchsorted(self._skey, probe)
-                    ok = pos < self._skey.size
-                    ok[ok] = self._skey[pos[ok]] == probe[ok]
-                    if not ok.any():
-                        continue
-                    me = surv[ok]
-                    other = self._z[self._sorder[pos[ok]]]
-                    dd = _local_dist(cand[me], other)
-                    zone = (dd > merge_r) & (dd <= ambig_r)
-                    if zone.any():
-                        raise DedupCollisionError(
-                            f"vertex candidates {float(dd[zone].min()):.3e} apart "
-                            f"fall in the dedup ambiguity zone"
-                        )
-                    drop[me[dd <= merge_r]] = True
-        return ~drop
+        if (gap > merge_r).any():
+            raise DedupCollisionError(
+                f"vertex candidates {float(gap[gap > merge_r].min()):.3e} apart lie "
+                f"between the duplicate radius {merge_r:g} and the disk radius {r:g}"
+            )
+        first = np.minimum.reduceat(flat, np.cumsum(counts) - counts)
+        return first == ref.size + np.arange(cand.size)
 
     # -- queries -------------------------------------------------------------
 
-    @property
-    def vertex_count(self) -> int:
-        return int(self._z.size)
-
-    def vertices(self) -> np.ndarray:
-        """Generated vertices as a complex array (BFS discovery order)."""
-        return self._z.copy()
-
-    def _require_window(self, implied_radius: float) -> None:
-        if implied_radius > self.MAX_WINDOW_RADIUS + 2.0 * self.disk_radius + 1e-9:
-            raise DomainError(
-                f"window of radius {implied_radius:g} exceeds the supported "
-                f"maximum {self.MAX_WINDOW_RADIUS:g}"
-            )
+    def _centers(self, ball: BallSpec):
+        """Coordinates of the vertices in the closed ball."""
+        word: list[int] = []
+        cx, cy = self._fold([ball.center.x], [ball.center.y], word)
+        cd = float(cosh_distance_xy(cx[0], cy[0], 0.0, 1.0))
+        reach = math.acosh(max(cd, 1.0)) + ball.radius + 1e-9
+        if 6.0 * (math.cosh(reach) - 1.0) / (self.m - 6) > _DISK_CAP:
+            raise _too_many_disks(ball.radius)
+        if reach > self._reach:
+            self._grow(reach)
+        z = self._z[: np.searchsorted(self._cd, math.cosh(reach), side="right")]
+        near = cosh_distance_xy(z.real, z.imag, cx[0], cy[0]) <= math.cosh(ball.radius)
+        x, y = z.real[near], z.imag[near]
+        for wall in reversed(word):
+            x, y = self._reflect(wall, x, y)
+        return x, y
 
     def centers_in_ball(self, ball: BallSpec) -> list[HPoint]:
-        """Vertices lying in the closed ball, in BFS discovery order."""
-        if ball.radius > self.MAX_WINDOW_RADIUS:
-            raise DomainError(
-                f"window radius {ball.radius:g} exceeds the supported "
-                f"maximum {self.MAX_WINDOW_RADIUS:g}"
-            )
-        return self._centers(ball)
-
-    def _centers(self, ball: BallSpec) -> list[HPoint]:
-        need = distance(ORIGIN, ball.center) + ball.radius
-        self._require_window(need)
-        self.ensure_radius(need + 1e-9)
-        cy = ball.center.y
-        center = [ball.center.x, cy * math.cosh(ball.radius)]
-        idx = self._tree.query_ball_point(center, cy * math.sinh(ball.radius))
-        out = []
-        for i in sorted(idx):
-            z = self._z[i]
-            out.append(HPoint(float(z.real), float(z.imag)))
-        return out
+        """Vertices lying in the closed ball."""
+        return [HPoint(float(a), float(b)) for a, b in zip(*self._centers(ball))]
 
     def bodies_in_ball(self, ball: BallSpec) -> list[HDisk]:
-        if ball.radius > self.MAX_WINDOW_RADIUS:
-            raise DomainError(
-                f"window radius {ball.radius:g} exceeds the supported "
-                f"maximum {self.MAX_WINDOW_RADIUS:g}"
-            )
-        grown = BallSpec(ball.center, ball.radius + self.disk_radius)
-        return [HDisk(c, self.disk_radius) for c in self._centers(grown)]
+        r = self.disk_radius
+        grown = BallSpec(ball.center, ball.radius + r)
+        return [HDisk(HPoint(float(a), float(b)), r) for a, b in zip(*self._centers(grown))]
 
     def covers(self, p: HPoint) -> bool:
-        out = self.covers_xy(np.array([p.x]), np.array([p.y]))
-        return bool(out[0])
+        return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])
 
     def covers_xy(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.size == 0:
-            return np.zeros(xs.shape, dtype=bool)
-        r = self.disk_radius
-        fx, fy = xs.ravel(), ys.ravel()
-        cd = 1.0 + (fx * fx + (fy - 1.0) ** 2) / (2.0 * fy)
-        need = float(np.arccosh(max(1.0, cd.max()))) + r
-        self._require_window(need)
-        self.ensure_radius(need + 1e-9)
-        pts = np.column_stack([fx, fy * math.cosh(r)])
-        rad = fy * math.sinh(r)
-        counts = self._tree.query_ball_point(pts, rad, return_length=True)
-        return (np.asarray(counts) > 0).reshape(xs.shape)
+        x, y = self._fold(xs, ys)
+        cd = cosh_distance_xy(x, y, 0.0, 1.0)
+        return (cd <= math.cosh(self.disk_radius)).reshape(np.shape(xs))
 
     @property
     def fundamental_domain(self) -> FundamentalDomain:

@@ -79,7 +79,7 @@ class FullPlane(Region):
         return True
 
     def covers_xy(self, xs, ys):
-        return np.ones(len(np.asarray(xs)), dtype=bool)
+        return np.ones(np.shape(xs), dtype=bool)
 
     def exact_area_in_ball(self, ball):
         return ball_area(ball.radius)
@@ -90,7 +90,7 @@ class EmptyRegion(Region):
         return False
 
     def covers_xy(self, xs, ys):
-        return np.zeros(len(np.asarray(xs)), dtype=bool)
+        return np.zeros(np.shape(xs), dtype=bool)
 
     def exact_area_in_ball(self, ball):
         return 0.0

@@ -4,8 +4,8 @@ Each runner measures the quantities its criterion names, compares them
 at the stated tolerances, and reports PASS/FAIL with the measured
 values. The negative-control mode injects a deliberate bias into each
 runner's primary measurement, proving that the harness actually fails
-when the numbers are wrong. Heavy shared state (the m=7 packing and
-its center tree) is built once and reused across criteria.
+when the numbers are wrong. Each runner builds its own packings, so no
+criterion's result or time depends on which criteria ran before it.
 """
 
 from __future__ import annotations
@@ -59,20 +59,11 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-_shared: dict = {}
-
-
-def _tight7() -> TightPacking:
-    if "tight7" not in _shared:
-        _shared["tight7"] = TightPacking(7)
-    return _shared["tight7"]
-
-
 def _a1(bias):
     # closed-form density of the m=7 family: literal, dual evaluation,
     # and a 1e6-sample Monte Carlo over the fundamental triangle
     t0 = time.perf_counter()
-    packing = _tight7()
+    packing = TightPacking(7)
     formula = tight_density_formula(7) + bias
     domain = packing.fundamental_domain
     dual = domain.covered_area() / domain.area()
@@ -200,8 +191,7 @@ def _a7(bias):
 
 
 def _a8(bias):
-    packing = _tight7()
-    packing.ensure_radius(12.6)
+    packing = TightPacking(7)
     radii = (6.0, 8.0, 10.0, 12.0)
     fracs, errs, ses = [], [], []
     for k, radius in enumerate(radii):
@@ -224,7 +214,7 @@ def _a8(bias):
 
 
 def _a9(bias):
-    packing = _tight7()
+    packing = TightPacking(7)
     got = mass_transport_check(
         packing, BallSpec(ORIGIN, 8.0), SamplePlan(seed=901, n=512)
     ) + bias
@@ -236,7 +226,7 @@ def _a9(bias):
 def _a10(bias):
     # metric axioms over a pool of truncated packings, then strict
     # monotone decay of d(P, gP) as g walks back to the identity
-    tight = _tight7()
+    tight = TightPacking(7)
     boro = BoroczkyPacking()
     members = [
         tight,
@@ -283,8 +273,7 @@ def _a10(bias):
 
 
 def _a11(bias):
-    packing = _tight7()
-    packing.ensure_radius(6.5)
+    packing = TightPacking(7)
     rng = np.random.default_rng(1202)
     radii = [2.0, 3.0, 4.0]
     worst_z = 0.0

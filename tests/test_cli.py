@@ -1,6 +1,7 @@
 """End-to-end checks of the command line entry point."""
 
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -51,6 +52,15 @@ def test_gen_oversized_radius_fails(capsys):
     assert code == 2
     assert out == ""
     assert "saturation bound" in err
+
+
+def test_gen_tight_window_over_the_disk_cap_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["gen", "--kind", "tight", "--m", "7", "--R", "14"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "more than 2000000 disks" in err
 
 
 def test_gen_bricks_offset_validation(capsys):

@@ -39,9 +39,7 @@ SEED = 72051
 
 @pytest.fixture(scope="module")
 def tight7():
-    p = TightPacking(7)
-    p.ensure_radius(8.5)
-    return p
+    return TightPacking(7)
 
 
 def stripe_radii(W, n_lo, n_hi):

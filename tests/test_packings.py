@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from hypack import (
     ORIGIN,
@@ -43,9 +45,7 @@ SEED = 40917
 
 @pytest.fixture(scope="module")
 def tight7():
-    tp = TightPacking(7)
-    tp.ensure_radius(5.0)
-    return tp
+    return TightPacking(7)
 
 
 # ---------------------------------------------------------------- stripes
@@ -242,8 +242,14 @@ def test_tight_centers_small_ball_is_first_shell():
         assert abs(d - 2.0 * r7) < 1e-9
 
 
+def _vertices(packing, radius=5.0):
+    """Vertices within radius of (0, 1) as a complex array."""
+    centers = packing.centers_in_ball(BallSpec(ORIGIN, radius))
+    return np.array([complex(c.x, c.y) for c in centers])
+
+
 def test_tight_interior_vertices_have_m_neighbors(tight7):
-    z = tight7.vertices()
+    z = _vertices(tight7)
     r = tight7.disk_radius
     d0 = np.arccosh(1.0 + (z.real**2 + (z.imag - 1.0) ** 2) / (2.0 * z.imag))
     interior = np.flatnonzero(d0 <= 5.0 - 2.0 * r - 0.05)
@@ -256,7 +262,7 @@ def test_tight_interior_vertices_have_m_neighbors(tight7):
 
 
 def test_tight_rotation_symmetry(tight7):
-    z = tight7.vertices()
+    z = _vertices(tight7)
     r = tight7.disk_radius
     # rotate about a first-shell vertex; window centers must map to centers
     w = HPoint.from_log(0.0, 2.0 * r)
@@ -295,10 +301,15 @@ def test_tight_covers_xy_matches_scalar(tight7):
 
 def test_tight_window_guards():
     tp = TightPacking(7)
-    with pytest.raises(DomainError):
+    with pytest.raises(RangeError, match="2000000 disks"):
         tp.centers_in_ball(BallSpec(ORIGIN, 25.0))
+    # tangent disks cover the whole geodesic x = 0, however far out
+    assert tp.covers(HPoint(0.0, math.exp(24.0)))
     with pytest.raises(DomainError):
-        tp.covers(HPoint(0.0, math.exp(24.0)))
+        tp.covers_xy(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    # a point beyond float reach never folds: a typed error, not a hang
+    with pytest.raises(RangeError), np.errstate(over="ignore"):
+        tp.covers(HPoint(1e200, 1.0))
     with pytest.raises(DomainError):
         TightPacking(6)
     with pytest.raises(DomainError):
@@ -311,7 +322,92 @@ def test_tight_dedup_ambiguity_zone_raises():
     tol = dataclasses.replace(DEFAULT_TOLERANCES, dedup_radius=1e-16)
     tp = TightPacking(7, tol=tol)
     with pytest.raises(DedupCollisionError):
-        tp.ensure_radius(3.0)
+        tp.centers_in_ball(BallSpec(ORIGIN, 3.0))
+
+
+# ---------------------------------------------------------------- tight fold oracles
+# Coverage and window queries fold into one triangle of the (2,3,m) group.
+# These tests hold them against plain vertex enumeration around (0, 1):
+# a KD-tree over the vertices, and a distance filter without any fold.
+
+
+def _nearest_gap(a, b):
+    """Hyperbolic distance from each point of a to its nearest point of b."""
+    s = np.abs(a[:, None] - b[None, :]) / (2.0 * np.sqrt(a.imag[:, None] * b.imag[None, :]))
+    return 2.0 * np.arcsinh(s.min(axis=1))
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_tight_fold_covers_matches_vertex_tree(m):
+    tp = TightPacking(m)
+    r = tp.disk_radius
+    parts = [
+        sample_ball_uniform(BallSpec(ORIGIN, radius), SamplePlan(seed=SEED + 10 * m + k, n=25000))
+        for k, radius in enumerate((2.0, 5.0, 8.0))
+    ]
+    xs = np.concatenate([p[0] for p in parts])
+    ys = np.concatenate([p[1] for p in parts])
+    z = _vertices(tp, 8.0 + r)
+    # p is covered iff a vertex lies in the r-ball about p, whose Euclidean
+    # form is the disk about (x, y cosh r) of radius y sinh r
+    hits = cKDTree(np.column_stack([z.real, z.imag])).query_ball_point(
+        np.column_stack([xs, ys * math.cosh(r)]), ys * math.sinh(r), return_length=True
+    )
+    assert np.array_equal(tp.covers_xy(xs, ys), np.asarray(hits) > 0)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_tight_fold_windows_match_brute_force(m):
+    tp = TightPacking(m)
+    rng = np.random.default_rng(SEED + m)
+    for _ in range(30):
+        c = HPoint.from_log(rng.uniform(-3.0, 3.0), rng.uniform(-4.0, 4.0))
+        radius = float(rng.uniform(0.5, 4.0))
+        got = np.array([complex(v.x, v.y) for v in tp.centers_in_ball(BallSpec(c, radius))])
+        z = _vertices(tp, distance(ORIGIN, c) + radius + 1e-6)
+        want = z[_nearest_gap(z, np.array([complex(c.x, c.y)])) <= radius]
+        assert got.size == want.size > 0
+        assert _nearest_gap(got, want).max() <= 1e-9
+        assert _nearest_gap(want, got).max() <= 1e-9
+
+
+def _chamber_images(m, x, y):
+    """(x, y) reflected across each chamber wall, then rotated by 2pi/m about (0, 1)."""
+    e2r = math.exp(2.0 * tight_radius(m))
+    c, r2 = 1.0 / math.tan(math.pi / m), 1.0 / math.sin(math.pi / m) ** 2
+    q, dq = x * x + y * y, (x - c) ** 2 + y * y
+    gx, gy = Isometry.rotation(2.0 * math.pi / m, ORIGIN).apply_xy(x, y)
+    return [
+        (-x, y),
+        (e2r * x / q, e2r * y / q),
+        (c + r2 * (x - c) / dq, r2 * y / dq),
+        (float(gx), float(gy)),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from([7, 8, 9, 12]),
+    u=st.floats(-3.0, 3.0),
+    log_y=st.floats(-30.0, 30.0),
+)
+def test_tight_covers_invariant_under_triangle_group(m, u, log_y):
+    tp = TightPacking(m)
+    r = tp.disk_radius
+    y = math.exp(log_y)
+    p = HPoint(u * y, y)
+    near = min(distance(p, v) for v in tp.centers_in_ball(BallSpec(p, r + 0.5)))
+    # folding carries p around circles about (0, 1), on which half-plane
+    # coordinates resolve distances to about 1e-16 e^d; stay that far off
+    # the disk boundaries, where roundoff may tip the answer either way
+    assume(abs(near - r) > 1e-14 * math.exp(distance(ORIGIN, p)))
+    covered = tp.covers(p)
+    assert covered == (near <= r)
+    pts = [(p.x, p.y)] + _chamber_images(m, p.x, p.y)
+    for qx, qy in pts[1:]:
+        assert tp.covers(HPoint(qx, qy)) == covered
+    xs, ys = np.array(pts).T
+    assert tp.covers_xy(xs, ys).tolist() == [tp.covers(HPoint(a, b)) for a, b in pts]
 
 
 # ---------------------------------------------------------------- transformed

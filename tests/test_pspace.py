@@ -26,9 +26,7 @@ SEED = 88417
 
 @pytest.fixture(scope="module")
 def tight7():
-    p = TightPacking(7)
-    p.ensure_radius(4.0)
-    return p
+    return TightPacking(7)
 
 
 @pytest.fixture(scope="module")

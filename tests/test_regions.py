@@ -93,6 +93,10 @@ def test_mc_full_and_empty():
     assert full.fraction == 1.0 and full.std_error == 0.0
     empty = mc_area_fraction(EmptyRegion(), ball, SamplePlan(seed=1, n=1000))
     assert empty.fraction == 0.0
+    # covers_xy keeps the input's shape, as for every other region
+    xs, ys = np.zeros((2, 3)), np.ones((2, 3))
+    assert FullPlane().covers_xy(xs, ys).shape == (2, 3)
+    assert EmptyRegion().covers_xy(xs, ys).shape == (2, 3)
 
 
 def test_plan_validation():

@@ -29,9 +29,7 @@ SEED = 60112
 
 @pytest.fixture(scope="module")
 def tight7():
-    p = TightPacking(7)
-    p.ensure_radius(8.0)
-    return p
+    return TightPacking(7)
 
 
 @pytest.fixture(scope="module")
