@@ -44,10 +44,12 @@ _USER_ERRORS = (
 
 
 def _parse_center(text: str) -> HPoint:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError(f"--center expects 'x,y', got {text!r}")
-    x, y = float(parts[0]), float(parts[1])
+    try:
+        x, y = (float(v) for v in text.split(","))
+    except ValueError:
+        raise DomainError(f"--center expects 'x,y', got {text!r}") from None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"--center needs finite coordinates, got {text!r}")
     return HPoint(x, y)
 
 

@@ -127,15 +127,14 @@ def density_curve(target, center: HPoint, radii, plan: SamplePlan) -> DensityCur
 
     exact = [_exact_fraction(target, BallSpec(center, r)) for r in radii]
     if all(f is not None for f in exact):
-        method = getattr(target, "exact_method", "quadrature")
         points = tuple(
             CurvePoint(r, f, 0.0, 0) for r, f in zip(radii, exact)
         )
-        return DensityCurve(center=center, points=points, method=method)
+        return DensityCurve(center=center, points=points, method="quadrature")
 
     points = []
     for k, r in enumerate(radii):
-        sub = SamplePlan(seed=plan.seed + k, n=plan.n, strata=plan.strata)
+        sub = SamplePlan(seed=plan.seed + k, n=plan.n)
         est = mc_area_fraction(target, BallSpec(center, r), sub)
         points.append(CurvePoint(r, est.fraction, est.std_error, est.samples))
     return DensityCurve(center=center, points=tuple(points), method="mc")
@@ -239,10 +238,7 @@ def tile_density(packing, tile, plan: SamplePlan) -> AreaEstimate:
             return AreaEstimate(ball_area(rho) / area, 0.0, 0, "closed-form")
 
     xs, ys = region.sample_uniform(plan)
-    cov = np.asarray(packing.covers_xy(xs, ys), dtype=bool)
-    frac = float(np.mean(cov))
-    se = math.sqrt(frac * (1.0 - frac) / plan.n)
-    return AreaEstimate(frac, se, plan.n, "mc")
+    return AreaEstimate.monte_carlo(packing.covers_xy(xs, ys))
 
 
 def annulus_density_curve(exponents) -> DensityCurve:
@@ -292,10 +288,7 @@ def euclid_window_density(packing, side: float, plan: SamplePlan) -> AreaEstimat
     rng = np.random.Generator(np.random.Philox(plan.seed))
     xs = (rng.random(plan.n) - 0.5) * side
     ys = (rng.random(plan.n) - 0.5) * side
-    cov = np.asarray(packing.covers_xy(xs, ys), dtype=bool)
-    frac = float(np.mean(cov))
-    se = math.sqrt(frac * (1.0 - frac) / plan.n)
-    return AreaEstimate(frac, se, plan.n, "mc")
+    return AreaEstimate.monte_carlo(packing.covers_xy(xs, ys))
 
 
 def mass_transport_check(

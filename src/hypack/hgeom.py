@@ -111,6 +111,24 @@ def cosh_distance_xy(x1, y1, x2, y2):
     return 1.0 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
 
 
+def polar_xy(cx, cy, rho, theta):
+    """Vectorized points at distance rho from (cx, cy), in directions theta.
+
+    The Poincare disk point tanh(rho/2) e^{i theta} is carried to the
+    half-plane by w -> i (1 + w) / (1 - w), which sends 0 to (0, 1), and
+    then scaled by cy and shifted by cx. theta = 0 points straight up.
+    1 - tanh(rho/2) cos(theta) cancels, so the points sit at distance rho
+    to about 1e-16 e^rho relative.
+    """
+    t = np.tanh(0.5 * rho)
+    a = t * np.cos(theta)
+    b = t * np.sin(theta)
+    den = (1.0 - a) ** 2 + b**2
+    x = -2.0 * b / den
+    y = (1.0 - a * a - b * b) / den
+    return cx + cy * x, cy * y
+
+
 class Isometry:
     """Normalized real Mobius transformation of the half-plane."""
 
@@ -184,17 +202,6 @@ class Isometry:
 
     def __repr__(self):
         return f"Isometry({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-
-def make_isometry(kind: str, **params) -> Isometry:
-    """Factory by name: translation(t=..), dilation(lam=..), rotation(theta=.., center=..)."""
-    if kind == "translation":
-        return Isometry.translation(params["t"])
-    if kind == "dilation":
-        return Isometry.dilation(params["lam"])
-    if kind == "rotation":
-        return Isometry.rotation(params["theta"], params.get("center"))
-    raise DomainError(f"unknown isometry kind {kind!r}")
 
 
 def apply(g: Isometry, p: HPoint) -> HPoint:
@@ -312,13 +319,8 @@ class BallSpec:
         return distance(self.center, p) <= self.radius + tol
 
 
-def disk_euclidean_form(d) -> EuclidCircle:
-    """Euclidean circle realizing a hyperbolic disk or ball."""
-    return d.euclid_form()
-
-
 def disk_from_euclidean(circ: EuclidCircle) -> HDisk:
-    """Invert disk_euclidean_form using the stable k - r field."""
+    """Invert HDisk.euclid_form using the stable k - r field."""
     if not (circ.k_minus_r > 0.0):
         raise DomainError("euclidean circle must satisfy k > r to lie in the half-plane")
     kpr = circ.k + circ.r

@@ -6,6 +6,10 @@ stripe model, the Boroczky disk packing with its tile-dependent density,
 the tight {3,m} packings whose disks sit on the vertices of the {3,m}
 triangulation, and the horoball brick tiles used to exhibit the density
 ambiguity of the Boroczky packing.
+
+The stripe model and the brick tiles are regions, not disk packings:
+both are boxes in (x, log y), so the area they cover in a ball comes from
+the one box-in-ball quadrature of the regions module.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .hgeom import (
     cosh_distance_xy,
     polygon_area,
 )
-from .regions import Region, SamplePlan, StripeRegion, quad_black_fraction
+from .regions import Region, SamplePlan, StripeRegion, _box_area_in_ball, quad_black_fraction
 
 
 # --------------------------------------------------------------------------
@@ -39,27 +43,14 @@ from .regions import Region, SamplePlan, StripeRegion, quad_black_fraction
 
 
 class Packing:
-    """Closed disks with pairwise disjoint interiors."""
+    """Closed disks with pairwise disjoint interiors.
+
+    Subclasses provide bodies_in_ball(ball), covers(p) for one point and
+    covers_xy(xs, ys) for coordinate arrays.
+    """
 
     label = "packing"
     fundamental_domain = None
-
-    def bodies_in_ball(self, ball: BallSpec) -> list[HDisk]:
-        """All disks whose closure meets the closed ball."""
-        raise NotImplementedError
-
-    def covers(self, p: HPoint) -> bool:
-        ball = BallSpec(p, 1e-9)
-        return any(d.contains(p) for d in self.bodies_in_ball(ball))
-
-    def covers_xy(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        out = np.empty(xs.shape, dtype=bool)
-        fx, fy, fo = xs.ravel(), ys.ravel(), out.ravel()
-        for i in range(fx.size):
-            fo[i] = self.covers(HPoint(fx[i], fy[i]))
-        return out
 
 
 def pairwise_min_gap(disks) -> float:
@@ -99,42 +90,18 @@ def disjointness_audit(packing: Packing, windows) -> float:
 # stripe model
 
 
-def stripe_contains(p: HPoint, W: float) -> bool:
-    """True iff p lies in a black stripe of width W.
-
-    Stripes are bounded by the horocycles y_j = e^{(j+1/2) W}; the stripe
-    with index j = floor(log(y)/W - 1/2) is black when j is odd, which
-    puts the base point (0, 1) in the black stripe j = -1. Intervals are
-    half-open from below: a point exactly on y_j belongs to stripe j.
-    """
-    if not (W > 0.0) or not math.isfinite(W):
-        raise DomainError(f"stripe width must be positive and finite, got {W}")
-    return math.floor(p.log_y / W - 0.5) % 2 != 0
-
-
-def halfspace_contains(p: HPoint) -> bool:
-    """True iff p lies in the closed half-plane x >= 0."""
-    return p.x >= 0.0
-
-
-class StripeModel(Region):
+class StripeModel(StripeRegion):
     """Alternating black/white stripes between equidistant horocycles.
 
     Consecutive horocycles y_j = e^{(j+1/2) W} are at hyperbolic distance
-    exactly W. The model behaves as the indicator region of the black
-    union; the covered fraction of any ball is available in closed form
-    through one-dimensional quadrature.
+    exactly W. The model is the indicator region of the black union; the
+    covered area of any ball is the box-in-ball quadrature summed over the
+    black stripes it meets.
     """
 
     def __init__(self, W: float):
-        if not (W > 0.0) or not math.isfinite(W):
-            raise DomainError(f"stripe width must be positive and finite, got {W}")
-        self.W = float(W)
+        super().__init__(W)
         self.label = f"stripe(W={self.W:g})"
-        self._region = StripeRegion(self.W)
-
-    def region(self) -> StripeRegion:
-        return self._region
 
     def horocycle_point(self, j: int) -> HPoint:
         """The point (0, y_j) on the j-th bounding horocycle."""
@@ -146,15 +113,6 @@ class StripeModel(Region):
 
     def black_fraction(self, R: float, center: HPoint = ORIGIN) -> float:
         return quad_black_fraction(self.W, R, center_log_y=center.log_y)
-
-    def contains(self, p: HPoint) -> bool:
-        return self._region.contains(p)
-
-    def covers_xy(self, xs, ys):
-        return self._region.covers_xy(xs, ys)
-
-    def exact_area_in_ball(self, ball: BallSpec) -> float:
-        return self._region.exact_area_in_ball(ball)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +149,7 @@ class BoroczkyPacking(Packing):
     (x, y) -> (e^2 x, e^2 y), which shifts j by one, and under the
     x-translation by one spacing, which shifts k. Coverage queries are
     O(1): only the row j = floor(log(y)/2) can cover a point, and only
-    the nearest few columns.
+    the nearest column.
     """
 
     def __init__(self, disk_radius: float | None = None):
@@ -218,40 +176,28 @@ class BoroczkyPacking(Packing):
             raise RangeError(f"center ({j}, {k}) overflows the x coordinate")
         return HPoint.from_log(x, a)
 
+    def _covers(self, xs, L):
+        """Coverage of points given by x and log-height L.
+
+        In row units (u, v) = (x, y) / e^a the row's centers sit at
+        (k + 1/2, 1), and the nearest of them, k = floor(u), is the only
+        one that can cover the point.
+        """
+        a = 2.0 * np.floor(L / 2.0) + 0.5
+        v = np.exp(L - a)
+        # x beyond the float range of the row spacing gives u = inf: uncovered
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = np.exp(-0.5 * a)
+            u = (xs * scale) * scale
+            du = u - (np.floor(u) + 0.5)
+            return 1.0 + (du * du + (v - 1.0) ** 2) / (2.0 * v) <= math.cosh(self.disk_radius)
+
     def covers(self, p: HPoint) -> bool:
-        L = p.log_y
-        j = math.floor(L / 2.0)
-        a = 2.0 * j + 0.5
-        v = math.exp(L - a)
-        u = (p.x * math.exp(-0.5 * a)) * math.exp(-0.5 * a)
-        if not math.isfinite(u):
-            return False
-        ch = math.cosh(self.disk_radius)
-        k = round(u - 0.5)
-        for kk in (k - 1, k, k + 1):
-            du = u - (kk + 0.5)
-            if 1.0 + (du * du + (v - 1.0) ** 2) / (2.0 * v) <= ch:
-                return True
-        return False
+        # log_y stays finite where y itself under- or overflows
+        return bool(self._covers(p.x, p.log_y))
 
     def covers_xy(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        L = np.log(ys)
-        j = np.floor(L / 2.0)
-        a = 2.0 * j + 0.5
-        v = np.exp(L - a)
-        scale = np.exp(-0.5 * a)
-        u = (xs * scale) * scale
-        ch = math.cosh(self.disk_radius)
-        k0 = np.floor(u)  # candidate columns k0-1, k0, k0+1 bracket round(u-1/2)
-        out = np.zeros(xs.shape, dtype=bool)
-        vv = (v - 1.0) ** 2
-        with np.errstate(invalid="ignore"):
-            for dk in (-1.0, 0.0, 1.0):
-                du = u - (k0 + dk + 0.5)
-                out |= 1.0 + (du * du + vv) / (2.0 * v) <= ch
-        return out
+        return self._covers(np.asarray(xs, dtype=float), np.log(np.asarray(ys, dtype=float)))
 
     def bodies_in_ball(self, ball: BallSpec) -> list[HDisk]:
         """All disks whose Euclidean circle meets the ball's Euclidean circle.
@@ -301,11 +247,6 @@ class BoroczkyPacking(Packing):
                     raise RangeError(f"center ({j}, {k}) overflows the x coordinate")
                 out.append(HDisk(HPoint.from_log(x, a), rho))
         return out
-
-
-def boroczky_disks_in_ball(ball: BallSpec, disk_radius: float) -> list[HDisk]:
-    """Disks of the Boroczky packing meeting the ball; see BoroczkyPacking."""
-    return BoroczkyPacking(disk_radius).bodies_in_ball(ball)
 
 
 # --------------------------------------------------------------------------
@@ -550,11 +491,6 @@ class TightPacking(Packing):
         return self._fd
 
 
-def tight_centers_in_ball(m: int, ball: BallSpec) -> list[HPoint]:
-    """Vertices of the {3,m} triangulation inside the ball; see TightPacking."""
-    return TightPacking(m).centers_in_ball(ball)
-
-
 # --------------------------------------------------------------------------
 # transformed packings
 
@@ -645,7 +581,11 @@ class BrickTile:
 
 
 class BrickRegion(Region):
-    """Indicator region of one brick, with quadrature ball overlap."""
+    """Indicator region of one brick.
+
+    The brick is the box {xa <= x < xb, log s <= log y < log s + 2}, so its
+    area inside a ball is the box-in-ball quadrature of the regions module.
+    """
 
     def __init__(self, tile: BrickTile):
         self.tile = tile
@@ -666,40 +606,9 @@ class BrickRegion(Region):
         return (ys >= ya) & (ys < yb) & (xs >= xa) & (xs < xb)
 
     def exact_area_in_ball(self, ball: BallSpec) -> float:
-        """Adaptive quadrature of the brick/ball overlap in log-height."""
-        from scipy.integrate import quad
-
         t = self.tile
-        eb = ball.euclid_form()
-        top = eb.k + eb.r
-        bottom = eb.k_minus_r
-        y_lo = max(t.y_bounds[0], bottom)
-        y_hi = min(t.y_bounds[1], top)
-        if y_lo >= y_hi:
-            return 0.0
         xa, xb = t.x_bounds
-
-        def integrand(u):
-            y = math.exp(u)
-            c2 = (top - y) * (y - bottom)
-            if c2 <= 0.0:
-                return 0.0
-            c = math.sqrt(c2)
-            lo = max(xa, eb.h - c)
-            hi = min(xb, eb.h + c)
-            if hi <= lo:
-                return 0.0
-            return (hi - lo) / y
-
-        val, _ = quad(
-            integrand,
-            math.log(y_lo),
-            math.log(y_hi),
-            epsabs=1e-13,
-            epsrel=DEFAULT_TOLERANCES.quad_rel,
-            limit=400,
-        )
-        return val
+        return _box_area_in_ball(ball.radius, ball.center, xa, xb, t.log_s, t.log_s + 2.0)
 
     def sample_uniform(self, plan: SamplePlan):
         """Area-uniform sample of the brick: x uniform, 1/y^2 in height."""
@@ -707,8 +616,6 @@ class BrickRegion(Region):
         rng = np.random.Generator(np.random.Philox(plan.seed))
         u = rng.random(plan.n)
         v = rng.random(plan.n)
-        if plan.strata:
-            u = (np.arange(plan.n) % plan.strata + u) / plan.strata
         ys = t.s / (1.0 - u * (1.0 - math.exp(-2.0)))
         xa, xb = t.x_bounds
         xs = xa + v * (xb - xa)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .hgeom import ORIGIN, BallSpec, cosh_distance_xy
-from .regions import SamplePlan  # noqa: F401  (re-exported for callers)
+from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, polar_xy
 
 # Net spacing h yields a covering radius of about 0.72 h in the body
 # interiors and at worst about 1.25 h where bodies meet the level
@@ -72,12 +71,9 @@ def _disk_net(cx, cy, rho, spacing):
             continue
         n_ang = max(3, int(math.ceil(2.0 * math.pi * math.sinh(r) / spacing)))
         theta = 2.0 * math.pi * (np.arange(n_ang) + 0.5 * (i % 2)) / n_ang
-        t = math.tanh(0.5 * r)
-        a = t * np.cos(theta)
-        b = t * np.sin(theta)
-        den = (1.0 - a) ** 2 + b**2
-        xs_all.append(cx + cy * (-2.0 * b / den))
-        ys_all.append(cy * (1.0 - a * a - b * b) / den)
+        xs, ys = polar_xy(cx, cy, r, theta)
+        xs_all.append(xs)
+        ys_all.append(ys)
     return np.concatenate(xs_all), np.concatenate(ys_all)
 
 
@@ -85,11 +81,7 @@ def _boundary_ring(k, spacing):
     """Points along the level-k ball boundary at net spacing."""
     n = max(8, int(math.ceil(2.0 * math.pi * math.sinh(k) / spacing)))
     theta = 2.0 * math.pi * np.arange(n) / n
-    t = math.tanh(0.5 * k)
-    a = t * np.cos(theta)
-    b = t * np.sin(theta)
-    den = (1.0 - a) ** 2 + b**2
-    return -2.0 * b / den, (1.0 - a * a - b * b) / den
+    return polar_xy(0.0, 1.0, k, theta)
 
 
 def _level_net(target, k, spacing):

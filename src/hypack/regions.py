@@ -1,10 +1,15 @@
 """Regions of the half-plane and area estimation.
 
 Provides uniform sampling of hyperbolic balls, Monte Carlo coverage
-fractions, exact quadrature for horocyclic stripe areas, and the closed-form
-Euclidean annulus fractions. Every sampler is driven by a counter-based
-generator keyed on the plan seed, so identical plans give identical output
+fractions, exact ball areas by quadrature, and the closed-form Euclidean
+annulus fractions. Every sampler is driven by a counter-based generator
+keyed on the plan seed, so identical plans give identical output
 regardless of platform or call order.
+
+Stripes, half-planes and bricks are all boxes {xa <= x < xb,
+la <= log y < lb}, with some edges at infinity, and a hyperbolic ball is
+a Euclidean disk. One quadrature, _box_area_in_ball, measures a box
+inside a ball for all three.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .hgeom import (
     ball_area,
     distance,
     midpoint,
+    polar_xy,
     signed_distance,
     signed_distance_xy,
 )
@@ -33,17 +39,14 @@ from .hgeom import (
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Reproducible Monte Carlo plan: seed, sample count, optional strata."""
+    """Reproducible Monte Carlo plan: seed and sample count."""
 
     seed: int
     n: int
-    strata: int = 0
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"sample count must be >= 1, got {self.n}")
-        if self.strata < 0:
-            raise DomainError(f"strata must be >= 0, got {self.strata}")
 
 
 @dataclass(frozen=True)
@@ -53,21 +56,21 @@ class AreaEstimate:
     samples: int
     method: str
 
+    @classmethod
+    def monte_carlo(cls, covered) -> "AreaEstimate":
+        """Covered fraction of uniform samples, with its binomial standard error."""
+        cov = np.asarray(covered, dtype=bool)
+        n = cov.size
+        frac = float(np.mean(cov))
+        return cls(frac, math.sqrt(frac * (1.0 - frac) / n), n, "mc")
+
 
 class Region:
-    """Measurable subset of the half-plane (indicator interface)."""
+    """Measurable subset of the half-plane (indicator interface).
 
-    def contains(self, p: HPoint) -> bool:
-        raise NotImplementedError
-
-    def covers_xy(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return np.fromiter(
-            (self.contains(HPoint(float(x), float(y))) for x, y in zip(xs, ys)),
-            dtype=bool,
-            count=len(xs),
-        )
+    Subclasses provide contains(p) for one point and covers_xy(xs, ys)
+    for coordinate arrays.
+    """
 
     def exact_area_in_ball(self, ball: BallSpec):
         """Exact covered area inside the ball, or None when unavailable."""
@@ -130,7 +133,9 @@ class HalfSpaceRegion(Region):
             return None
         if ball.radius > 50.0 or ball.center.is_extreme():
             return None
-        return _halfplane_area_in_ball(self.geodesic.x0, self.sign, ball)
+        x0 = self.geodesic.x0
+        xa, xb = (x0, math.inf) if self.sign > 0 else (-math.inf, x0)
+        return _box_area_in_ball(ball.radius, ball.center, xa, xb, -math.inf, math.inf)
 
 
 class PolygonRegion(Region):
@@ -217,16 +222,17 @@ class StripeRegion(Region):
             raise DomainError(f"stripe width must be positive and finite, got {W!r}")
         self.W = W
 
-    def stripe_index(self, p: HPoint) -> int:
-        return int(math.floor(p.log_y / self.W - 0.5))
+    def _black(self, log_y):
+        """Whether log-heights fall in a black (odd-index) stripe."""
+        j = np.floor(log_y / self.W - 0.5)
+        return 2.0 * np.floor(0.5 * j) != j
 
     def contains(self, p):
-        return self.stripe_index(p) % 2 != 0
+        # log_y stays finite where y itself under- or overflows
+        return bool(self._black(p.log_y))
 
     def covers_xy(self, xs, ys):
-        ys = np.asarray(ys, dtype=float)
-        idx = np.floor(np.log(ys) / self.W - 0.5).astype(np.int64)
-        return idx % 2 != 0
+        return self._black(np.log(np.asarray(ys, dtype=float)))
 
     def exact_area_in_ball(self, ball):
         frac = quad_black_fraction(self.W, ball.radius, center_log_y=ball.center.log_y)
@@ -257,32 +263,17 @@ def sample_ball_uniform(ball: BallSpec, plan: SamplePlan):
     """Area-uniform points of the ball, via the radial inverse CDF.
 
     The radius is drawn from arccosh(1 + u (cosh R - 1)); the direction is an
-    independent uniform angle. Optional strata partition u into equal bands
-    indexed by sample position.
+    independent uniform angle.
     """
     rng = np.random.Generator(np.random.Philox(plan.seed))
-    return _ball_points(ball, rng, plan.n, plan.strata)
+    return _ball_points(ball, rng, plan.n)
 
 
-def _ball_points(ball: BallSpec, rng, n: int, strata: int = 0):
+def _ball_points(ball: BallSpec, rng, n: int):
     u = rng.random(n)
     theta = rng.random(n) * (2.0 * math.pi)
-    if strata > 1:
-        u = (np.arange(n) % strata + u) / strata
-    R = ball.radius
-    rho = np.arccosh(1.0 + u * (math.cosh(R) - 1.0))
-    t = np.tanh(0.5 * rho)
-    a = t * np.cos(theta)
-    b = t * np.sin(theta)
-    den = (1.0 - a) ** 2 + b**2
-    x = -2.0 * b / den
-    y = (1.0 - a * a - b * b) / den
-    cx, cy = ball.center.x, ball.center.y
-    return cx + cy * x, cy * y
-
-
-def _stratum_indices(plan: SamplePlan):
-    return np.arange(plan.n) % plan.strata
+    rho = np.arccosh(1.0 + u * (math.cosh(ball.radius) - 1.0))
+    return polar_xy(ball.center.x, ball.center.y, rho, theta)
 
 
 def mc_area_fraction(target, ball: BallSpec, plan: SamplePlan) -> AreaEstimate:
@@ -291,25 +282,7 @@ def mc_area_fraction(target, ball: BallSpec, plan: SamplePlan) -> AreaEstimate:
     target is anything with covers_xy (Region or packing).
     """
     xs, ys = sample_ball_uniform(ball, plan)
-    cov = np.asarray(target.covers_xy(xs, ys), dtype=bool)
-    n = plan.n
-    if plan.strata > 1:
-        strata = _stratum_indices(plan)
-        var = 0.0
-        frac = 0.0
-        for s in range(plan.strata):
-            sel = strata == s
-            ns = int(np.count_nonzero(sel))
-            if ns == 0:
-                continue
-            fs = float(np.mean(cov[sel]))
-            w = ns / n
-            frac += w * fs
-            var += w * w * fs * (1.0 - fs) / ns
-        return AreaEstimate(frac, math.sqrt(var), n, "mc")
-    frac = float(np.mean(cov))
-    se = math.sqrt(frac * (1.0 - frac) / n)
-    return AreaEstimate(frac, se, n, "mc")
+    return AreaEstimate.monte_carlo(target.covers_xy(xs, ys))
 
 
 # ------------------------------------------------------------- quadrature
@@ -322,22 +295,58 @@ def _chord_factor(u, R):
     return math.sqrt(rad)
 
 
-def _band_area_in_ball(lo: float, hi: float, R: float) -> float:
-    """Area of B_R about a center at shifted log-height 0, between
-    log-heights lo..hi relative to the center.
+def _box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
+    """Area of the box {xa <= x < xb, la <= log y < lb} inside B(center, R).
 
-    In the substituted variable u = ln y - ln(center y) the area element is
-    2 e^{(R-u)/2} sqrt((1 - e^{-(R-u)})(1 - e^{-(R+u)})) du, which keeps the
-    endpoint square roots in factored, cancellation-free form.
+    Edges may be infinite. In u = log y - log y_c the ball's chord at
+    height u spans x = x_c + y (-hw, hw) with
+    hw = e^{(R-u)/2} sqrt((1 - e^{-(R-u)})(1 - e^{-(R+u)})), a factored,
+    cancellation-free form, and the area element is dx du / y, so the
+    integrand is the clipped chord width over y:
+    min(hw, (xb - x_c)/y) - max(-hw, (xa - x_c)/y). Without finite x edges
+    (a stripe) that is hw + hw. The width has a kink where the ball's
+    circle crosses a finite x edge; those heights are passed to quad as
+    break points. A box with a finite x edge raises RangeError when the
+    ball's Euclidean form overflows, whether or not the two meet.
     """
-    lo = max(lo, -R)
-    hi = min(hi, R)
+    lo = max(la - center.log_y, -R)
+    hi = min(lb - center.log_y, R)
+    # x edges in units of the center's height; infinite edges stay infinite
+    ea, eb = xa, xb
+    points = []
+    # stripes keep quad's default absolute tolerance, under which their
+    # areas (and A2's fractions) were computed; a box with a finite x edge
+    # can hold a tiny area, so it asks for relative accuracy alone
+    epsabs = 1.49e-8
+    if math.isfinite(xa) or math.isfinite(xb):
+        epsabs = 0.0
+        circ = BallSpec(center, R).euclid_form()
+        ea, eb = (xa - circ.h) / center.y, (xb - circ.h) / center.y
+        for xe in (xa, xb):
+            dx = abs(xe - circ.h)
+            if dx < circ.r:
+                # the two crossing heights multiply to y_c^2 + dx^2
+                top = math.log(circ.k + math.sqrt((circ.r - dx) * (circ.r + dx)))
+                bottom = 2.0 * math.log(math.hypot(center.y, dx)) - top
+                points += [bottom - center.log_y, top - center.log_y]
     if lo >= hi:
         return 0.0
+    # quad cannot split the piece between a break point and an end closer
+    # than this, and the kink there is too near the end to matter
+    gap = 1e-9 * R
+    points = [u for u in points if lo + gap < u < hi - gap]
+
+    def width(u):
+        hw = math.exp(0.5 * (R - u)) * _chord_factor(u, R)
+        s = math.exp(-u)
+        return max(min(hw, eb * s) - max(-hw, ea * s), 0.0)
+
     val, _ = integrate.quad(
-        lambda u: 2.0 * math.exp(0.5 * (R - u)) * _chord_factor(u, R),
+        width,
         lo,
         hi,
+        points=points or None,
+        epsabs=epsabs,
         epsrel=DEFAULT_TOLERANCES.quad_rel,
         limit=200,
     )
@@ -352,9 +361,14 @@ def quad_stripe_area(W: float, R: float, j: int, center_log_y: float = 0.0) -> f
     if not (R > 0.0):
         raise DomainError(f"ball radius must be positive, got {R!r}")
     ball_area(R)  # range validation
-    lo = (j + 0.5) * W - center_log_y
-    hi = (j + 1.5) * W - center_log_y
-    return _band_area_in_ball(lo, hi, R)
+    return _box_area_in_ball(
+        R,
+        HPoint.from_log(0.0, center_log_y),
+        -math.inf,
+        math.inf,
+        (j + 0.5) * W,
+        (j + 1.5) * W,
+    )
 
 
 def stripe_index_range(W: float, R: float, center_log_y: float = 0.0):
@@ -372,27 +386,6 @@ def quad_black_fraction(W: float, R: float, center_log_y: float = 0.0) -> float:
         if j % 2 != 0:
             black += quad_stripe_area(W, R, j, center_log_y)
     return black / ball_area(R)
-
-
-def _halfplane_area_in_ball(x0: float, sign: int, ball: BallSpec) -> float:
-    """Exact area of {sign (x - x0) >= 0} inside the ball (u-substituted quadrature)."""
-    R = ball.radius
-    cx, cy = ball.center.x, ball.center.y
-
-    def overlap(u):
-        w = cy * math.exp(0.5 * (R + u)) * _chord_factor(u, R)
-        y = cy * math.exp(u)
-        lo, hi = cx - w, cx + w
-        if sign > 0:
-            ov = hi - max(lo, x0)
-        else:
-            ov = min(hi, x0) - lo
-        if ov <= 0.0:
-            return 0.0
-        return ov / y
-
-    val, _ = integrate.quad(overlap, -R, R, epsrel=1e-9, limit=400)
-    return val
 
 
 # ------------------------------------------------------------- annulus

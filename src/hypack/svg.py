@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedOperationError
 from .hgeom import BallSpec
-from .packings import BrickRegion, StripeModel
+from .packings import BrickRegion
 from .regions import AnnulusRegionEuclid, HalfSpaceRegion, StripeRegion
 
 
@@ -202,9 +202,7 @@ def render_region(region, window: BallSpec, *, y_log: bool = False,
         x0, x1, y0, y1 = _window_box(window, y_log)
         canvas = _Canvas(x0, x1, y0, y1, width=width)
 
-    if isinstance(region, StripeModel):
-        parts = _stripe_elements(canvas, region.W, y_log)
-    elif isinstance(region, StripeRegion):
+    if isinstance(region, StripeRegion):
         parts = _stripe_elements(canvas, region.W, y_log)
     elif isinstance(region, HalfSpaceRegion):
         parts = _halfspace_elements(canvas, region, y_log)

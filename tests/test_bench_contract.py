@@ -1,0 +1,76 @@
+"""The benchmark in perfbench/ calls and wraps hypack's public API by name.
+
+These checks keep the names it relies on in place: the tracer finds
+every method and function it wraps and restores each original, and every
+``hp.<name>`` the workloads use resolves on the package.
+"""
+
+import ast
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import hypack
+import hypack.cli  # install() imports it; load it before any snapshot
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot():
+    """Every binding of every hypack module, and every hypack class's dict."""
+    modules, classes = {}, {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "hypack" or name.startswith("hypack.")):
+            continue
+        modules[name] = dict(vars(mod))
+        for value in vars(mod).values():
+            if inspect.isclass(value) and value.__module__.startswith("hypack"):
+                classes[value] = dict(value.__dict__)
+    return modules, classes
+
+
+def test_tracer_wraps_every_target_and_restores_it():
+    tracer_mod = _load("tracer")
+    before_modules, before_classes = _snapshot()
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install(tracer, hypack)
+    try:
+        assert tracer.missing == []
+        assert hypack.mc_area_fraction is not before_modules["hypack"]["mc_area_fraction"]
+    finally:
+        tracer.uninstall()
+    after_modules, after_classes = _snapshot()
+    for name, binding in before_modules.items():
+        after = after_modules[name]
+        assert after.keys() == binding.keys(), name
+        for key, value in binding.items():
+            assert after[key] is value, f"{name}.{key}"
+    for cls, attrs in before_classes.items():
+        after = after_classes[cls]
+        assert after.keys() == attrs.keys(), cls.__name__
+        for key, value in attrs.items():
+            assert after[key] is value, f"{cls.__name__}.{key}"
+
+
+def test_workload_names_resolve_on_the_package():
+    _load("workloads")
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "hp"
+    }
+    assert used
+    assert sorted(name for name in used if not hasattr(hypack, name)) == []

@@ -207,9 +207,16 @@ def test_out_file_matches_stdout_and_is_deterministic(tmp_path, capsys):
 
 
 def test_bad_center_fails(capsys):
-    code, _, err = run(capsys, ["gen", "--kind", "tight", "--center", "1;2"])
-    assert code == 2
-    assert "error:" in err
+    commands = (
+        ["gen", "--kind", "tight"],
+        ["gen", "--kind", "boroczky"],
+        ["density", "--kind", "stripe", "--W", "5", "--radii", "2"],
+    )
+    for command in commands:
+        for center in ("1;2", "a,1", "nan,1", "inf,1"):
+            code, _, err = run(capsys, command + ["--center", center])
+            assert code == 2, (command, center)
+            assert "error:" in err
 
 
 # ---------------------------------------------------------------- verify

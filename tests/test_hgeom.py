@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypack import (
     DomainError,
@@ -9,12 +10,10 @@ from hypack import (
     HPoint,
     ORIGIN,
     Isometry,
-    make_isometry,
     apply,
     distance,
     HDisk,
     BallSpec,
-    disk_euclidean_form,
     disk_from_euclidean,
     ball_area,
     angle_of_parallelism,
@@ -28,6 +27,7 @@ from hypack import (
     GeodesicPolygon,
     polygon_area,
 )
+from hypack.hgeom import cosh_distance_xy, polar_xy
 
 RNG_SEED = 20260816
 
@@ -142,14 +142,12 @@ def test_rotation_fixes_center():
         assert distance(g(p), p) < 1e-12
 
 
-def test_make_isometry_factory():
+def test_isometry_constructors():
     p = HPoint(0.5, 2.0)
-    assert distance(make_isometry("translation", t=1.0)(p), HPoint(1.5, 2.0)) < 1e-12
-    assert distance(make_isometry("dilation", lam=4.0)(p), HPoint(2.0, 8.0)) < 1e-12
-    g = make_isometry("rotation", theta=0.7, center=p)
+    assert distance(Isometry.translation(1.0)(p), HPoint(1.5, 2.0)) < 1e-12
+    assert distance(Isometry.dilation(4.0)(p), HPoint(2.0, 8.0)) < 1e-12
+    g = Isometry.rotation(0.7, p)
     assert distance(g(p), p) < 1e-12
-    with pytest.raises(DomainError):
-        make_isometry("reflection")
     with pytest.raises(DomainError):
         Isometry.dilation(-1.0)
     with pytest.raises(DomainError):
@@ -192,7 +190,7 @@ def test_disk_euclid_form_identity_and_roundtrip():
     for K in (math.exp(-5), 1.0, math.exp(7)):
         for R in np.geomspace(1e-3, 30.0, 40):
             d = HDisk(HPoint(1.25, K), float(R))
-            circ = disk_euclidean_form(d)
+            circ = d.euclid_form()
             # at large R the float difference k - r collapses; the stable
             # field must stay positive regardless
             assert circ.k >= circ.r
@@ -202,6 +200,23 @@ def test_disk_euclid_form_identity_and_roundtrip():
             back = disk_from_euclidean(circ)
             assert abs(back.center.y - K) <= 1e-10 * K
             assert abs(back.radius - R) <= 1e-10 * max(1.0, R)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.floats(-5.0, 5.0),
+    log_cy=st.floats(-30.0, 30.0),
+    rho=st.floats(0.0, 8.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_polar_xy_lands_at_distance_rho(u, log_cy, rho, theta):
+    # the disk map forms 1 - tanh(rho/2) cos(theta), so it resolves
+    # distances to about 1e-16 e^rho: rho <= 8 keeps that under 1e-12
+    cy = math.exp(log_cy)
+    cx = u * cy
+    x, y = polar_xy(cx, cy, rho, theta)
+    cd = float(cosh_distance_xy(x, y, cx, cy))
+    assert abs(cd / math.cosh(rho) - 1.0) <= 1e-12
 
 
 def test_disk_boundary_points_at_radius():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,14 +29,10 @@ from hypack.packings import (
     StripeModel,
     TightPacking,
     TransformedPacking,
-    boroczky_disks_in_ball,
     boroczky_max_radius,
     brick_region,
     disjointness_audit,
-    halfspace_contains,
     pairwise_min_gap,
-    stripe_contains,
-    tight_centers_in_ball,
     tight_density_formula,
     tight_radius,
 )
@@ -52,15 +49,16 @@ def tight7():
 
 def test_stripe_contains_parity_and_boundaries():
     # the base point (0, 1) is black; colors flip at every horocycle
-    assert stripe_contains(ORIGIN, 5.0)
-    assert stripe_contains(ORIGIN, 1.0)
-    assert not stripe_contains(HPoint(0.0, math.exp(1.0)), 1.0)  # stripe 0
-    assert stripe_contains(HPoint(0.0, math.exp(2.0)), 1.0)  # stripe 1
+    assert StripeModel(5.0).contains(ORIGIN)
+    sm = StripeModel(1.0)
+    assert sm.contains(ORIGIN)
+    assert not sm.contains(HPoint(0.0, math.exp(1.0)))  # stripe 0
+    assert sm.contains(HPoint(0.0, math.exp(2.0)))  # stripe 1
     # half-open: a point exactly on y_j belongs to the stripe above
-    assert stripe_contains(HPoint.from_log(0.0, 1.5), 1.0)
-    assert not stripe_contains(HPoint.from_log(0.0, 1.5 - 1e-12), 1.0)
+    assert sm.contains(HPoint.from_log(0.0, 1.5))
+    assert not sm.contains(HPoint.from_log(0.0, 1.5 - 1e-12))
     with pytest.raises(DomainError):
-        stripe_contains(ORIGIN, 0.0)
+        StripeModel(0.0)
 
 
 def test_stripe_model_horocycle_spacing_exact():
@@ -79,12 +77,6 @@ def test_stripe_model_delegates():
     assert abs(f - quad_black_fraction(5.0, 32.5)) == 0.0
     ball = BallSpec(ORIGIN, 7.0)
     assert abs(sm.exact_area_in_ball(ball) / ball_area(7.0) - sm.black_fraction(7.0)) < 1e-12
-
-
-def test_halfspace_contains():
-    assert halfspace_contains(HPoint(1.0, 1.0))
-    assert not halfspace_contains(HPoint(-1.0, 1.0))
-    assert halfspace_contains(HPoint(0.0, 5.0))  # closed boundary
 
 
 # ---------------------------------------------------------------- boroczky
@@ -142,7 +134,7 @@ def test_boroczky_interrow_minimum():
 def test_boroczky_empty_window_far_from_disks():
     # (0, e) sits in the uncovered band between rows 0 and 1
     ball = BallSpec(HPoint(0.0, math.e), 0.01)
-    assert boroczky_disks_in_ball(ball, boroczky_max_radius()) == []
+    assert BoroczkyPacking().bodies_in_ball(ball) == []
 
 
 def test_boroczky_covers_matches_bodies():
@@ -161,6 +153,30 @@ def test_boroczky_covers_matches_bodies():
     # scalar covers agrees with the vectorized path
     for i in range(0, 2000, 97):
         assert bp.covers(HPoint(xs[i], ys[i])) == bool(got[i])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.floats(-3.0, 3.0),
+    log_y=st.floats(-3.0, 3.0),
+    k=st.integers(-400, 400),
+)
+def test_boroczky_covers_scalar_vector_and_row_shift(u, log_y, k):
+    # (x, log y) -> (e^{2k} x, log y + 2k) is the dilation by e^{2k},
+    # which maps the packing to itself; |k| up to 400 puts the image at
+    # log-heights up to 803, where y itself under- or overflows
+    bp = BoroczkyPacking()
+    x = u * math.exp(log_y)
+    p = HPoint.from_log(x, log_y)
+    gaps = [distance(p, d.center) - d.radius for d in bp.bodies_in_ball(BallSpec(p, 1.0))]
+    assume(all(abs(g) > 1e-9 for g in gaps))
+    covered = any(g <= 0.0 for g in gaps)
+    assert bp.covers(p) == covered
+    assert bool(bp.covers_xy(np.array([p.x]), np.array([p.y]))[0]) == covered
+    x_img = (x * math.exp(k)) * math.exp(k)
+    # the image x must carry the digits of x: finite and not subnormal
+    assume(x == 0.0 or sys.float_info.min <= abs(x_img) < math.inf)
+    assert bp.covers(HPoint.from_log(x_img, log_y + 2.0 * k)) == covered
 
 
 def test_boroczky_dilation_invariance():
@@ -233,7 +249,7 @@ def test_fundamental_domain_dual_evaluation():
 # ---------------------------------------------------------------- tight packing windows
 
 def test_tight_centers_small_ball_is_first_shell():
-    centers = tight_centers_in_ball(7, BallSpec(ORIGIN, 1.2))
+    centers = TightPacking(7).centers_in_ball(BallSpec(ORIGIN, 1.2))
     assert len(centers) == 1 + 7
     r7 = tight_radius(7)
     dists = sorted(distance(ORIGIN, c) for c in centers)
@@ -444,6 +460,9 @@ def test_brick_area_closed_form_and_quadrature():
     mid = HPoint(0.5 * sum(t2.x_bounds), math.exp(t2.log_s + 1.0))
     quad2 = brick_region(t2).exact_area_in_ball(BallSpec(mid, 4.0))
     assert abs(quad2 - t2.area()) <= 1e-9 * t2.area()
+    # a ball whose Euclidean form overflows is out of range, even far away
+    with pytest.raises(RangeError):
+        brick_region(t).exact_area_in_ball(BallSpec(HPoint.from_log(0.0, 650.0), 100.0))
 
 
 def test_brick_validation():
