@@ -23,6 +23,7 @@ from .hgeom import (
     HPoint,
     angle_of_parallelism,
     ball_area,
+    ball_hits,
     cosh_distance_xy,
 )
 from .packings import BrickTile, TightPacking, brick_region
@@ -59,7 +60,7 @@ class DensityCurve:
     method: str
 
     def __post_init__(self):
-        if self.method not in ("mc", "quadrature", "closed-form"):
+        if self.method not in ("mc", "quadrature", "closed-form", "mixed"):
             raise DomainError(f"unknown curve method {self.method!r}")
         radii = [pt.radius for pt in self.points]
         if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -83,9 +84,12 @@ class DensityCurve:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for pt in self.points:
+            method = self.method
+            if method == "mixed":
+                method = "mc" if pt.samples else "quadrature"
             lines.append(
                 f"{pt.radius:.17g},{pt.fraction:.17g},{pt.std_error:.17g},"
-                f"{pt.samples},{self.method}"
+                f"{pt.samples},{method}"
             )
         return "\n".join(lines) + "\n"
 
@@ -113,9 +117,9 @@ def _exact_fraction(target, ball: BallSpec):
 def density_curve(target, center: HPoint, radii, plan: SamplePlan) -> DensityCurve:
     """Density curve of a packing or region about center at the given radii.
 
-    Uses the target's exact ball quadrature when it covers every radius;
-    otherwise falls back to Monte Carlo with per-radius plans derived
-    from the given seed.
+    Radii where the target's exact ball quadrature applies use it; the
+    others are Monte Carlo, the k-th radius with seed plan.seed + k. A
+    curve with points of both kinds has method "mixed".
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -125,19 +129,18 @@ def density_curve(target, center: HPoint, radii, plan: SamplePlan) -> DensityCur
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
 
-    exact = [_exact_fraction(target, BallSpec(center, r)) for r in radii]
-    if all(f is not None for f in exact):
-        points = tuple(
-            CurvePoint(r, f, 0.0, 0) for r, f in zip(radii, exact)
-        )
-        return DensityCurve(center=center, points=points, method="quadrature")
-
     points = []
     for k, r in enumerate(radii):
-        sub = SamplePlan(seed=plan.seed + k, n=plan.n)
-        est = mc_area_fraction(target, BallSpec(center, r), sub)
-        points.append(CurvePoint(r, est.fraction, est.std_error, est.samples))
-    return DensityCurve(center=center, points=tuple(points), method="mc")
+        ball = BallSpec(center, r)
+        f = _exact_fraction(target, ball)
+        if f is None:
+            est = mc_area_fraction(target, ball, SamplePlan(seed=plan.seed + k, n=plan.n))
+            points.append(CurvePoint(r, est.fraction, est.std_error, est.samples))
+        else:
+            points.append(CurvePoint(r, f, 0.0, 0))
+    methods = {"mc" if pt.samples else "quadrature" for pt in points}
+    method = methods.pop() if len(methods) == 1 else "mixed"
+    return DensityCurve(center=center, points=tuple(points), method=method)
 
 
 def f_R_average(target, R: float, plan: SamplePlan) -> AreaEstimate:
@@ -343,13 +346,12 @@ def _nearest_site(tree, sx, sy, x, y, rho0):
     second nearest, via Euclidean disk queries of growing radius."""
     rho = rho0
     while True:
-        idx = tree.query_ball_point([x, y * math.cosh(rho)], y * math.sinh(rho))
+        _, idx = ball_hits(tree, x, y, math.cosh(rho), math.sinh(rho))
         if len(idx) >= 2:
             break
         rho *= 1.5
         if rho > 50.0:
             raise DomainError("could not locate two sites near a sample point")
-    idx = np.asarray(idx)
     d = np.arccosh(np.maximum(cosh_distance_xy(x, y, sx[idx], sy[idx]), 1.0))
     order = np.argsort(d)
     return int(idx[order[0]]), float(d[order[1]] - d[order[0]])

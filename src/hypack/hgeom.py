@@ -13,6 +13,7 @@ produce.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,6 +128,23 @@ def polar_xy(cx, cy, rho, theta):
     x = -2.0 * b / den
     y = (1.0 - a * a - b * b) / den
     return cx + cy * x, cy * y
+
+
+def ball_hits(tree, xs, ys, cosh_r, sinh_r):
+    """Points of a KD-tree over half-plane coordinates inside hyperbolic balls.
+
+    The closed ball of radius r about (x, y) is the Euclidean disk with
+    centre (x, y cosh r) and radius y sinh r, so one query_ball_point
+    call finds the points of every ball. cosh_r and sinh_r are scalars
+    or one value per ball. Returns the number of hits of each ball and
+    the tree indices of the hits, flattened ball by ball.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    hits = tree.query_ball_point(np.column_stack([xs, ys * cosh_r]), ys * sinh_r)
+    counts = np.fromiter(map(len, hits), np.intp, len(hits))
+    flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, int(counts.sum()))
+    return counts, flat
 
 
 class Isometry:

@@ -14,7 +14,6 @@ the one box-in-ball quadrature of the regions module.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ from .hgeom import (
     Isometry,
     apply,
     ball_area,
+    ball_hits,
     cosh_distance_xy,
     polygon_area,
 )
@@ -421,12 +421,8 @@ class TightPacking(Packing):
         """
         pts = np.concatenate([ref, cand])
         tree = cKDTree(np.column_stack([pts.real, pts.imag]))
-        r, y = self.disk_radius, cand.imag
-        hits = tree.query_ball_point(
-            np.column_stack([cand.real, y * math.cosh(r)]), y * math.sinh(r)
-        )
-        counts = np.fromiter(map(len, hits), np.intp, cand.size)
-        flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, int(counts.sum()))
+        r = self.disk_radius
+        counts, flat = ball_hits(tree, cand.real, cand.imag, math.cosh(r), math.sinh(r))
         a, b = np.repeat(cand, counts), pts[flat]
         gap = 2.0 * np.arcsinh(np.abs(a - b) / (2.0 * np.sqrt(a.imag * b.imag)))
         merge_r = self._tol.dedup_radius
@@ -506,7 +502,8 @@ class TransformedPacking(Packing):
         self.disk_radius = getattr(base, "disk_radius", None)
 
     def covers(self, p: HPoint) -> bool:
-        return self.base.covers(apply(self.g_inv, p))
+        q = apply(self.g_inv, p)
+        return bool(self.base.covers_xy(np.array([q.x]), np.array([q.y]))[0])
 
     def covers_xy(self, xs, ys):
         bx, by = self.g_inv.apply_xy(xs, ys)

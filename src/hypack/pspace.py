@@ -6,6 +6,17 @@ standard origin. The distance between two packings is the largest over
 levels of the Hausdorff distance between same-level nets, scaled by
 1/k. Small distance means the packings nearly agree on a large ball,
 which is the topology in which density results are stable.
+
+A directed Hausdorff distance needs each point's nearest neighbour in the
+other net, found in two steps. A KD-tree over the target net gives each
+point a's Euclidean nearest neighbour, whose cosh distance C bounds the
+hyperbolic one from above. The hyperbolic ball {cosh d <= C} about
+a = (x, y) is the Euclidean disk with centre (x, y C) and radius
+y sqrt(C^2 - 1), so one ball query returns every point that can be
+nearer, and the cosh distance is evaluated on those pairs only. The
+result equals the all-pairs minimum bit for bit. Each pair's cosh
+distance is the same float expression, and the disk is padded beyond the
+roundoff of C and of the disk, so the candidates include every minimiser.
 """
 
 from __future__ import annotations
@@ -14,9 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .errors import DomainError
-from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, polar_xy
+from .errors import DomainError, RangeError
+from .hgeom import ORIGIN, BallSpec, ball_hits, cosh_distance_xy, polar_xy
 
 # Net spacing h yields a covering radius of about 0.72 h in the body
 # interiors and at worst about 1.25 h where bodies meet the level
@@ -24,6 +36,16 @@ from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, polar_xy
 # point.
 MAX_NET_SPACING = 0.04
 MIN_LEVEL_POINTS = 64
+# Padding of the refine disk's Euclidean radius, relative to its centre
+# height y C. A float cosh distance C is within 7 units in the last place
+# of its exact value; that moves the radius y sqrt(C^2 - 1) by at most
+# y C sqrt(14 * 2^-53) = 4e-8 y C (the square root is steep at C = 1),
+# and the centre, radius and KD-tree distances round at 1e-16 y C.
+_BALL_PAD = 1e-7
+# With |x|, y and 1/y at most 1e30, cosh distances stay below 3e120, and
+# the refine disks' centres y C and the KD-tree's squared distances stay
+# finite.
+_COORD_LIMIT = 1e30
 
 
 @dataclass(frozen=True)
@@ -153,23 +175,46 @@ def truncate(target, k_max: int = 8, spacing: float = 0.03) -> TruncatedPacking:
     return TruncatedPacking(k_max=k_max, levels=tuple(levels))
 
 
-def _directed_hausdorff(a, c, chunk=256):
-    worst = 0.0
-    for s in range(0, len(a), chunk):
-        blk = a[s : s + chunk]
-        cd = cosh_distance_xy(blk[:, 0, None], blk[:, 1, None],
-                              c[None, :, 0], c[None, :, 1])
-        nearest = np.maximum(cd.min(axis=1), 1.0)
-        worst = max(worst, float(np.arccosh(nearest).max()))
-    return worst
+def _directed_hausdorff(a, c):
+    """Largest distance from a point of a to the nearest point of c."""
+    tree = cKDTree(c)
+    _, j = tree.query(a)
+    # the Euclidean nearest neighbour's cosh distance bounds the hyperbolic
+    # one: the ball of that cosh-radius holds every point that can be nearer
+    ub = cosh_distance_xy(a[:, 0], a[:, 1], c[j, 0], c[j, 1])
+    sinh_r = np.sqrt((ub - 1.0) * (ub + 1.0)) + _BALL_PAD * ub
+    counts, hits = ball_hits(tree, a[:, 0], a[:, 1], ub, sinh_r)
+    cd = cosh_distance_xy(np.repeat(a[:, 0], counts), np.repeat(a[:, 1], counts),
+                          c[hits, 0], c[hits, 1])
+    nearest = np.minimum.reduceat(cd, np.cumsum(counts) - counts)
+    return float(np.arccosh(np.maximum(nearest, 1.0)).max())
+
+
+def _point_set(pts):
+    """Validated (n, 2) float array of half-plane points."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.size == 0:
+        raise DomainError("hausdorff distance of an empty set is undefined")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError("point sets must be (n, 2) coordinate arrays")
+    x, y = pts[:, 0], pts[:, 1]
+    if not (np.isfinite(pts).all() and (y > 0.0).all()):
+        raise DomainError("half-plane points need finite x and finite y > 0")
+    if (np.abs(x) > _COORD_LIMIT).any() or (np.abs(np.log(y)) > math.log(_COORD_LIMIT)).any():
+        raise RangeError(
+            f"hausdorff distance needs |x| <= {_COORD_LIMIT:g} and "
+            f"{1.0 / _COORD_LIMIT:g} <= y <= {_COORD_LIMIT:g}"
+        )
+    return pts
 
 
 def hausdorff_distance(a, c) -> float:
-    """Hausdorff distance between two finite half-plane point sets."""
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if a.size == 0 or c.size == 0:
-        raise DomainError("hausdorff distance of an empty set is undefined")
+    """Hausdorff distance between two finite half-plane point sets.
+
+    Coordinates must satisfy |x| <= 1e30 and 1e-30 <= y <= 1e30
+    (RangeError otherwise).
+    """
+    a, c = _point_set(a), _point_set(c)
     return max(_directed_hausdorff(a, c), _directed_hausdorff(c, a))
 
 

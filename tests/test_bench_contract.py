@@ -74,3 +74,10 @@ def test_workload_names_resolve_on_the_package():
     }
     assert used
     assert sorted(name for name in used if not hasattr(hypack, name)) == []
+
+
+def test_metric_workload_checks_pass(tmp_path):
+    workloads = _load("workloads")
+    checks = workloads.metric_run(hypack, workloads.metric_inputs(1), str(tmp_path))
+    assert checks
+    assert [name for name, ok in checks if not ok] == []

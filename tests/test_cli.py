@@ -7,8 +7,15 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from hypack.cli import main
+from hypack.hgeom import ORIGIN, BallSpec, Geodesic
 from hypack.packings import tight_radius
-from hypack.regions import annulus_fraction_euclid, quad_black_fraction
+from hypack.regions import (
+    HalfSpaceRegion,
+    SamplePlan,
+    annulus_fraction_euclid,
+    mc_area_fraction,
+    quad_black_fraction,
+)
 
 
 def run(capsys, argv):
@@ -116,6 +123,21 @@ def test_density_mc_path(capsys):
     assert int(row[3]) == 4000
     assert 0.8 < float(row[1]) < 1.0
     assert float(row[2]) > 0.0
+
+
+def test_density_halfspace_quadrature_rows_beside_mc(capsys):
+    # radius 60 is past the half-plane quadrature's reach; radii 1 and 2
+    # keep their quadrature, and the Monte Carlo row keeps seed 0 + 2
+    code, out, _ = run(capsys, ["density", "--kind", "halfspace", "--radii", "1,2,60"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["quadrature", "quadrature", "mc"]
+    for row in rows[:2]:
+        assert abs(float(row[1]) - 0.5) <= 1e-12
+        assert (row[2], row[3]) == ("0", "0")
+    est = mc_area_fraction(HalfSpaceRegion(Geodesic.vertical(0.0)), BallSpec(ORIGIN, 60.0),
+                           SamplePlan(seed=2, n=20000))
+    assert rows[2][1:4] == [f"{est.fraction:.17g}", f"{est.std_error:.17g}", "20000"]
 
 
 def test_density_bad_radii_fails(capsys):

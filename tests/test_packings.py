@@ -445,6 +445,21 @@ def test_transformed_packing_matches_base():
         assert distance(dg.center, apply(g, dw.center)) < 1e-9
 
 
+def test_transformed_covers_on_region_and_packing_bases():
+    # the scalar answer of a moved region (a stripe) and a moved packing
+    # is the base's coverage of the pulled-back point
+    g = Isometry.translation(0.3) @ Isometry.dilation(1.7)
+    xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 3.0), SamplePlan(seed=SEED + 3, n=600))
+    bx, by = g.inverse().apply_xy(xs, ys)
+    for base in (StripeModel(1.0), BoroczkyPacking()):
+        moved = TransformedPacking(g, base)
+        got = [moved.covers(HPoint(x, y)) for x, y in zip(xs, ys)]
+        assert all(isinstance(v, bool) for v in got)
+        assert got == base.covers_xy(bx, by).tolist()
+        assert got == moved.covers_xy(xs, ys).tolist()
+        assert 0 < sum(got) < len(got)
+
+
 # ---------------------------------------------------------------- bricks
 
 def test_brick_area_closed_form_and_quadrature():

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hypack.errors import DomainError
+from hypack.errors import DomainError, RangeError
 from hypack.hgeom import ORIGIN, BallSpec, HPoint, Isometry, cosh_distance_xy
 from hypack.packings import (
     BoroczkyPacking,
@@ -22,6 +23,24 @@ from hypack.pspace import (
 from hypack.regions import EmptyRegion, SamplePlan, sample_ball_uniform
 
 SEED = 88417
+
+
+def _all_pairs_directed(a, c, chunk=256):
+    """The all-pairs directed Hausdorff distance: the oracle."""
+    worst = 0.0
+    for s in range(0, len(a), chunk):
+        blk = a[s : s + chunk]
+        cd = cosh_distance_xy(blk[:, 0, None], blk[:, 1, None],
+                              c[None, :, 0], c[None, :, 1])
+        nearest = np.maximum(cd.min(axis=1), 1.0)
+        worst = max(worst, float(np.arccosh(nearest).max()))
+    return worst
+
+
+def _all_pairs_hausdorff(a, c):
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    return max(_all_pairs_directed(a, c), _all_pairs_directed(c, a))
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +129,86 @@ def test_hausdorff_empty_rejected():
         hausdorff_distance([[0.0, 1.0]], np.zeros((0, 2)))
 
 
+def test_hausdorff_rejects_points_off_the_half_plane():
+    for bad in ([[0.0, 0.0]], [[0.0, -1.0]], [[math.nan, 1.0]], [[0.0, math.inf]],
+                [[0.0, 1.0, 2.0]], [0.0, 1.0]):
+        with pytest.raises(DomainError):
+            hausdorff_distance(bad, [[0.0, 1.0]])
+        with pytest.raises(DomainError):
+            hausdorff_distance([[0.0, 1.0]], bad)
+    for far in ([[0.0, 1e31]], [[0.0, 1e-31]], [[-1e31, 1.0]]):
+        with pytest.raises(RangeError):
+            hausdorff_distance(far, [[0.0, 1.0]])
+    a = [[1e30, 1e-30], [0.0, 1e30]]
+    c = [[-1e30, 1e-30], [1.0, 1.0]]
+    assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c)
+
+
+def test_hausdorff_refines_past_the_euclidean_neighbour():
+    # from (0, 1) the Euclidean nearest point of c is (0, 1e-6), 13.8 away;
+    # the hyperbolic nearest is (3, 1), at cosh-distance 1 + 9/2
+    a = [[0.0, 1.0], [0.0, 1e-6]]
+    c = [[3.0, 1.0], [0.0, 1e-6]]
+    assert abs(hausdorff_distance(a, c) - math.acosh(5.5)) <= 1e-12
+    assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c)
+
+
+@pytest.fixture(scope="module")
+def boroczky_pair():
+    boro = BoroczkyPacking()
+    moved = TransformedPacking(Isometry.dilation(1.3), boro)
+    return truncate(boro, k_max=2), truncate(moved, k_max=2)
+
+
+def test_hausdorff_equals_all_pairs_on_packing_nets(pool, boroczky_pair):
+    # tight m=7 against a moved copy, stripe W=1 against tight m=8 (level
+    # 1), and Boroczky against a dilated copy at levels 1 and 2
+    pairs = [(pool[0].levels[0], pool[1].levels[0]),
+             (pool[5].levels[0], pool[7].levels[0])]
+    pairs += list(zip(boroczky_pair[0].levels, boroczky_pair[1].levels))
+    for a, c in pairs:
+        assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c)
+    d = packing_distance(*boroczky_pair)
+    assert d.per_level == tuple(
+        _all_pairs_hausdorff(a, c) / k
+        for k, (a, c) in enumerate(zip(*(t.levels for t in boroczky_pair)), start=1)
+    )
+
+
+@st.composite
+def _point_sets(draw):
+    """One or two clusters of points, log-heights in [-30, 30], with repeats.
+
+    A cluster is scattered about (u e^L, e^L) by a spread from 0 (all
+    points equal) to 2 (in log-height and in x / y); clusters at very
+    different heights make the Euclidean and hyperbolic nearest
+    neighbours differ.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 40))
+        log_y0 = draw(st.floats(-30.0, 30.0))
+        u = draw(st.floats(-3.0, 3.0))
+        spread = draw(st.sampled_from([0.0, 1e-12, 1e-7, 0.1, 2.0]))
+        log_y = np.clip(log_y0 + spread * rng.standard_normal(n), -30.0, 30.0)
+        x = (u + spread * rng.standard_normal(n)) * math.exp(log_y0)
+        parts.append(np.column_stack([x, np.exp(log_y)]))
+    pts = np.concatenate(parts)
+    repeats = draw(st.integers(0, 10))
+    return np.concatenate([pts, pts[rng.integers(0, len(pts), size=repeats)]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_point_sets(), c=_point_sets(), same=st.booleans())
+@example(a=np.array([[0.0, 1.0]]), c=np.array([[0.0, 1.0 + 1e-9]]), same=False)
+def test_hausdorff_equals_all_pairs_on_random_sets(a, c, same):
+    if same:
+        c = a[::-1]
+        assert hausdorff_distance(a, c) == 0.0
+    assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c)
+
+
 def test_identity_and_symmetry(pool):
     for t in pool[:4]:
         d = packing_distance(t, t)
@@ -150,10 +249,8 @@ def test_mismatched_levels_rejected(tight7):
         packing_distance(truncate(tight7, k_max=1), truncate(tight7, k_max=2))
 
 
-def test_argmax_level_reported():
-    boro = BoroczkyPacking()
-    moved = TransformedPacking(Isometry.dilation(1.3), boro)
-    d = packing_distance(truncate(boro, k_max=2), truncate(moved, k_max=2))
+def test_argmax_level_reported(boroczky_pair):
+    d = packing_distance(*boroczky_pair)
     assert len(d.per_level) == 2
     assert d.value == max(d.per_level)
     assert d.per_level[d.argmax_level - 1] == d.value
