@@ -20,8 +20,6 @@ class ToleranceConfig:
     max_ball_radius: float = 600.0
     # relative tolerance for adaptive quadrature
     quad_rel: float = 1e-10
-    # equidistance slack for Dirichlet cell vertices
-    cell_vertex_tol: float = 1e-8
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

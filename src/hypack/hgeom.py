@@ -118,15 +118,15 @@ def polar_xy(cx, cy, rho, theta):
     The Poincare disk point tanh(rho/2) e^{i theta} is carried to the
     half-plane by w -> i (1 + w) / (1 - w), which sends 0 to (0, 1), and
     then scaled by cy and shifted by cx. theta = 0 points straight up.
-    1 - tanh(rho/2) cos(theta) cancels, so the points sit at distance rho
-    to about 1e-16 e^rho relative.
+    Written with e = e^-rho and h = sin(theta/2), the map has no
+    cancellation: |1 - w|^2 (1 + e)^2 / 2 = 2h^2 + e^2 (2 - 2h^2), so the
+    points sit at distance rho to a few ulp at any rho.
     """
-    t = np.tanh(0.5 * rho)
-    a = t * np.cos(theta)
-    b = t * np.sin(theta)
-    den = (1.0 - a) ** 2 + b**2
-    x = -2.0 * b / den
-    y = (1.0 - a * a - b * b) / den
+    e = np.exp(-np.asarray(rho, dtype=float))
+    h = np.sin(0.5 * np.asarray(theta, dtype=float))
+    den = 2.0 * h * h + e * e * (2.0 - 2.0 * h * h)
+    x = -(1.0 - e * e) * np.sin(theta) / den
+    y = 2.0 * e / den
     return cx + cy * x, cy * y
 
 
@@ -439,22 +439,6 @@ def signed_distance_xy(geo: Geodesic, xs, ys):
         return np.arcsinh((xs - geo.x0) / ys)
     val = ((xs - geo.c) ** 2 + ys * ys - geo.r * geo.r) / (2.0 * geo.r * ys)
     return np.arcsinh(val)
-
-
-def perpendicular_bisector(p: HPoint, q: HPoint) -> Geodesic:
-    """Locus of points equidistant from p and q."""
-    if p.x == q.x and p.log_y == q.log_y:
-        raise DomainError("coincident points have no bisector")
-    scale = max(p.y, q.y)
-    if abs(p.y - q.y) <= DEFAULT_TOLERANCES.line_tol * scale:
-        return Geodesic.vertical(0.5 * (p.x + q.x))
-    dy = q.y - p.y
-    c = (q.y * p.x - p.y * q.x) / dy
-    e = (q.y * (p.x * p.x + p.y * p.y) - p.y * (q.x * q.x + q.y * q.y)) / dy
-    rad = c * c - e
-    if rad <= 0.0:
-        raise DomainError("degenerate bisector; points may be numerically coincident")
-    return Geodesic.circle(c, math.sqrt(rad))
 
 
 def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> HPoint | None:

@@ -111,17 +111,9 @@ def _level_net(target, k, spacing):
     cosh_k = math.cosh(k)
     xs_parts, ys_parts = [], []
 
-    bodies = None
-    bodies_fn = getattr(target, "bodies_in_ball", None)
     rho = getattr(target, "disk_radius", None)
-    if bodies_fn is not None and rho is not None:
-        try:
-            bodies = bodies_fn(BallSpec(ORIGIN, k + 2.0 * rho))
-        except (AttributeError, NotImplementedError):
-            bodies = None
-
-    if bodies is not None:
-        for disk in bodies:
+    if rho is not None:
+        for disk in target.bodies_in_ball(BallSpec(ORIGIN, k + 2.0 * rho)):
             xs, ys = _disk_net(disk.center.x, disk.center.y, disk.radius, spacing)
             keep = cosh_distance_xy(xs, ys, 0.0, 1.0) <= cosh_k * (1.0 + 1e-12)
             xs_parts.append(xs[keep])

@@ -26,7 +26,6 @@ from .hgeom import (
     BallSpec,
     Geodesic,
     GeodesicPolygon,
-    HDisk,
     HPoint,
     ball_area,
     distance,
@@ -97,20 +96,6 @@ class EmptyRegion(Region):
 
     def exact_area_in_ball(self, ball):
         return 0.0
-
-
-class DiskRegion(Region):
-    def __init__(self, disk: HDisk):
-        self.disk = disk
-
-    def contains(self, p):
-        return self.disk.contains(p)
-
-    def covers_xy(self, xs, ys):
-        circ = self.disk.euclid_form()
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return (xs - circ.h) ** 2 + (ys - circ.k) ** 2 <= circ.r**2
 
 
 class HalfSpaceRegion(Region):

@@ -215,21 +215,3 @@ def render_region(region, window: BallSpec, *, y_log: bool = False,
             f"no renderer for {type(region).__name__}"
         )
     return "".join([canvas.header(), canvas.frame(), *parts, "</svg>\n"])
-
-
-def render_curve(curve, *, width: int = 640) -> str:
-    """SVG line chart of a density curve, one polyline per curve."""
-    radii = curve.radii
-    fracs = curve.fractions
-    x0, x1 = float(radii[0]), float(radii[-1])
-    if x1 <= x0:
-        x1 = x0 + 1.0
-    canvas = _Canvas(x0, x1, 0.0, 1.0, width=width)
-    pts = " ".join(
-        f"{_fmt(canvas.px(r))},{_fmt(canvas.py(f))}" for r, f in zip(radii, fracs)
-    )
-    poly = (
-        f'<polyline class="curve" points="{pts}" fill="none" '
-        f'stroke="#4477aa" stroke-width="1.5"/>\n'
-    )
-    return "".join([canvas.header(), canvas.frame(), poly, "</svg>\n"])

@@ -1,11 +1,20 @@
 """Dirichlet-Voronoi cells of disk packings and cell-relative densities.
 
 A cell is the set of points at least as close to its site as to any
-other site. Cells are built geometrically: candidate vertices are the
-pairwise intersections of perpendicular bisectors from the site to its
-neighbors, validated by the nearest-site test, ordered by angle about
-the site, and assembled into a geodesic polygon. Cells that fail to
-close raise UnboundedCellError; nothing is silently truncated.
+other site. In the Klein model about the site, every bisector is a
+straight line: with the site moved to the centre, a point with Klein
+coordinates k is at least as close to the site as to a site q exactly
+when D_q . k <= 1, where D_q is q's hyperboloid vector (X1, X2) divided
+by cosh d(site, q) - 1. The cell is therefore the polar of the convex
+hull of the points D_q: the hull's vertices are the sites that share an
+edge with the cell, and each hull edge is dual to one cell vertex.
+
+The cell is unbounded among the given sites, and UnboundedCellError is
+raised, when the origin is not strictly inside the hull (the polar is
+then an unbounded polygon), when the hull cannot be built (fewer than
+three other sites, or all of them on one line in the dual plane), or
+when a cell vertex lies on or beyond the unit circle, the ideal
+boundary. Nothing is truncated to a search radius.
 """
 
 from __future__ import annotations
@@ -14,21 +23,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DomainError, UnboundedCellError
 from .hgeom import (
     BallSpec,
     GeodesicPolygon,
     HPoint,
     ball_area,
-    cosh_distance_xy,
     distance,
-    geodesic_intersection,
-    perpendicular_bisector,
     polygon_area,
 )
 from .regions import PolygonRegion, SamplePlan, sample_ball_uniform
+
+# packing_cell takes the centers within this many disk spacings of its site
+_WINDOW_SPACINGS = 4.0
 
 
 @dataclass(frozen=True)
@@ -50,168 +59,91 @@ class VoronoiCell:
         return min(distance(self.site, s) for s in self.neighbor_sites) / 2.0
 
 
-def _fan_closed(site: HPoint, vx, vy) -> bool:
-    """True when the directions to (vx, vy) about the site leave no gap >= pi."""
-    z = vx + 1j * vy
-    p = complex(site.x, site.y)
-    ang = np.sort(np.angle((z - p) / (z - p.conjugate())))
-    gaps = np.diff(np.concatenate([ang, ang[:1] + 2.0 * math.pi]))
-    return bool(gaps.max() < math.pi)
+def dirichlet_cell(sites, i: int) -> VoronoiCell:
+    """Voronoi cell of sites[i] among the given sites, as the polar dual
+    of one convex hull in the Klein model about the site.
 
-
-def dirichlet_cell(
-    sites,
-    i: int,
-    search_radius: float | None = None,
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> VoronoiCell:
-    """Voronoi cell of sites[i] among the given sites.
-
-    Bisectors are intersected pairwise in the Euclidean representation of
-    geodesics; a candidate vertex is kept iff the site is among its
-    nearest sites within tol.cell_vertex_tol. The default search radius
-    is three times the distance to the nearest other site.
+    Vertices are ordered by ascending angle about the site, and
+    neighbor_sites are the sites whose bisector carries a cell edge.
     """
     n = len(sites)
     if not (0 <= i < n):
         raise DomainError(f"site index {i} out of range for {n} sites")
     site = sites[i]
-    if n < 2:
-        raise UnboundedCellError("a single site has an unbounded cell")
-    others = [(j, s) for j, s in enumerate(sites) if j != i]
-    dists = [distance(site, s) for _, s in others]
-    dmin = min(dists)
-    if dmin <= tol.dedup_radius:
+    others = [s for j, s in enumerate(sites) if j != i]
+    # z -> (z - x_i) / y_i carries the site to (0, 1); the other sites'
+    # hyperboloid coordinates X1 = u/v, X2 = (u^2 + v^2 - 1)/(2v) and
+    # X0 - 1 = cosh d - 1 are then formed without cancellation
+    u = (np.array([s.x for s in others]) - site.x) / site.y
+    v = np.array([s.y for s in others]) / site.y
+    x0m1 = (u * u + (v - 1.0) ** 2) / (2.0 * v)
+    if np.any(x0m1 == 0.0):
         raise DomainError("sites must be pairwise distinct")
-    if search_radius is None:
-        search_radius = 3.0 * dmin
-    near_sorted = sorted(
-        ((d, s) for (_, s), d in zip(others, dists) if d <= search_radius),
-        key=lambda t: t[0],
-    )
-    near_d = [d for d, _ in near_sorted]
-    near = [s for _, s in near_sorted]
-    sx = np.array([s.x for s in sites])
-    sy = np.array([s.y for s in sites])
-
-    # Bisector pairs are tried nearest-first. A left-out site farther
-    # than twice the provisional circumradius cannot cut the provisional
-    # cell, so once that holds (and the provisional vertex fan closes,
-    # max gap < pi) the subset already defines the true cell; otherwise
-    # the subset doubles, ending at the full near set. Returned vertices
-    # are always re-accepted against all sites.
-    m_try = min(16, len(near))
-    accepted: list = []
-    while True:
-        sub = near[:m_try]
-        bis = [perpendicular_bisector(site, s) for s in sub]
-        cands = []
-        pairs = []
-        for a in range(m_try):
-            for b in range(a + 1, m_try):
-                v = geodesic_intersection(bis[a], bis[b])
-                if v is not None:
-                    cands.append(v)
-                    pairs.append({a, b})
-        full = m_try == len(near)
-        if not cands:
-            if full:
-                break
-            m_try = min(2 * m_try, len(near))
-            continue
-        vx = np.array([v.x for v in cands])
-        vy = np.array([v.y for v in cands])
-        d_site = np.arccosh(
-            np.maximum(cosh_distance_xy(vx, vy, site.x, site.y), 1.0)
-        )
-        if not full:
-            bx = np.array([s.x for s in sub])
-            by = np.array([s.y for s in sub])
-            d_sub = np.arccosh(np.maximum(
-                cosh_distance_xy(vx[:, None], vy[:, None],
-                                 bx[None, :], by[None, :]), 1.0))
-            sub_keep = d_site <= d_sub.min(axis=1) + tol.cell_vertex_tol
-            if not np.any(sub_keep) or not _fan_closed(
-                site, vx[sub_keep], vy[sub_keep]
-            ):
-                m_try = min(2 * m_try, len(near))
-                continue
-            r_sub = float(d_site[sub_keep].max())
-            if near_d[m_try] <= 2.0 * r_sub + 2.0 * tol.cell_vertex_tol:
-                m_try = min(2 * m_try, len(near))
-                continue
-        d_all = np.arccosh(np.maximum(
-            cosh_distance_xy(vx[:, None], vy[:, None],
-                             sx[None, :], sy[None, :]), 1.0))
-        keep = d_all[:, i] <= d_all.min(axis=1) + tol.cell_vertex_tol
-        accepted = [(v, p) for v, p, k in zip(cands, pairs, keep) if k]
-        break
-
-    merged: list[list] = []
-    for v, pair in accepted:
-        for entry in merged:
-            if distance(entry[0], v) <= tol.cell_vertex_tol:
-                entry[1] |= pair
-                break
-        else:
-            merged.append([v, set(pair)])
-
-    if len(merged) < 3:
+    x2 = (u * u + (v - 1.0) * (v + 1.0)) / (2.0 * v)
+    dual = np.column_stack([u / v, x2]) / x0m1[:, None]
+    try:
+        hull = ConvexHull(dual)
+    except (QhullError, ValueError) as exc:
         raise UnboundedCellError(
-            f"cell of site {i} has {len(merged)} vertices within search "
-            f"radius {search_radius:g}: unbounded or under-sampled"
-        )
-
-    z = np.array([complex(v.x, v.y) for v, _ in merged])
-    p = complex(site.x, site.y)
-    w = (z - p) / (z - p.conjugate())
-    ang = np.angle(w)
-    order = np.argsort(ang, kind="stable")
-    sorted_ang = ang[order]
-    gaps = np.diff(np.concatenate([sorted_ang, sorted_ang[:1] + 2.0 * math.pi]))
-    if float(gaps.max()) > math.pi:
+            f"cell of site {i} is unbounded among {n} sites: no dual hull"
+        ) from exc
+    # the hull edge on the line n . x = h (unit n, h = -offset) is dual to
+    # a cell vertex at Klein radius 1/h: h <= 0 leaves the polar open
+    # (the origin is not strictly inside the hull), and h < 1/2 puts the
+    # vertex far past the ideal boundary whatever Qhull's roundoff
+    if np.any(hull.equations[:, 2] > -0.5):
         raise UnboundedCellError(
-            f"cell of site {i} is open over an angular gap of "
-            f"{float(gaps.max()):.3f} rad within search radius {search_radius:g}"
+            f"cell of site {i} is unbounded among {n} sites: its bisectors "
+            f"leave a way out to the ideal boundary"
         )
 
-    counts: dict[int, int] = {}
-    for _, pair in merged:
-        for a in pair:
-            counts[a] = counts.get(a, 0) + 1
-    neighbors = tuple(sub[a] for a in sorted(counts) if counts[a] >= 2)
-    vertices = [merged[k][0] for k in order]
+    # hull vertices come counterclockwise; the edge from a to b is dual
+    # to the cell vertex k with D_a . k = D_b . k = 1
+    a = dual[hull.vertices]
+    b = np.roll(a, -1, axis=0)
+    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    k1 = (b[:, 1] - a[:, 1]) / det
+    k2 = (a[:, 0] - b[:, 0]) / det
+    kk = k1 * k1 + k2 * k2
+    if np.any(kk >= 1.0):
+        raise UnboundedCellError(
+            f"cell of site {i} is unbounded among {n} sites: it reaches "
+            f"the ideal boundary"
+        )
+    # Klein -> half-plane about (0, 1), then back about the site
+    vx = site.x + site.y * (k1 / (1.0 - k2))
+    vy = site.y * (np.sqrt(1.0 - kk) / (1.0 - k2))
+    # ascending angle about the site, starting straight down; a vertex
+    # straight below the site comes first whichever way roundoff tilts it
+    ang = np.arctan2(-k1, k2)
+    ang[ang > math.pi - 1e-12] -= 2.0 * math.pi
+    vertices = [HPoint(vx[k], vy[k]) for k in np.argsort(ang)]
+    neighbors = tuple(others[j] for j in hull.vertices)
     return VoronoiCell(site=site, polygon=GeodesicPolygon(vertices),
                        neighbor_sites=neighbors)
 
 
-def packing_cell(
-    packing,
-    site: HPoint,
-    search_radius: float | None = None,
-    *,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> VoronoiCell:
+def packing_cell(packing, site: HPoint) -> VoronoiCell:
     """Dirichlet cell of one disk center of a packing.
 
-    The site list is the packing's center set in a window just larger
-    than the search radius; the given site must coincide with one of the
-    centers.
+    The site list is the packing's center set within four disk spacings
+    of the site; the given site must coincide with one of the centers.
     """
     spacing = 2.0 * packing.disk_radius
-    sr = 3.0 * spacing if search_radius is None else search_radius
-    window = BallSpec(site, sr + spacing)
+    window = BallSpec(site, _WINDOW_SPACINGS * spacing)
     sites = [d.center for d in packing.bodies_in_ball(window)]
     if not sites:
         raise DomainError("no packing centers near the requested site")
-    ds = [distance(s, site) for s in sites]
-    idx = int(np.argmin(ds))
-    if ds[idx] > 1e-9:
+    sx = np.array([s.x for s in sites])
+    sy = np.array([s.y for s in sites])
+    # sinh^2(d / 2) = (cosh d - 1) / 2, formed without cancellation
+    half = ((sx - site.x) ** 2 + (sy - site.y) ** 2) / (4.0 * sy * site.y)
+    idx = int(np.argmin(half))
+    if 2.0 * math.asinh(math.sqrt(half[idx])) > 1e-9:
         raise DomainError(
             f"point ({site.x:g}, {site.y:g}) is not a center of the packing"
         )
-    return dirichlet_cell(sites, idx, sr, tol=tol)
+    return dirichlet_cell(sites, idx)
 
 
 def cell_relative_density(cell: VoronoiCell, rho: float) -> float:

@@ -81,3 +81,12 @@ def test_metric_workload_checks_pass(tmp_path):
     checks = workloads.metric_run(hypack, workloads.metric_inputs(1), str(tmp_path))
     assert checks
     assert [name for name, ok in checks if not ok] == []
+
+
+def test_deep_workload_checks_pass(tmp_path):
+    # f_R to R = 12 and the mass-transport mean over B(0, 7), which
+    # builds one Dirichlet cell per owner site
+    workloads = _load("workloads")
+    checks = workloads.deep_run(hypack, workloads.deep_inputs(1), str(tmp_path))
+    assert checks
+    assert [name for name, ok in checks if not ok] == []

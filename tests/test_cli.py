@@ -125,6 +125,18 @@ def test_density_mc_path(capsys):
     assert float(row[2]) > 0.0
 
 
+def test_density_mc_past_radius_37(capsys):
+    # beyond rho = 37.4 tanh(rho/2) rounds to 1; a sampler built on it
+    # puts points at y <= 0, and the command fails
+    code, out, err = run(capsys, ["density", "--kind", "tight", "--radii", "40",
+                                  "--samples", "2000"])
+    assert code == 0, err
+    row = out.strip().splitlines()[1].split(",")
+    assert row[4] == "mc"
+    assert int(row[3]) == 2000
+    assert 0.8 < float(row[1]) < 1.0
+
+
 def test_density_halfspace_quadrature_rows_beside_mc(capsys):
     # radius 60 is past the half-plane quadrature's reach; radii 1 and 2
     # keep their quadrature, and the Monte Carlo row keeps seed 0 + 2
@@ -156,6 +168,15 @@ def test_voronoi_cell_document(capsys):
     assert doc["site"] == {"x": 0.0, "y": 1.0}
     assert len(doc["vertices"]) == 7
     assert all(set(v) == {"x", "y"} for v in doc["vertices"])
+    # counterclockwise from the vertex straight below the site
+    want = [(0.0, 0.5375832014542177), (0.3208945713600302, 0.6206584499374541),
+            (0.6130073880031298, 0.9508163936233484),
+            (0.47577390127870045, 1.6581762773402215),
+            (-0.4757739012786996, 1.6581762773402202),
+            (-0.6130073880031298, 0.9508163936233448),
+            (-0.32089457136003025, 0.620658449937454)]
+    for v, (x, y) in zip(doc["vertices"], want):
+        assert abs(v["x"] - x) <= 1e-12 and abs(v["y"] - y) <= 1e-12
 
 
 def test_voronoi_rejects_other_kinds(capsys):

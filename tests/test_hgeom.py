@@ -23,7 +23,6 @@ from hypack import (
     arc_coordinate,
     midpoint,
     signed_distance,
-    perpendicular_bisector,
     GeodesicPolygon,
     polygon_area,
 )
@@ -206,12 +205,12 @@ def test_disk_euclid_form_identity_and_roundtrip():
 @given(
     u=st.floats(-5.0, 5.0),
     log_cy=st.floats(-30.0, 30.0),
-    rho=st.floats(0.0, 8.0),
+    rho=st.floats(0.0, 30.0),
     theta=st.floats(0.0, 2.0 * math.pi),
 )
 def test_polar_xy_lands_at_distance_rho(u, log_cy, rho, theta):
-    # the disk map forms 1 - tanh(rho/2) cos(theta), so it resolves
-    # distances to about 1e-16 e^rho: rho <= 8 keeps that under 1e-12
+    # the half-angle form has no cancellation, so the distance holds to
+    # a few ulp at every radius
     cy = math.exp(log_cy)
     cx = u * cy
     x, y = polar_xy(cx, cy, rho, theta)
@@ -331,27 +330,6 @@ def test_signed_distance_line_and_circle():
         )
         assert sd <= brute + 1e-9
         assert brute - sd < 1e-4  # the sampled minimum is only approximate
-
-
-def test_perpendicular_bisector_closed_form():
-    geo = perpendicular_bisector(HPoint(0, 1), HPoint(0, math.e**2))
-    assert not geo.is_line
-    assert abs(geo.c) < 1e-12
-    assert abs(geo.r - math.e) < 1e-12
-    geo2 = perpendicular_bisector(HPoint(-1, 2), HPoint(3, 2))
-    assert geo2.is_line and abs(geo2.x0 - 1.0) < 1e-12
-
-
-def test_perpendicular_bisector_equidistance():
-    rng = np.random.default_rng(RNG_SEED + 11)
-    for _ in range(100):
-        p, q = random_point(rng), random_point(rng)
-        if distance(p, q) < 1e-3:
-            continue
-        geo = perpendicular_bisector(p, q)
-        for s in (-1.0, 0.0, 1.5):
-            z = point_along(geo, s)
-            assert abs(distance(z, p) - distance(z, q)) < 1e-9
 
 
 # ---------------------------------------------------------------- polygons

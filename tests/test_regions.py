@@ -326,14 +326,14 @@ def test_polygon_region_mc_fraction_matches_area_ratio():
 
 
 def _circumcenter(tri):
-    from hypack import perpendicular_bisector, geodesic_through
-    from hypack.hgeom import geodesic_intersection
-
-    b01 = perpendicular_bisector(tri.vertices[0], tri.vertices[1])
-    b02 = perpendicular_bisector(tri.vertices[0], tri.vertices[2])
-    pt = geodesic_intersection(b01, b02)
-    assert pt is not None
-    return pt
+    # on the hyperboloid the circumcenter C has equal Minkowski products
+    # with the three vertices, so J C is normal to their differences
+    P = np.array([[(v.x**2 + v.y**2 + 1.0) / (2.0 * v.y), v.x / v.y,
+                   (v.x**2 + v.y**2 - 1.0) / (2.0 * v.y)] for v in tri.vertices])
+    c = np.cross(P[0] - P[1], P[0] - P[2]) * np.array([1.0, -1.0, -1.0])
+    c = c / math.sqrt(c[0] ** 2 - c[1] ** 2 - c[2] ** 2) * np.sign(c[0])
+    y = 1.0 / (c[0] - c[2])
+    return HPoint(c[1] * y, y)
 
 
 # ---------------------------------------------------------------- annulus

@@ -4,16 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from hypack.errors import DomainError, UnboundedCellError
 from hypack.hgeom import (
     ORIGIN,
     BallSpec,
+    Geodesic,
     HPoint,
     Isometry,
     apply,
     ball_area,
+    cosh_distance_xy,
     distance,
+    geodesic_intersection,
+    point_along,
+    polar_xy,
 )
 from hypack.packings import TightPacking, tight_density_formula, tight_radius
 from hypack.regions import PolygonRegion, SamplePlan
@@ -113,6 +120,8 @@ def test_closure_over_interior_cells():
 def test_two_sites_unbounded():
     with pytest.raises(UnboundedCellError):
         dirichlet_cell([ORIGIN, HPoint(1.0, 1.0)], 0)
+    with pytest.raises(UnboundedCellError):
+        dirichlet_cell([ORIGIN], 0)
 
 
 def test_hull_site_raises_rather_than_truncates(origin_cell):
@@ -155,3 +164,221 @@ def test_partition_audit_single_cell(origin_cell):
     window = BallSpec(ORIGIN, 0.3)
     frac = partition_audit([origin_cell], window, SamplePlan(seed=SEED, n=2000))
     assert frac == 1.0
+
+
+# ---------------------------------------------------------------- oracle
+# The construction dirichlet_cell replaced: bisectors intersected
+# pairwise in the half-plane, candidate vertices kept when no other
+# site is nearer (within 1e-8), merged within 1e-8, and the site subset
+# doubled until the provisional cell is certified. It is correct on
+# packing windows, where every cell is surrounded by sites, and serves
+# as the oracle there.
+
+def _bisector(p, q):
+    """Locus of points equidistant from p and q."""
+    if p.x == q.x and p.log_y == q.log_y:
+        raise DomainError("coincident points have no bisector")
+    if abs(p.y - q.y) <= 1e-12 * max(p.y, q.y):
+        return Geodesic.vertical(0.5 * (p.x + q.x))
+    dy = q.y - p.y
+    c = (q.y * p.x - p.y * q.x) / dy
+    e = (q.y * (p.x * p.x + p.y * p.y) - p.y * (q.x * q.x + q.y * q.y)) / dy
+    return Geodesic.circle(c, math.sqrt(c * c - e))
+
+
+def _fan_closed(site, vx, vy):
+    z = vx + 1j * vy
+    p = complex(site.x, site.y)
+    ang = np.sort(np.angle((z - p) / (z - p.conjugate())))
+    gaps = np.diff(np.concatenate([ang, ang[:1] + 2.0 * math.pi]))
+    return bool(gaps.max() < math.pi)
+
+
+def _bisector_cell(sites, i, search_radius, tol=1e-8):
+    """(vertices ordered by angle about the site, neighbour set)."""
+    site = sites[i]
+    others = [s for j, s in enumerate(sites) if j != i]
+    near = sorted((s for s in others if distance(site, s) <= search_radius),
+                  key=lambda s: distance(site, s))
+    near_d = [distance(site, s) for s in near]
+    sx = np.array([s.x for s in sites])
+    sy = np.array([s.y for s in sites])
+
+    def dist(vx, vy, px, py):
+        return np.arccosh(np.maximum(cosh_distance_xy(vx, vy, px, py), 1.0))
+
+    m_try = min(16, len(near))
+    while True:
+        sub = near[:m_try]
+        bis = [_bisector(site, s) for s in sub]
+        cands, pairs = [], []
+        for a in range(m_try):
+            for b in range(a + 1, m_try):
+                v = geodesic_intersection(bis[a], bis[b])
+                if v is not None:
+                    cands.append(v)
+                    pairs.append({a, b})
+        full = m_try == len(near)
+        vx = np.array([v.x for v in cands])
+        vy = np.array([v.y for v in cands])
+        if not full:
+            bx = np.array([s.x for s in sub])
+            by = np.array([s.y for s in sub])
+            d_site = dist(vx, vy, site.x, site.y)
+            d_sub = dist(vx[:, None], vy[:, None], bx[None, :], by[None, :])
+            keep = d_site <= d_sub.min(axis=1) + tol
+            if (not np.any(keep) or not _fan_closed(site, vx[keep], vy[keep])
+                    or near_d[m_try] <= 2.0 * (d_site[keep].max() + tol)):
+                m_try = min(2 * m_try, len(near))
+                continue
+        d_all = dist(vx[:, None], vy[:, None], sx[None, :], sy[None, :])
+        keep = d_all[:, i] <= d_all.min(axis=1) + tol
+        break
+
+    merged = []
+    for v, pair, k in zip(cands, pairs, keep):
+        if not k:
+            continue
+        for entry in merged:
+            if distance(entry[0], v) <= tol:
+                entry[1] |= pair
+                break
+        else:
+            merged.append([v, set(pair)])
+    assert len(merged) >= 3
+    z = np.array([complex(v.x, v.y) for v, _ in merged])
+    p = complex(site.x, site.y)
+    order = np.argsort(np.angle((z - p) / (z - p.conjugate())), kind="stable")
+    counts = {}
+    for _, pair in merged:
+        for a in pair:
+            counts[a] = counts.get(a, 0) + 1
+    neighbors = {sub[a] for a in counts if counts[a] >= 2}
+    return [merged[k][0] for k in order], neighbors
+
+
+def test_perpendicular_bisector_closed_form():
+    geo = _bisector(HPoint(0, 1), HPoint(0, math.e**2))
+    assert not geo.is_line
+    assert abs(geo.c) < 1e-12
+    assert abs(geo.r - math.e) < 1e-12
+    geo2 = _bisector(HPoint(-1, 2), HPoint(3, 2))
+    assert geo2.is_line and abs(geo2.x0 - 1.0) < 1e-12
+
+
+def test_perpendicular_bisector_equidistance():
+    rng = np.random.default_rng(SEED + 11)
+    for _ in range(100):
+        p, q = (HPoint(rng.uniform(-3, 3), math.exp(rng.uniform(-3, 3)))
+                for _ in range(2))
+        if distance(p, q) < 1e-3:
+            continue
+        geo = _bisector(p, q)
+        for s in (-1.0, 0.0, 1.5):
+            z = point_along(geo, s)
+            assert abs(distance(z, p) - distance(z, q)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_cells_match_bisector_oracle(m):
+    p = TightPacking(m)
+    spacing = 2.0 * p.disk_radius
+    for site in p.centers_in_ball(BallSpec(HPoint(0.3, 1.2), 2.0)):
+        cell = packing_cell(p, site)
+        sites = p.centers_in_ball(BallSpec(site, 4.0 * spacing))
+        i = min(range(len(sites)), key=lambda j: distance(sites[j], site))
+        verts, neighbors = _bisector_cell(sites, i, 3.0 * spacing)
+        got = cell.polygon.vertices
+        assert len(got) == len(verts) == m
+        # same cyclic order; the first vertex may differ by a roundoff
+        # tie straight below the site
+        shift = min(range(m), key=lambda k: distance(got[0], verts[k]))
+        for k in range(m):
+            w = verts[(k + shift) % m]
+            assert abs(got[k].x - w.x) <= 1e-9 * w.y
+            assert abs(got[k].y - w.y) <= 1e-9 * w.y
+        assert set(cell.neighbor_sites) == neighbors
+
+
+# ---------------------------------------------------------------- general site sets
+
+def _owner_margin(sites, i, xs, ys):
+    """d(point, nearest other site) - d(point, site i) for each point."""
+    sx = np.array([s.x for s in sites])
+    sy = np.array([s.y for s in sites])
+    d = np.arccosh(np.maximum(
+        cosh_distance_xy(xs[:, None], ys[:, None], sx[None, :], sy[None, :]), 1.0))
+    return np.delete(d, i, axis=1).min(axis=1) - d[:, i]
+
+
+def _witness(sites, i, rho):
+    """Largest ownership margin over the circle of radius rho about site i."""
+    site = sites[i]
+
+    def margin(theta):
+        x, y = polar_xy(site.x, site.y, rho, np.atleast_1d(theta))
+        return _owner_margin(sites, i, x, y)
+
+    grid = np.linspace(0.0, 2.0 * math.pi, 4097)[:-1]
+    m = margin(grid)
+    best = float(m.max())
+    step = grid[1]
+    for k in np.argsort(m)[-8:]:
+        res = minimize_scalar(lambda t: -float(margin(t)[0]),
+                              bounds=(grid[k] - step, grid[k] + step),
+                              method="bounded", options={"xatol": 1e-14})
+        best = max(best, -float(res.fun))
+    return best
+
+
+def test_open_cell_among_five_sites_raises():
+    # a bisector-pair search within 3 times the nearest-site distance
+    # closes this cell into a triangle within 1.6 of the site, yet the
+    # site owns a point 10 away
+    sites = [HPoint(-1.9, 1.03), HPoint(-0.69, 1.39), HPoint(0.26, 0.86),
+             HPoint(0.64, 2.28), HPoint(0.17, 1.11)]
+    far = HPoint(-1.16590, 7.05e-5)
+    assert abs(distance(far, sites[1]) - 10.0) <= 1e-3
+    assert all(distance(far, s) > distance(far, sites[1])
+               for k, s in enumerate(sites) if k != 1)
+    with pytest.raises(UnboundedCellError):
+        dirichlet_cell(sites, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        min_size=2, max_size=12,
+    ),
+    pick=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_agrees_with_nearest_site_ownership(data, pick, seed):
+    sites = [HPoint(x, math.exp(t)) for x, t in data]
+    i = pick % len(sites)
+    assume(min(distance(sites[i], s) for k, s in enumerate(sites) if k != i) > 1e-3)
+    try:
+        cell = dirichlet_cell(sites, i)
+    except UnboundedCellError:
+        # the site owns a point 20 away
+        assert _witness(sites, i, 20.0) > 0.0
+        return
+    site = sites[i]
+    verts = cell.polygon.vertices
+    assert len(verts) >= 3
+    margin = _owner_margin(sites, i, np.array([v.x for v in verts]),
+                           np.array([v.y for v in verts]))
+    assert np.all(np.abs(margin) <= 1e-8)
+    assert set(cell.neighbor_sites) <= set(sites) - {site}
+    # sampled points of a ball just larger than the cell are inside the
+    # polygon exactly when the site is their nearest site
+    r = max(distance(site, v) for v in verts) * 1.25 + 0.1
+    rng = np.random.default_rng(seed)
+    n = 2000
+    rho = np.arccosh(1.0 + rng.random(n) * (math.cosh(r) - 1.0))
+    xs, ys = polar_xy(site.x, site.y, rho, rng.uniform(0.0, 2.0 * math.pi, n))
+    owned = _owner_margin(sites, i, xs, ys)
+    inside = PolygonRegion(cell.polygon).covers_xy(xs, ys)
+    clear = np.abs(owned) > 1e-7
+    assert np.array_equal(inside[clear], owned[clear] > 0.0)
