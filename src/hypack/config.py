@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    # two endpoint x's closer than this (relative) make a vertical geodesic
-    line_tol: float = 1e-12
     # generated vertices closer than this are the same vertex
     dedup_radius: float = 1e-6
     # smallest image height an isometry may produce

@@ -9,6 +9,13 @@ Heights are tracked both as y and log(y). Formulas switch to the log
 representation once |log y| exceeds _SAFE_LOG, so distances and isometries
 stay accurate out to the extreme heights the exponential constructions here
 produce.
+
+Polygons are convex and live on the hyperboloid -X0^2 + X1^2 + X2^2 = -1,
+with (0, 1) at (1, 0, 0): each vertex is a hyperboloid vector relative to
+the first vertex, each edge a unit normal from the Minkowski cross
+product of its ends, so which side of an edge a point lies on is the
+sign of one Minkowski product, and the area comes from Gauss-Bonnet with
+the interior angles read off consecutive normals.
 """
 
 from __future__ import annotations
@@ -110,6 +117,21 @@ def cosh_distance_xy(x1, y1, x2, y2):
     x2 = np.asarray(x2, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     return 1.0 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
+
+
+def hyperboloid_xy(xs, ys, x0, y0):
+    """Hyperboloid vectors of half-plane points relative to (x0, y0).
+
+    z -> (z - x0) / y0 carries (x0, y0) to (0, 1), whose vector is
+    (1, 0, 0). With u + iv the moved point, returns X0 - 1 = cosh d - 1
+    (d the distance to (x0, y0)), X1 = u / v and X2 = (u^2 + v^2 - 1)/(2v),
+    all formed without cancellation.
+    """
+    u = (np.asarray(xs, dtype=float) - x0) / y0
+    v = np.asarray(ys, dtype=float) / y0
+    x0m1 = (u * u + (v - 1.0) ** 2) / (2.0 * v)
+    x2 = (u * u + (v - 1.0) * (v + 1.0)) / (2.0 * v)
+    return x0m1, u / v, x2
 
 
 def polar_xy(cx, cy, rho, theta):
@@ -266,8 +288,8 @@ class EuclidCircle:
     """Euclidean center (h, k) and radius r of a hyperbolic circle.
 
     k_minus_r carries k - r in a cancellation-free form (K e^{-R}); for large
-    R the raw difference of k and r loses every significant digit, and this
-    field is what makes the inverse map well conditioned.
+    R the raw difference of k and r loses every significant digit, while
+    this field keeps the circle's lowest point (h, K e^{-R}) exact.
     """
 
     h: float
@@ -337,16 +359,6 @@ class BallSpec:
         return distance(self.center, p) <= self.radius + tol
 
 
-def disk_from_euclidean(circ: EuclidCircle) -> HDisk:
-    """Invert HDisk.euclid_form using the stable k - r field."""
-    if not (circ.k_minus_r > 0.0):
-        raise DomainError("euclidean circle must satisfy k > r to lie in the half-plane")
-    kpr = circ.k + circ.r
-    K = math.sqrt(kpr * circ.k_minus_r)
-    R = 0.5 * math.log(kpr / circ.k_minus_r)
-    return HDisk(HPoint(circ.h, K), R)
-
-
 def ball_area(R: float) -> float:
     """Area of a hyperbolic ball of radius R: 2 pi (cosh R - 1)."""
     R = float(R)
@@ -388,51 +400,8 @@ class Geodesic:
         return cls(is_line=False, c=float(c), r=r)
 
 
-def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
-    """The unique geodesic containing both points."""
-    scale = max(1.0, abs(p.x), abs(q.x))
-    if abs(p.x - q.x) <= DEFAULT_TOLERANCES.line_tol * scale:
-        if p.log_y == q.log_y:
-            raise DomainError("coincident points do not determine a geodesic")
-        return Geodesic.vertical(0.5 * (p.x + q.x))
-    c = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
-    r = math.hypot(p.x - c, p.y)
-    return Geodesic.circle(c, r)
-
-
-def arc_coordinate(geo: Geodesic, p: HPoint) -> float:
-    """Arclength coordinate of p along geo (p is assumed to lie on geo)."""
-    if geo.is_line:
-        return p.log_y
-    phi = math.atan2(p.y, p.x - geo.c)
-    return math.log(math.tan(0.5 * phi))
-
-def point_along(geo: Geodesic, s: float) -> HPoint:
-    """Point at arclength coordinate s; inverse of arc_coordinate."""
-    if geo.is_line:
-        return HPoint.from_log(geo.x0, s)
-    phi = 2.0 * math.atan(math.exp(s))
-    return HPoint(geo.c + geo.r * math.cos(phi), geo.r * math.sin(phi))
-
-
-def midpoint(p: HPoint, q: HPoint) -> HPoint:
-    """Hyperbolic midpoint of the segment pq."""
-    if p.x == q.x:
-        return HPoint.from_log(p.x, 0.5 * (p.log_y + q.log_y))
-    geo = geodesic_through(p, q)
-    return point_along(geo, 0.5 * (arc_coordinate(geo, p) + arc_coordinate(geo, q)))
-
-
-def signed_distance(geo: Geodesic, p: HPoint) -> float:
-    """Signed distance from p to geo: positive right of a line / outside a circle."""
-    if geo.is_line:
-        return math.asinh((p.x - geo.x0) / p.y)
-    val = ((p.x - geo.c) ** 2 + p.y * p.y - geo.r * geo.r) / (2.0 * geo.r * p.y)
-    return math.asinh(val)
-
-
 def signed_distance_xy(geo: Geodesic, xs, ys):
-    """Vectorized signed_distance over coordinate arrays."""
+    """Signed distance from points to geo: positive right of a line, outside a circle."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if geo.is_line:
@@ -441,128 +410,66 @@ def signed_distance_xy(geo: Geodesic, xs, ys):
     return np.arcsinh(val)
 
 
-def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> HPoint | None:
-    """Intersection point of two full geodesics in the open half-plane, if any."""
-    if g1.is_line and g2.is_line:
-        return None
-    if g1.is_line or g2.is_line:
-        line, circ = (g1, g2) if g1.is_line else (g2, g1)
-        dx = line.x0 - circ.c
-        rad = circ.r * circ.r - dx * dx
-        if rad <= 0.0:
-            return None
-        return HPoint(line.x0, math.sqrt(rad))
-    if g1.c == g2.c:
-        return None
-    x = (g1.c * g1.c - g2.c * g2.c - g1.r * g1.r + g2.r * g2.r) / (2.0 * (g1.c - g2.c))
-    rad = g1.r * g1.r - (x - g1.c) ** 2
-    if rad <= 0.0:
-        return None
-    return HPoint(x, math.sqrt(rad))
 
 
-def _edge_interval(geo: Geodesic, a: HPoint, b: HPoint):
-    """Parameter interval of the arc from a to b: x-range (circle) or y-range (line)."""
-    if geo.is_line:
-        return min(a.log_y, b.log_y), max(a.log_y, b.log_y)
-    return min(a.x, b.x), max(a.x, b.x)
-
-
-def _strictly_inside(lo: float, hi: float, v: float) -> bool:
-    span = max(hi - lo, 1e-30)
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi)) + 1e-9 * span
-    return lo + pad < v < hi - pad
-
-
-def _edges_cross(geo1, a1, b1, geo2, a2, b2) -> bool:
-    """Whether two geodesic arcs meet away from shared endpoints."""
-    if geo1.is_line and geo2.is_line:
-        if abs(geo1.x0 - geo2.x0) > 1e-12 * max(1.0, abs(geo1.x0), abs(geo2.x0)):
-            return False
-        lo1, hi1 = _edge_interval(geo1, a1, b1)
-        lo2, hi2 = _edge_interval(geo2, a2, b2)
-        return min(hi1, hi2) - max(lo1, lo2) > 1e-12
-    pt = geodesic_intersection(geo1, geo2)
-    if pt is None:
-        # concentric circles can overlap as sets
-        if not geo1.is_line and not geo2.is_line and geo1.c == geo2.c and geo1.r == geo2.r:
-            lo1, hi1 = _edge_interval(geo1, a1, b1)
-            lo2, hi2 = _edge_interval(geo2, a2, b2)
-            return min(hi1, hi2) - max(lo1, lo2) > 1e-12
-        return False
-    lo1, hi1 = _edge_interval(geo1, a1, b1)
-    lo2, hi2 = _edge_interval(geo2, a2, b2)
-    v1 = pt.log_y if geo1.is_line else pt.x
-    v2 = pt.log_y if geo2.is_line else pt.x
-    return _strictly_inside(lo1, hi1, v1) and _strictly_inside(lo2, hi2, v2)
-
-
-def _tangent_toward(geo: Geodesic, v: HPoint, w: HPoint):
-    """Unit Euclidean tangent of geo at v pointing toward w."""
-    if geo.is_line:
-        return (0.0, 1.0) if w.log_y > v.log_y else (0.0, -1.0)
-    phi_v = math.atan2(v.y, v.x - geo.c)
-    phi_w = math.atan2(w.y, w.x - geo.c)
-    tx, ty = -math.sin(phi_v), math.cos(phi_v)
-    if phi_w < phi_v:
-        tx, ty = -tx, -ty
-    return tx, ty
+# Minkowski form <A, B> = -A0 B0 + A1 B1 + A2 B2, as a row of signs
+_MINKOWSKI = np.array([-1.0, 1.0, 1.0])
 
 
 class GeodesicPolygon:
-    """Simple polygon with geodesic edges, all interior angles in (0, pi)."""
+    """Convex polygon with geodesic edges, vertices in cyclic order.
 
-    __slots__ = ("vertices", "edges", "_angles")
+    Vertex k is held as its hyperboloid vector P_k relative to vertex 0
+    (hyperboloid_xy), so roundoff follows the polygon's size and not its
+    place in the half-plane. The normal n_k of the edge from P_k to
+    P_{k+1} is their Minkowski cross product, scaled to <n_k, n_k> = 1
+    and signed so that <n_k, X> is the sinh of the distance from X to
+    the edge's geodesic, positive on the polygon's side. The polygon is
+    convex when every vertex off an edge lies strictly on the same side
+    of it; anything else (a repeated vertex, a straight or reflex angle,
+    crossing edges) raises DomainError.
+    """
+
+    __slots__ = ("vertices", "lifted", "normals")
 
     def __init__(self, vertices):
         vertices = tuple(vertices)
-        if len(vertices) < 3:
-            raise DomainError(f"polygon needs at least 3 vertices, got {len(vertices)}")
         n = len(vertices)
-        edges = []
-        for i in range(n):
-            a, b = vertices[i], vertices[(i + 1) % n]
-            edges.append(geodesic_through(a, b))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue  # adjacent edges share a vertex
-                if _edges_cross(
-                    edges[i], vertices[i], vertices[(i + 1) % n],
-                    edges[j], vertices[j], vertices[(j + 1) % n],
-                ):
-                    raise DomainError(f"polygon is not simple: edges {i} and {j} cross")
-        angles = []
-        for i in range(n):
-            v = vertices[i]
-            prev_v = vertices[(i - 1) % n]
-            next_v = vertices[(i + 1) % n]
-            t_prev = _tangent_toward(edges[(i - 1) % n], v, prev_v)
-            t_next = _tangent_toward(edges[i], v, next_v)
-            dot = t_prev[0] * t_next[0] + t_prev[1] * t_next[1]
-            ang = math.acos(max(-1.0, min(1.0, dot)))
-            if not (0.0 < ang < math.pi):
-                raise DomainError(f"interior angle {ang:.6f} at vertex {i} is outside (0, pi)")
-            angles.append(ang)
+        if n < 3:
+            raise DomainError(f"polygon needs at least 3 vertices, got {n}")
+        base = vertices[0]
+        x0m1, x1, x2 = hyperboloid_xy(
+            [v.x for v in vertices], [v.y for v in vertices], base.x, base.y
+        )
+        p = np.column_stack([1.0 + x0m1, x1, x2])
+        # <J (P_k x P_k+1), P_j> = det(P_k, P_k+1, P_j), J = diag(-1, 1, 1)
+        cross = np.cross(p, np.roll(p, -1, axis=0))
+        side = np.sign(cross @ p.T)
+        k = np.arange(n)
+        side[k, k] = side[k, (k + 1) % n] = side[0, 2]
+        if side[0, 2] == 0.0 or np.any(side != side[0, 2]):
+            raise DomainError("polygon is not convex: a vertex lies on or beyond an edge")
+        norm = np.sqrt(np.sum(cross * cross * _MINKOWSKI, axis=1))
         self.vertices = vertices
-        self.edges = tuple(edges)
-        self._angles = tuple(angles)
-
-    @property
-    def angles(self):
-        return self._angles
+        self.lifted = p
+        self.normals = side[0, 2] * cross * _MINKOWSKI / norm[:, None]
 
     def area(self) -> float:
-        return polygon_area(self)
+        """Gauss-Bonnet area: (n - 2) pi - sum of interior angles.
+
+        Both normals at vertex k are Minkowski-orthogonal to P_k, and the
+        interior angle there has cosine -<n_k-1, n_k> and sine
+        |det(n_k-1, n_k, P_k)|; taking both keeps small angles exact.
+        """
+        n = self.normals
+        prev = np.roll(n, 1, axis=0)
+        cos = -np.sum(prev * n * _MINKOWSKI, axis=1)
+        sin = np.abs(np.sum(np.cross(prev, n) * self.lifted, axis=1))
+        angles = np.arctan2(sin, cos)
+        area = (len(self.vertices) - 2) * math.pi - sum(angles.tolist())
+        if area <= 0.0:
+            raise DomainError(f"polygon area {area:.3e} is not positive")
+        return area
 
     def __repr__(self):
         return f"GeodesicPolygon({list(self.vertices)!r})"
-
-
-def polygon_area(poly: GeodesicPolygon) -> float:
-    """Gauss-Bonnet area: (n - 2) pi - sum of interior angles."""
-    n = len(poly.vertices)
-    area = (n - 2) * math.pi - sum(poly.angles)
-    if area <= 0.0:
-        raise DomainError(f"polygon area {area:.3e} is not positive")
-    return area

