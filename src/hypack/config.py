@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    # generated vertices closer than this are the same vertex
-    dedup_radius: float = 1e-6
     # smallest image height an isometry may produce
     min_image_y: float = 1e-300
     # ball radii beyond this saturate cosh/sinh usefully

@@ -23,8 +23,7 @@ from .hgeom import (
     HPoint,
     angle_of_parallelism,
     ball_area,
-    ball_hits,
-    cosh_distance_xy,
+    nearest_sites,
 )
 from .packings import BrickTile, TightPacking, brick_region
 from .regions import (
@@ -235,13 +234,22 @@ def tile_density(packing, tile, plan: SamplePlan) -> AreaEstimate:
         raise DomainError(f"tile has non-positive area {area:g}")
 
     if isinstance(tile, VoronoiCell) and isinstance(packing, TightPacking):
-        rho = packing.disk_radius
-        near = packing.centers_in_ball(BallSpec(tile.site, 1e-9))
-        if near and rho <= tile.inscribed_radius_bound() + 1e-12:
-            return AreaEstimate(ball_area(rho) / area, 0.0, 0, "closed-form")
+        if packing._centers(BallSpec(tile.site, 1e-9))[0].size:
+            frac = _cell_fraction(packing, tile)
+            if frac is not None:
+                return AreaEstimate(frac, 0.0, 0, "closed-form")
 
     xs, ys = region.sample_uniform(plan)
     return AreaEstimate.monte_carlo(packing.covers_xy(xs, ys))
+
+
+def _cell_fraction(packing, cell: VoronoiCell):
+    """Covered fraction of a tight packing's cell about one of its centers:
+    the whole disk when the cell's inscribed bound holds it, else None."""
+    rho = packing.disk_radius
+    if rho <= cell.inscribed_radius_bound() + 1e-12:
+        return ball_area(rho) / cell.area()
+    return None
 
 
 def annulus_density_curve(exponents) -> DensityCurve:
@@ -304,54 +312,35 @@ def mass_transport_check(
 
     Each sampled point is charged the covered fraction of the cell it
     lands in. Points within boundary_tol of a cell wall (equidistant
-    from their two nearest sites) are resampled so the charge is well
-    defined. For packings whose cells tile with one density this mean
-    reproduces that density regardless of the window.
+    from their two nearest sites) are resampled, all of them in one batch
+    per round, so the charge is well defined. For packings whose cells
+    tile with one density this mean reproduces that density regardless
+    of the window.
     """
     spacing = 2.0 * packing.disk_radius
-    sites = packing.centers_in_ball(
-        BallSpec(window.center, window.radius + 2.0 * spacing)
-    )
-    if len(sites) < 2:
+    sx, sy = packing._centers(BallSpec(window.center, window.radius + 2.0 * spacing))
+    if sx.size < 2:
         raise DomainError("window holds too few packing centers")
-    sx = np.array([s.x for s in sites])
-    sy = np.array([s.y for s in sites])
     tree = cKDTree(np.column_stack([sx, sy]))
 
     xs, ys = sample_ball_uniform(window, plan)
     rng = np.random.Generator(np.random.Philox(plan.seed + 977))
-    owner = np.empty(plan.n, dtype=np.int64)
-    for k in range(plan.n):
-        while True:
-            j, gap = _nearest_site(tree, sx, sy, float(xs[k]), float(ys[k]), spacing)
-            if gap >= boundary_tol:
-                owner[k] = j
-                break
-            nx, ny = _ball_points(window, rng, 1)
-            xs[k], ys[k] = float(nx[0]), float(ny[0])
+    owner = np.empty(plan.n, dtype=np.intp)
+    todo = np.arange(plan.n)
+    while todo.size:
+        idx, cd = nearest_sites(tree, xs[todo], ys[todo], 2)
+        d = np.arccosh(np.maximum(cd, 1.0))
+        clear = d[:, 1] - d[:, 0] >= boundary_tol
+        owner[todo[clear]] = idx[clear, 0]
+        todo = todo[~clear]
+        if todo.size:
+            xs[todo], ys[todo] = _ball_points(window, rng, todo.size)
 
-    values = np.empty(plan.n)
-    cache: dict[int, float] = {}
-    for k in range(plan.n):
-        j = int(owner[k])
-        if j not in cache:
-            cell = packing_cell(packing, sites[j])
-            cache[j] = tile_density(packing, cell, plan).fraction
-        values[k] = cache[j]
-    return float(np.mean(values))
-
-
-def _nearest_site(tree, sx, sy, x, y, rho0):
-    """Index of the hyperbolically nearest site and the margin to the
-    second nearest, via Euclidean disk queries of growing radius."""
-    rho = rho0
-    while True:
-        _, idx = ball_hits(tree, x, y, math.cosh(rho), math.sinh(rho))
-        if len(idx) >= 2:
-            break
-        rho *= 1.5
-        if rho > 50.0:
-            raise DomainError("could not locate two sites near a sample point")
-    d = np.arccosh(np.maximum(cosh_distance_xy(x, y, sx[idx], sy[idx]), 1.0))
-    order = np.argsort(d)
-    return int(idx[order[0]]), float(d[order[1]] - d[order[0]])
+    # the owners are centers of the packing: no vertex check is needed
+    sites, inverse = np.unique(owner, return_inverse=True)
+    fractions = np.empty(sites.size)
+    for k, j in enumerate(sites):
+        cell = packing_cell(packing, HPoint(sx[j], sy[j]))
+        frac = _cell_fraction(packing, cell)
+        fractions[k] = tile_density(packing, cell, plan).fraction if frac is None else frac
+    return float(np.mean(fractions[inverse]))

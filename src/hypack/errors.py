@@ -29,14 +29,5 @@ class UnsupportedOperationError(RuntimeError):
     """The operation is well defined but not available for this object."""
 
 
-class DedupCollisionError(RuntimeError):
-    """Two generated points were ambiguously close.
-
-    Raised when two vertex candidates are farther apart than the duplicate
-    radius but closer than the disk radius, which no two real vertices
-    are; it demands a different tolerance rather than a silent guess.
-    """
-
-
 class UnboundedCellError(RuntimeError):
     """A Dirichlet cell failed to close within the search radius."""

@@ -31,6 +31,12 @@ from .errors import DomainError, RangeError
 
 _LN2 = math.log(2.0)
 _SAFE_LOG = 600.0
+# Padding of a refine disk's Euclidean radius, relative to its centre
+# height y C. A float cosh distance C is within 7 units in the last place
+# of its exact value; that moves the radius y sqrt(C^2 - 1) by at most
+# y C sqrt(14 * 2^-53) = 4e-8 y C (the square root is steep at C = 1),
+# and the centre, radius and KD-tree distances round at 1e-16 y C.
+_BALL_PAD = 1e-7
 _LOG_MIN_IMAGE_Y = math.log(DEFAULT_TOLERANCES.min_image_y)
 
 
@@ -141,14 +147,23 @@ def polar_xy(cx, cy, rho, theta):
     half-plane by w -> i (1 + w) / (1 - w), which sends 0 to (0, 1), and
     then scaled by cy and shifted by cx. theta = 0 points straight up.
     Written with e = e^-rho and h = sin(theta/2), the map has no
-    cancellation: |1 - w|^2 (1 + e)^2 / 2 = 2h^2 + e^2 (2 - 2h^2), so the
-    points sit at distance rho to a few ulp at any rho.
+    cancellation: |1 - w|^2 (1 + e)^2 / 2 = den = 2h^2 + e^2 (2 - 2h^2), so
+    the points sit at distance rho to a few ulp at any rho. Where den
+    underflows to 0 (h = 0 and rho beyond about 372) the map is taken
+    divided through by e, which holds up to rho = 709.
     """
     e = np.exp(-np.asarray(rho, dtype=float))
     h = np.sin(0.5 * np.asarray(theta, dtype=float))
     den = 2.0 * h * h + e * e * (2.0 - 2.0 * h * h)
-    x = -(1.0 - e * e) * np.sin(theta) / den
-    y = 2.0 * e / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.asarray(-(1.0 - e * e) * np.sin(theta) / den)
+        y = np.asarray(2.0 * e / den)
+    low = den == 0.0
+    if np.any(low):
+        e, h, s = (np.broadcast_to(a, low.shape)[low] for a in (e, h, np.sin(theta)))
+        den_e = 2.0 * h * (h / e) + e * (2.0 - 2.0 * h * h)
+        x[low] = -(1.0 - e * e) * (s / e) / den_e
+        y[low] = 2.0 / den_e
     return cx + cy * x, cy * y
 
 
@@ -167,6 +182,46 @@ def ball_hits(tree, xs, ys, cosh_r, sinh_r):
     counts = np.fromiter(map(len, hits), np.intp, len(hits))
     flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, int(counts.sum()))
     return counts, flat
+
+
+def nearest_sites(tree, xs, ys, k: int):
+    """The k hyperbolically nearest points of a KD-tree over half-plane
+    coordinates, for each query point (x, y): (idx, cd) of shape (n, k),
+    tree indices and cosh distances, nearest first.
+
+    The largest cosh distance C of the k Euclidean nearest neighbours
+    bounds the k-th hyperbolic one, and the ball {cosh d <= C} is the
+    Euclidean disk about (x, y C) of radius y sqrt(C^2 - 1), padded by
+    _BALL_PAD y C, so one ball_hits refine finds every candidate. The disk
+    reaches no farther than y (C - 1 + sqrt(C^2 - 1)) from (x, y): where
+    the (k+1)-th Euclidean neighbour lies beyond that, the refine is
+    skipped. Each pair's cosh distance is cosh_distance_xy(x, y, site).
+    """
+    if tree.n < k:
+        raise DomainError(f"{k} nearest sites need at least {k} sites, got {tree.n}")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    pts = tree.data
+    dist, j = tree.query(np.column_stack([xs, ys]), k=k + 1)
+    j = j[:, :k]
+    cd = cosh_distance_xy(xs[:, None], ys[:, None], pts[j, 0], pts[j, 1])
+    order = np.argsort(cd, axis=1, kind="stable")
+    idx = np.take_along_axis(j, order, axis=1)
+    cd = np.take_along_axis(cd, order, axis=1)
+    ub = cd[:, -1]
+    sinh_r = np.sqrt((ub - 1.0) * (ub + 1.0)) + _BALL_PAD * ub
+    # (ub - 1) and the KD-tree distance round far below the padding
+    refine = np.flatnonzero(dist[:, k] <= ys * (ub - 1.0 + sinh_r))
+    if refine.size:
+        rx, ry = xs[refine], ys[refine]
+        counts, hits = ball_hits(tree, rx, ry, ub[refine], sinh_r[refine])
+        hcd = cosh_distance_xy(np.repeat(rx, counts), np.repeat(ry, counts),
+                               pts[hits, 0], pts[hits, 1])
+        # sort each point's hits by cosh distance and take the first k
+        rank = np.lexsort((hcd, np.repeat(np.arange(refine.size), counts)))
+        take = rank[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        idx[refine], cd[refine] = hits[take], hcd[take]
+    return idx, cd
 
 
 class Isometry:
@@ -398,18 +453,6 @@ class Geodesic:
         if not (r > 0.0) or not math.isfinite(r):
             raise DomainError(f"geodesic circle radius must be positive, got {r!r}")
         return cls(is_line=False, c=float(c), r=r)
-
-
-def signed_distance_xy(geo: Geodesic, xs, ys):
-    """Signed distance from points to geo: positive right of a line, outside a circle."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if geo.is_line:
-        return np.arcsinh((xs - geo.x0) / ys)
-    val = ((xs - geo.c) ** 2 + ys * ys - geo.r * geo.r) / (2.0 * geo.r * ys)
-    return np.arcsinh(val)
-
-
 
 
 # Minkowski form <A, B> = -A0 B0 + A1 B1 + A2 B2, as a row of signs

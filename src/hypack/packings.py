@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import DedupCollisionError, DomainError, RangeError, SaturationError
+from .errors import DomainError, RangeError, SaturationError
 from .hgeom import (
     ORIGIN,
     BallSpec,
@@ -31,7 +29,6 @@ from .hgeom import (
     Isometry,
     apply,
     ball_area,
-    ball_hits,
     cosh_distance_xy,
 )
 from .regions import Region, SamplePlan, StripeRegion, _box_area_in_ball, quad_black_fraction
@@ -291,28 +288,35 @@ class TightPacking(Packing):
     radius csc(pi/m)). A point is covered iff its reflection into the
     chamber lies within r_m of (0, 1). Window queries fold the window's
     center the same way, take the vertices of a cached neighbourhood of
-    (0, 1) that lie in the folded window, and reflect them back. The
-    neighbourhood grows ring by ring from (0, 1); a window whose
-    neighbourhood would exceed two million vertices raises RangeError.
-    Folding moves a point around circles about (0, 1), on which half-plane
-    coordinates resolve distances to about 1e-16 e^{d(p, (0, 1))}.
+    (0, 1) that lie in the folded window, and reflect them back.
+
+    The neighbourhood is generated ring by ring from the layered structure
+    of the {3,m} triangulation (Dunham, Lindgren and Witte, 1981), which
+    names each vertex exactly once, so no vertex is ever deduplicated
+    (see _grow). A window that reaches past the cached radius regenerates
+    it with ln 2 of headroom, which about doubles the vertex count, so
+    generation is amortized linear in the vertices finally held. A window
+    whose neighbourhood would exceed two million vertices raises
+    RangeError. Folding moves a point around circles about (0, 1), on
+    which half-plane coordinates resolve distances to about
+    1e-16 e^{d(p, (0, 1))}.
     """
 
-    def __init__(self, m: int, *, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+    def __init__(self, m: int):
         self.m = _check_m(m)
         self.disk_radius = tight_radius(self.m)
         self.label = f"tight(m={self.m})"
-        self._tol = tol
         self._e2r = math.exp(2.0 * self.disk_radius)
         self._wall_c = 1.0 / math.tan(math.pi / self.m)
         # csc^2 = cot^2 + 1 keeps (0, 1) exactly on the circle wall
         self._wall_r2 = self._wall_c * self._wall_c + 1.0
-        # the neighbourhood: vertices, one neighbor of each and their cosh
-        # distances to (0, 1), nearest first, complete out to _reach
+        # the neighbourhood: vertices and their cosh distances to (0, 1),
+        # nearest first, complete out to _reach
         self._z = np.array([1j])
-        self._nbr = np.array([1j * self._e2r])
         self._cd = np.array([1.0])
         self._reach = 0.0
+        # the radius about (0, 1) that holds _DISK_CAP vertices
+        self._cap_radius = math.acosh(1.0 + _DISK_CAP * (self.m - 6) / 6.0)
         self._fd = None
 
     # -- the fold ------------------------------------------------------------
@@ -367,57 +371,39 @@ class TightPacking(Packing):
     # -- the neighbourhood of (0, 1) -------------------------------------------
 
     def _grow(self, radius: float) -> None:
-        """Extend the neighbourhood to every vertex within radius of (0, 1)."""
-        step = 2.0 * self.disk_radius
-        # only vertices within one edge of the old rim have neighbors beyond
-        # it; their known neighbors lie within one more edge
-        rim = self._reach - step - 1e-6
-        i0, i1 = np.searchsorted(self._cd, np.cosh(np.maximum([rim - step - 1e-6, rim], 0.0)))
-        prev, ring, nbr = self._z[i0:i1], self._z[i1:], self._nbr[i1:]
-        turns = np.arange(self.m)
+        """Generate every vertex within radius of (0, 1), ring by ring.
+
+        Ring 1 is the m neighbours of (0, 1). Every later vertex v keeps
+        its reference neighbour N0, the vertex that emitted it, and N_k is
+        N0 turned by 2 pi k / m about v. A vertex with one parent emits
+        N2 ... N_{m-3}, one with two parents N3 ... N_{m-3}; the first
+        child it emits has two parents, the others one. The child N_{m-2}
+        it skips is emitted by its other parent, so each vertex is made
+        exactly once. Children beyond radius are dropped as they are made.
+        """
+        m = self.m
         cosh_cap = math.cosh(radius)
-        found, links = [self._z], [self._nbr]
+        # first: the turn of each vertex's first child. (0, 1) emits all m
+        # turns of the vertex straight above it, none with two parents.
+        ring, ref, first = np.array([1j]), np.array([1j * self._e2r]), np.array([-1])
+        turns = np.arange(m)
+        found = [ring]
         while ring.size:
-            rot = np.exp(2j * math.pi * turns / self.m)[:, None]
-            tk = rot * ((nbr - ring) / (nbr - ring.conj()))
-            cand = ((ring - ring.conj() * tk) / (1.0 - tk)).ravel()
-            par = np.broadcast_to(ring, tk.shape).ravel()
-            keep = cosh_distance_xy(cand.real, cand.imag, 0.0, 1.0) <= cosh_cap
-            cand, par = cand[keep], par[keep]
-            new = self._fresh(cand, np.concatenate([prev, ring]))
-            prev, ring, nbr = ring, cand[new], par[new]
-            # a vertex found from p neighbors p and the two vertices flanking
-            # the edge to p, all found by now: only the other m - 3 can be new
-            turns = np.arange(2, self.m - 1)
+            rot = np.exp(2j * math.pi * turns / m)[:, None]
+            tk = rot * ((ref - ring) / (ref - ring.conj()))
+            cand = (ring - ring.conj() * tk) / (1.0 - tk)
+            keep = (turns[:, None] >= first) & (
+                cosh_distance_xy(cand.real, cand.imag, 0.0, 1.0) <= cosh_cap
+            )
+            ring, ref = cand[keep], np.broadcast_to(ring, cand.shape)[keep]
+            first = 2 + np.broadcast_to(turns[:, None] == first, cand.shape)[keep]
+            turns = np.arange(2, m - 2)
             found.append(ring)
-            links.append(nbr)
-        z, nb = np.concatenate(found), np.concatenate(links)
+        z = np.concatenate(found)
         cd = cosh_distance_xy(z.real, z.imag, 0.0, 1.0)
         order = np.argsort(cd, kind="stable")
-        self._z, self._nbr, self._cd = z[order], nb[order], cd[order]
+        self._z, self._cd = z[order], cd[order]
         self._reach = radius
-
-    def _fresh(self, cand, ref) -> np.ndarray:
-        """Mask of candidates that are new vertices: not in ref, first of their kind.
-
-        Points within dedup_radius of each other are one vertex. Real
-        vertices are 2 r_m apart, so two points closer than r_m but farther
-        than dedup_radius raise DedupCollisionError.
-        """
-        pts = np.concatenate([ref, cand])
-        tree = cKDTree(np.column_stack([pts.real, pts.imag]))
-        r = self.disk_radius
-        counts, flat = ball_hits(tree, cand.real, cand.imag, math.cosh(r), math.sinh(r))
-        a, b = np.repeat(cand, counts), pts[flat]
-        gap = 2.0 * np.arcsinh(np.abs(a - b) / (2.0 * np.sqrt(a.imag * b.imag)))
-        merge_r = self._tol.dedup_radius
-        if (gap > merge_r).any():
-            raise DedupCollisionError(
-                f"vertex candidates {float(gap[gap > merge_r].min()):.3e} apart lie "
-                f"between the duplicate radius {merge_r:g} and the disk radius {r:g}"
-            )
-        first = np.minimum.reduceat(flat, np.cumsum(counts) - counts)
-        return first == ref.size + np.arange(cand.size)
 
     # -- queries -------------------------------------------------------------
 
@@ -427,10 +413,10 @@ class TightPacking(Packing):
         cx, cy = self._fold([ball.center.x], [ball.center.y], word)
         cd = float(cosh_distance_xy(cx[0], cy[0], 0.0, 1.0))
         reach = math.acosh(max(cd, 1.0)) + ball.radius + 1e-9
-        if 6.0 * (math.cosh(reach) - 1.0) / (self.m - 6) > _DISK_CAP:
+        if reach > self._cap_radius:
             raise _too_many_disks(ball.radius)
         if reach > self._reach:
-            self._grow(reach)
+            self._grow(min(reach + math.log(2.0), self._cap_radius))
         z = self._z[: np.searchsorted(self._cd, math.cosh(reach), side="right")]
         near = cosh_distance_xy(z.real, z.imag, cx[0], cy[0]) <= math.cosh(ball.radius)
         x, y = z.real[near], z.imag[near]

@@ -8,15 +8,12 @@ levels of the Hausdorff distance between same-level nets, scaled by
 which is the topology in which density results are stable.
 
 A directed Hausdorff distance needs each point's nearest neighbour in the
-other net, found in two steps. A KD-tree over the target net gives each
-point a's Euclidean nearest neighbour, whose cosh distance C bounds the
-hyperbolic one from above. The hyperbolic ball {cosh d <= C} about
-a = (x, y) is the Euclidean disk with centre (x, y C) and radius
-y sqrt(C^2 - 1), so one ball query returns every point that can be
-nearer, and the cosh distance is evaluated on those pairs only. The
-result equals the all-pairs minimum bit for bit. Each pair's cosh
-distance is the same float expression, and the disk is padded beyond the
-roundoff of C and of the disk, so the candidates include every minimiser.
+other net: hgeom.nearest_sites with k = 1 bounds it by the Euclidean
+nearest neighbour's cosh distance C and refines inside the hyperbolic
+ball {cosh d <= C}, a padded Euclidean disk, skipping the refine where
+the second Euclidean neighbour lies beyond that disk. The result equals
+the all-pairs minimum bit for bit: each pair's cosh distance is the same
+float expression, and the candidates include every minimiser.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DomainError, RangeError
-from .hgeom import ORIGIN, BallSpec, ball_hits, cosh_distance_xy, polar_xy
+from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, nearest_sites, polar_xy
 
 # Net spacing h yields a covering radius of about 0.72 h in the body
 # interiors and at worst about 1.25 h where bodies meet the level
@@ -36,12 +33,6 @@ from .hgeom import ORIGIN, BallSpec, ball_hits, cosh_distance_xy, polar_xy
 # point.
 MAX_NET_SPACING = 0.04
 MIN_LEVEL_POINTS = 64
-# Padding of the refine disk's Euclidean radius, relative to its centre
-# height y C. A float cosh distance C is within 7 units in the last place
-# of its exact value; that moves the radius y sqrt(C^2 - 1) by at most
-# y C sqrt(14 * 2^-53) = 4e-8 y C (the square root is steep at C = 1),
-# and the centre, radius and KD-tree distances round at 1e-16 y C.
-_BALL_PAD = 1e-7
 # With |x|, y and 1/y at most 1e30, cosh distances stay below 3e120, and
 # the refine disks' centres y C and the KD-tree's squared distances stay
 # finite.
@@ -169,17 +160,8 @@ def truncate(target, k_max: int = 8, spacing: float = 0.03) -> TruncatedPacking:
 
 def _directed_hausdorff(a, c):
     """Largest distance from a point of a to the nearest point of c."""
-    tree = cKDTree(c)
-    _, j = tree.query(a)
-    # the Euclidean nearest neighbour's cosh distance bounds the hyperbolic
-    # one: the ball of that cosh-radius holds every point that can be nearer
-    ub = cosh_distance_xy(a[:, 0], a[:, 1], c[j, 0], c[j, 1])
-    sinh_r = np.sqrt((ub - 1.0) * (ub + 1.0)) + _BALL_PAD * ub
-    counts, hits = ball_hits(tree, a[:, 0], a[:, 1], ub, sinh_r)
-    cd = cosh_distance_xy(np.repeat(a[:, 0], counts), np.repeat(a[:, 1], counts),
-                          c[hits, 0], c[hits, 1])
-    nearest = np.minimum.reduceat(cd, np.cumsum(counts) - counts)
-    return float(np.arccosh(np.maximum(nearest, 1.0)).max())
+    _, cd = nearest_sites(cKDTree(c), a[:, 0], a[:, 1], 1)
+    return float(np.arccosh(np.maximum(cd[:, 0], 1.0)).max())
 
 
 def _point_set(pts):

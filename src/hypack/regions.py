@@ -35,7 +35,6 @@ from .hgeom import (
     ball_area,
     hyperboloid_xy,
     polar_xy,
-    signed_distance_xy,
 )
 
 
@@ -105,7 +104,11 @@ class EmptyRegion(Region):
 
 
 class HalfSpaceRegion(Region):
-    """Closed side of a geodesic: sign * signed_distance >= 0."""
+    """Closed side of a geodesic: sign * signed distance >= 0.
+
+    covers_xy reads the sign of the signed distance's numerator, which
+    needs no division by y (0 or inf beyond log-heights of about 709).
+    """
 
     def __init__(self, geodesic: Geodesic, sign: int = +1):
         if sign not in (-1, +1):
@@ -114,7 +117,11 @@ class HalfSpaceRegion(Region):
         self.sign = sign
 
     def covers_xy(self, xs, ys):
-        return self.sign * signed_distance_xy(self.geodesic, xs, ys) >= 0.0
+        geo, xs = self.geodesic, np.asarray(xs, dtype=float)
+        if geo.is_line:
+            return self.sign * (xs - geo.x0) >= 0.0
+        ys = np.asarray(ys, dtype=float)
+        return self.sign * ((xs - geo.c) ** 2 + ys * ys - geo.r * geo.r) >= 0.0
 
     def exact_area_in_ball(self, ball):
         if not self.geodesic.is_line:

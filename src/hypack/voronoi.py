@@ -59,21 +59,21 @@ class VoronoiCell:
         return min(distance(self.site, s) for s in self.neighbor_sites) / 2.0
 
 
-def dirichlet_cell(sites, i: int) -> VoronoiCell:
-    """Voronoi cell of sites[i] among the given sites, as the polar dual
-    of one convex hull in the Klein model about the site.
+def dirichlet_cell(xs, ys, i: int) -> VoronoiCell:
+    """Voronoi cell of site i among the sites with coordinates (xs, ys),
+    as the polar dual of one convex hull in the Klein model about the site.
 
     Vertices are ordered by ascending angle about the site, and
     neighbor_sites are the sites whose bisector carries a cell edge.
     """
-    n = len(sites)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    n = xs.size
     if not (0 <= i < n):
         raise DomainError(f"site index {i} out of range for {n} sites")
-    site = sites[i]
-    others = [s for j, s in enumerate(sites) if j != i]
-    x0m1, x1, x2 = hyperboloid_xy(
-        [s.x for s in others], [s.y for s in others], site.x, site.y
-    )
+    site = HPoint(xs[i], ys[i])
+    ox, oy = np.delete(xs, i), np.delete(ys, i)
+    x0m1, x1, x2 = hyperboloid_xy(ox, oy, site.x, site.y)
     if np.any(x0m1 == 0.0):
         raise DomainError("sites must be pairwise distinct")
     dual = np.column_stack([x1, x2]) / x0m1[:, None]
@@ -114,7 +114,7 @@ def dirichlet_cell(sites, i: int) -> VoronoiCell:
     ang = np.arctan2(-k1, k2)
     ang[ang > math.pi - 1e-12] -= 2.0 * math.pi
     vertices = [HPoint(vx[k], vy[k]) for k in np.argsort(ang)]
-    neighbors = tuple(others[j] for j in hull.vertices)
+    neighbors = tuple(HPoint(ox[j], oy[j]) for j in hull.vertices)
     return VoronoiCell(site=site, polygon=GeodesicPolygon(vertices),
                        neighbor_sites=neighbors)
 
@@ -122,16 +122,13 @@ def dirichlet_cell(sites, i: int) -> VoronoiCell:
 def packing_cell(packing, site: HPoint) -> VoronoiCell:
     """Dirichlet cell of one disk center of a packing.
 
-    The site list is the packing's center set within four disk spacings
-    of the site; the given site must coincide with one of the centers.
+    The sites are the packing's centers within four disk spacings of the
+    site; the given site must coincide with one of them.
     """
     spacing = 2.0 * packing.disk_radius
-    window = BallSpec(site, _WINDOW_SPACINGS * spacing)
-    sites = [d.center for d in packing.bodies_in_ball(window)]
-    if not sites:
+    sx, sy = packing._centers(BallSpec(site, _WINDOW_SPACINGS * spacing))
+    if not sx.size:
         raise DomainError("no packing centers near the requested site")
-    sx = np.array([s.x for s in sites])
-    sy = np.array([s.y for s in sites])
     # sinh^2(d / 2) = (cosh d - 1) / 2, formed without cancellation
     half = ((sx - site.x) ** 2 + (sy - site.y) ** 2) / (4.0 * sy * site.y)
     idx = int(np.argmin(half))
@@ -139,7 +136,7 @@ def packing_cell(packing, site: HPoint) -> VoronoiCell:
         raise DomainError(
             f"point ({site.x:g}, {site.y:g}) is not a center of the packing"
         )
-    return dirichlet_cell(sites, idx)
+    return dirichlet_cell(sx, sy, idx)
 
 
 def cell_relative_density(cell: VoronoiCell, rho: float) -> float:

@@ -4,15 +4,23 @@ These are the package's earlier, slower constructions, kept as
 independent oracles:
 
 - geodesics as half-plane arcs: ``geodesic_through``,
-  ``geodesic_intersection``, ``arc_coordinate``, ``point_along`` and
-  ``midpoint``;
+  ``geodesic_intersection``, ``arc_coordinate``, ``point_along``,
+  ``midpoint`` and ``signed_distance_xy``;
 - ``ArcPolygon``, a polygon that checks simplicity by intersecting its
   edge arcs pairwise and measures its interior angles between Euclidean
   tangents, with ``ArcPolygonRegion``, whose membership test takes one
   signed distance per edge and whose sampler rejects area-uniform points
   of an enclosing ball;
 - ``partition_audit``, the fraction of window samples that lie in
-  exactly one of a set of Dirichlet cells.
+  exactly one of a set of Dirichlet cells;
+- ``DedupTightPacking``, a tight packing whose neighbourhood of (0, 1)
+  grows by turning every rim vertex's known neighbour through all its
+  turns and merging the candidates that a KD-tree ball query finds
+  within the disk radius of a known vertex or an earlier candidate;
+- ``nearest_site``, the hyperbolically nearest site of one point and the
+  margin to the second, by Euclidean disk queries of growing radius, and
+  ``transport_loop``, the mass-transport mean that places its samples
+  one at a time with it.
 """
 
 from __future__ import annotations
@@ -21,9 +29,21 @@ import math
 
 import numpy as np
 
+from scipy.spatial import cKDTree
+
+from hypack.density import tile_density
 from hypack.errors import DomainError
-from hypack.hgeom import BallSpec, Geodesic, HPoint, distance, signed_distance_xy
+from hypack.hgeom import (
+    BallSpec,
+    Geodesic,
+    HPoint,
+    ball_hits,
+    cosh_distance_xy,
+    distance,
+)
+from hypack.packings import TightPacking
 from hypack.regions import PolygonRegion, SamplePlan, _ball_points, sample_ball_uniform
+from hypack.voronoi import packing_cell
 
 # two endpoint x's closer than this, relative to the points' size, make a
 # vertical geodesic. (The package's version used max(1, |x|) as the size,
@@ -69,6 +89,16 @@ def midpoint(p: HPoint, q: HPoint) -> HPoint:
         return HPoint.from_log(p.x, 0.5 * (p.log_y + q.log_y))
     geo = geodesic_through(p, q)
     return point_along(geo, 0.5 * (arc_coordinate(geo, p) + arc_coordinate(geo, q)))
+
+
+def signed_distance_xy(geo: Geodesic, xs, ys):
+    """Signed distance from points to geo: positive right of a line, outside a circle."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if geo.is_line:
+        return np.arcsinh((xs - geo.x0) / ys)
+    val = ((xs - geo.c) ** 2 + ys * ys - geo.r * geo.r) / (2.0 * geo.r * ys)
+    return np.arcsinh(val)
 
 
 def signed_distance(geo: Geodesic, p: HPoint) -> float:
@@ -257,3 +287,123 @@ def partition_audit(cells, window: BallSpec, plan: SamplePlan) -> float:
     for c in cells:
         counts += PolygonRegion(c.polygon).covers_xy(xs, ys).astype(np.int64)
     return float(np.mean(counts == 1))
+
+
+# ---------------------------------------------------------------- tight vertices
+
+# generated vertices closer than this are the same vertex
+DEDUP_RADIUS = 1e-6
+
+
+class DedupTightPacking(TightPacking):
+    """TightPacking whose neighbourhood grows by turns and KD-tree dedup.
+
+    Each vertex keeps one known neighbour. The rim vertices turn it
+    through all m turns (later rings through turns 2 ... m - 2), and a
+    candidate is a new vertex unless a known vertex or an earlier
+    candidate lies within the disk radius of it. Two points closer than
+    the disk radius but farther than DEDUP_RADIUS raise AssertionError.
+    """
+
+    def __init__(self, m: int):
+        super().__init__(m)
+        self._nbr = np.array([1j * self._e2r])
+
+    def _grow(self, radius: float) -> None:
+        step = 2.0 * self.disk_radius
+        # only vertices within one edge of the old rim have neighbors beyond
+        # it; their known neighbors lie within one more edge
+        rim = self._reach - step - 1e-6
+        i0, i1 = np.searchsorted(self._cd, np.cosh(np.maximum([rim - step - 1e-6, rim], 0.0)))
+        prev, ring, nbr = self._z[i0:i1], self._z[i1:], self._nbr[i1:]
+        turns = np.arange(self.m)
+        cosh_cap = math.cosh(radius)
+        found, links = [self._z], [self._nbr]
+        while ring.size:
+            rot = np.exp(2j * math.pi * turns / self.m)[:, None]
+            tk = rot * ((nbr - ring) / (nbr - ring.conj()))
+            cand = ((ring - ring.conj() * tk) / (1.0 - tk)).ravel()
+            par = np.broadcast_to(ring, tk.shape).ravel()
+            keep = cosh_distance_xy(cand.real, cand.imag, 0.0, 1.0) <= cosh_cap
+            cand, par = cand[keep], par[keep]
+            new = self._fresh(cand, np.concatenate([prev, ring]))
+            prev, ring, nbr = ring, cand[new], par[new]
+            # a vertex found from p neighbors p and the two vertices flanking
+            # the edge to p, all found by now: only the other m - 3 can be new
+            turns = np.arange(2, self.m - 1)
+            found.append(ring)
+            links.append(nbr)
+        z, nb = np.concatenate(found), np.concatenate(links)
+        cd = cosh_distance_xy(z.real, z.imag, 0.0, 1.0)
+        order = np.argsort(cd, kind="stable")
+        self._z, self._nbr, self._cd = z[order], nb[order], cd[order]
+        self._reach = radius
+
+    def _fresh(self, cand, ref) -> np.ndarray:
+        """Mask of candidates that are new vertices: not in ref, first of their kind."""
+        pts = np.concatenate([ref, cand])
+        tree = cKDTree(np.column_stack([pts.real, pts.imag]))
+        r = self.disk_radius
+        counts, flat = ball_hits(tree, cand.real, cand.imag, math.cosh(r), math.sinh(r))
+        a, b = np.repeat(cand, counts), pts[flat]
+        gap = 2.0 * np.arcsinh(np.abs(a - b) / (2.0 * np.sqrt(a.imag * b.imag)))
+        assert (gap <= DEDUP_RADIUS).all(), "vertex candidates in the ambiguity zone"
+        first = np.minimum.reduceat(flat, np.cumsum(counts) - counts)
+        return first == ref.size + np.arange(cand.size)
+
+
+# ---------------------------------------------------------------- mass transport
+
+def nearest_site(tree, sx, sy, x, y, rho0):
+    """Index of the hyperbolically nearest site and the margin to the
+    second nearest, via Euclidean disk queries of growing radius."""
+    rho = rho0
+    while True:
+        _, idx = ball_hits(tree, x, y, math.cosh(rho), math.sinh(rho))
+        if len(idx) >= 2:
+            break
+        rho *= 1.5
+        if rho > 50.0:
+            raise DomainError("could not locate two sites near a sample point")
+    d = np.arccosh(np.maximum(cosh_distance_xy(x, y, sx[idx], sy[idx]), 1.0))
+    order = np.argsort(d)
+    return int(idx[order[0]]), float(d[order[1]] - d[order[0]])
+
+
+def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-9):
+    """Mean Dirichlet-cell density over area-uniform points of the window.
+
+    Samples are placed one at a time; a sample within boundary_tol of a
+    cell wall is replaced by one new point of the window at a time.
+    """
+    spacing = 2.0 * packing.disk_radius
+    sites = packing.centers_in_ball(
+        BallSpec(window.center, window.radius + 2.0 * spacing)
+    )
+    if len(sites) < 2:
+        raise DomainError("window holds too few packing centers")
+    sx = np.array([s.x for s in sites])
+    sy = np.array([s.y for s in sites])
+    tree = cKDTree(np.column_stack([sx, sy]))
+
+    xs, ys = sample_ball_uniform(window, plan)
+    rng = np.random.Generator(np.random.Philox(plan.seed + 977))
+    owner = np.empty(plan.n, dtype=np.int64)
+    for k in range(plan.n):
+        while True:
+            j, gap = nearest_site(tree, sx, sy, float(xs[k]), float(ys[k]), spacing)
+            if gap >= boundary_tol:
+                owner[k] = j
+                break
+            nx, ny = _ball_points(window, rng, 1)
+            xs[k], ys[k] = float(nx[0]), float(ny[0])
+
+    values = np.empty(plan.n)
+    cache: dict[int, float] = {}
+    for k in range(plan.n):
+        j = int(owner[k])
+        if j not in cache:
+            cell = packing_cell(packing, sites[j])
+            cache[j] = tile_density(packing, cell, plan).fraction
+        values[k] = cache[j]
+    return float(np.mean(values))

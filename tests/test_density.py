@@ -21,7 +21,7 @@ from hypack.density import (
     tile_density,
 )
 from hypack.errors import DomainError, UnsupportedOperationError
-from hypack.hgeom import ORIGIN, BallSpec, Isometry, apply, ball_area
+from hypack.hgeom import ORIGIN, BallSpec, HPoint, Isometry, apply, ball_area
 from hypack.packings import (
     BoroczkyPacking,
     BrickTile,
@@ -33,6 +33,7 @@ from hypack.packings import (
 )
 from hypack.regions import SamplePlan, mc_area_fraction, quad_black_fraction
 from hypack.voronoi import cell_relative_density, packing_cell
+from oracles import transport_loop
 
 SEED = 72051
 
@@ -234,6 +235,19 @@ def test_mass_transport_reproduces_density(tight7):
     fd = fundamental_domain_density(tight7)
     assert abs(fd - want) <= 1e-12
     assert abs(got - fd) <= 0.01
+
+
+@pytest.mark.parametrize("center, radius, seed", [
+    (HPoint(0.4, 1.3), 2.0, SEED + 1),
+    (ORIGIN, 2.5, SEED),
+    (ORIGIN, 7.0, SEED + 2),
+])
+def test_mass_transport_matches_sample_loop(center, radius, seed):
+    # cell areas differ from cell to cell in the last bits, so the mean
+    # is bit-equal only when every sample finds the same owner
+    window, plan = BallSpec(center, radius), SamplePlan(seed=seed, n=256)
+    got = mass_transport_check(TightPacking(7), window, plan)
+    assert got == transport_loop(TightPacking(7), window, plan)
 
 
 def test_mass_transport_boundary_resampling(tight7):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from hypack import (
     DomainError,
@@ -19,8 +20,8 @@ from hypack import (
     Geodesic,
     GeodesicPolygon,
 )
-from hypack.hgeom import cosh_distance_xy, polar_xy, signed_distance_xy
-from oracles import midpoint
+from hypack.hgeom import cosh_distance_xy, nearest_sites, polar_xy
+from oracles import midpoint, signed_distance_xy
 
 RNG_SEED = 20260816
 
@@ -211,6 +212,66 @@ def test_polar_xy_lands_at_distance_rho(u, log_cy, rho, theta):
     x, y = polar_xy(cx, cy, rho, theta)
     cd = float(cosh_distance_xy(x, y, cx, cy))
     assert abs(cd / math.cosh(rho) - 1.0) <= 1e-12
+
+
+def test_polar_xy_past_the_underflow_of_den():
+    # straight up, e^-2 rho underflows beyond rho = 372; the map divided
+    # through by e^-rho still lands at (0, e^rho)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        x, y = polar_xy(0.0, 1.0, 400.0, [0.0, 1e-3])
+    assert x[0] == 0.0 and y[0] == math.exp(400.0)
+    assert np.isfinite(x[1]) and np.isfinite(y[1]) and y[1] > 0.0
+    x, y = polar_xy(0.0, 1.0, 700.0, 0.0)
+    assert x == 0.0 and abs(y / math.exp(700.0) - 1.0) <= 1e-15
+
+
+def test_polar_xy_unchanged_where_den_is_normal():
+    # the form of every point whose den does not underflow, as it stood
+    # before the underflow branch
+    rng = np.random.default_rng(RNG_SEED + 5)
+    rho = np.concatenate([rng.uniform(0.0, 40.0, 5000), rng.uniform(300.0, 700.0, 5000)])
+    theta = rng.uniform(0.0, 2.0 * math.pi, rho.size)
+    theta[::7] = 0.0
+    e, h = np.exp(-rho), np.sin(0.5 * theta)
+    den = 2.0 * h * h + e * e * (2.0 - 2.0 * h * h)
+    normal = den > 0.0
+    assert 0 < np.count_nonzero(~normal) < rho.size // 7
+    x, y = polar_xy(0.3, 2.0, rho, theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_x = 0.3 + 2.0 * (-(1.0 - e * e) * np.sin(theta) / den)
+        want_y = 2.0 * (2.0 * e / den)
+    assert np.array_equal(x[normal], want_x[normal])
+    assert np.array_equal(y[normal], want_y[normal])
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    log_h=st.floats(-30.0, 30.0),
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_sites_matches_brute_force(k, log_h, n, seed):
+    # sites spread over heights e^-2 .. e^2 about h, where the Euclidean
+    # and the hyperbolic nearest sites often differ, at scales e^-30 .. e^30
+    rng = np.random.default_rng(seed)
+    h = math.exp(log_h)
+    sx, sy = rng.uniform(-3.0, 3.0, n) * h, np.exp(rng.uniform(-2.0, 2.0, n)) * h
+    qx, qy = rng.uniform(-4.0, 4.0, 300) * h, np.exp(rng.uniform(-3.0, 3.0, 300)) * h
+    # some queries sit on a site, or next to one
+    j = min(n, 10)
+    qx[:j], qy[:j] = sx[:j] * (1.0 + 1e-12), sy[:j]
+    idx, cd = nearest_sites(cKDTree(np.column_stack([sx, sy])), qx, qy, k)
+    brute = cosh_distance_xy(qx[:, None], qy[:, None], sx[None, :], sy[None, :])
+    assert np.array_equal(cd, np.sort(brute, axis=1)[:, :k])
+    assert np.array_equal(np.take_along_axis(brute, idx, axis=1), cd)
+
+
+def test_nearest_sites_needs_k_sites():
+    tree = cKDTree(np.array([[0.0, 1.0]]))
+    with pytest.raises(DomainError):
+        nearest_sites(tree, [0.5], [1.0], 2)
 
 
 def test_disk_boundary_points_at_radius():

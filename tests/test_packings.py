@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -10,7 +9,6 @@ from scipy.spatial import cKDTree
 from hypack import (
     ORIGIN,
     BallSpec,
-    DedupCollisionError,
     DomainError,
     HPoint,
     Isometry,
@@ -20,7 +18,6 @@ from hypack import (
     ball_area,
     distance,
 )
-from hypack.config import DEFAULT_TOLERANCES
 from hypack.regions import SamplePlan, sample_ball_uniform, quad_black_fraction
 from hypack.packings import (
     BoroczkyPacking,
@@ -35,6 +32,7 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
+from oracles import DedupTightPacking
 
 SEED = 40917
 
@@ -333,13 +331,52 @@ def test_tight_window_guards():
         TightPacking(7.0)
 
 
-def test_tight_dedup_ambiguity_zone_raises():
-    # shrinking the merge radius below the BFS roundoff pushes genuine
-    # duplicates into the ambiguity zone, which must be a hard error
-    tol = dataclasses.replace(DEFAULT_TOLERANCES, dedup_radius=1e-16)
-    tp = TightPacking(7, tol=tol)
-    with pytest.raises(DedupCollisionError):
-        tp.centers_in_ball(BallSpec(ORIGIN, 3.0))
+# ---------------------------------------------------------------- layered vertices
+# The layered generator names each vertex once; the generator it replaced
+# turned every rim vertex's neighbour through all turns and merged the
+# duplicates with a KD-tree. Both build each vertex from the same parent
+# and turn, so the coordinates agree to the last bit.
+
+
+@pytest.mark.parametrize("m", range(7, 13))
+def test_tight_layers_match_dedup_oracle(m):
+    new, old = TightPacking(m), DedupTightPacking(m)
+    new._grow(7.5)
+    old._grow(7.5)
+    assert new._z.size > 500
+    assert np.array_equal(np.sort_complex(new._z), np.sort_complex(old._z))
+    assert np.array_equal(new._cd, old._cd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(7, 12),
+    u=st.floats(-3.0, 3.0),
+    log_y=st.floats(-12.0, 12.0),
+    radius=st.floats(0.5, 6.0),
+)
+def test_tight_windows_match_dedup_oracle(m, u, log_y, radius):
+    ball = BallSpec(HPoint.from_log(u * math.exp(log_y), log_y), radius)
+    got = TightPacking(m)._centers(ball)
+    want = DedupTightPacking(m)._centers(ball)
+    got, want = got[0] + 1j * got[1], want[0] + 1j * want[1]
+    assert np.array_equal(np.sort_complex(got), np.sort_complex(want))
+
+
+def test_tight_growth_is_amortized():
+    # a window creeping outwards regenerates the neighbourhood with ln 2
+    # of headroom, not once per step
+    tp = TightPacking(7)
+    radii = []
+    grow = tp._grow
+    tp._grow = lambda r: (radii.append(r), grow(r))[1]
+    for reach in np.linspace(5.0, 9.0, 100):
+        tp.centers_in_ball(BallSpec(ORIGIN, float(reach)))
+    assert 5 <= len(radii) <= 8
+    assert all(b >= a + math.log(2.0) for a, b in zip(radii, radii[1:]))
+    old = DedupTightPacking(7)
+    old._grow(radii[-1])
+    assert np.array_equal(np.sort_complex(tp._z), np.sort_complex(old._z))
 
 
 # ---------------------------------------------------------------- tight fold oracles

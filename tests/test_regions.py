@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from hypack.regions import (
 from hypack.config import DEFAULT_TOLERANCES
 from hypack.packings import BrickTile, TightPacking, brick_region
 from hypack.voronoi import packing_cell
-from oracles import ArcPolygon, ArcPolygonRegion
+from oracles import ArcPolygon, ArcPolygonRegion, signed_distance_xy
 
 SEED = 811
 
@@ -228,6 +229,30 @@ def test_halfspace_contains_closed_boundary():
     assert reg.contains(HPoint(0.0, 3.0))
     assert reg.contains(HPoint(1e-9, 3.0))
     assert not reg.contains(HPoint(-1e-9, 3.0))
+
+
+def test_halfspace_boundary_beyond_float_heights():
+    # y = e^-800 underflows to 0; the point still lies on the closed boundary
+    p = HPoint.from_log(0.0, -800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert HalfSpaceRegion(Geodesic.vertical(0.0), +1).contains(p)
+        assert HalfSpaceRegion(Geodesic.vertical(0.0), -1).contains(p)
+        assert not HalfSpaceRegion(Geodesic.vertical(1.0), +1).contains(p)
+        assert HalfSpaceRegion(Geodesic.circle(0.0, 1.0), -1).contains(p)
+
+
+def test_halfspace_covers_matches_signed_distance():
+    # on finite points the numerator's sign is the signed distance's sign
+    rng = np.random.default_rng(SEED + 31)
+    xs = rng.uniform(-4.0, 4.0, 20000)
+    ys = np.exp(rng.uniform(-6.0, 6.0, 20000))
+    for geo in (Geodesic.vertical(0.3), Geodesic.circle(-0.4, 1.7), Geodesic.circle(2.0, 0.01)):
+        for sign in (-1, +1):
+            want = sign * signed_distance_xy(geo, xs, ys) >= 0.0
+            got = HalfSpaceRegion(geo, sign).covers_xy(xs, ys)
+            assert np.array_equal(got, want)
+            assert 0 < np.count_nonzero(got) < got.size
 
 
 # ---------------------------------------------------------------- box quadrature

@@ -28,6 +28,11 @@ from oracles import geodesic_intersection, partition_audit, point_along
 SEED = 60112
 
 
+def _xy(points):
+    """Coordinate arrays of a list of points."""
+    return np.array([p.x for p in points]), np.array([p.y for p in points])
+
+
 @pytest.fixture(scope="module")
 def tight7():
     return TightPacking(7)
@@ -124,26 +129,26 @@ def test_deep_cell_areas_exact(m):
 
 def test_two_sites_unbounded():
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell([ORIGIN, HPoint(1.0, 1.0)], 0)
+        dirichlet_cell(*_xy([ORIGIN, HPoint(1.0, 1.0)]), 0)
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell([ORIGIN], 0)
+        dirichlet_cell(*_xy([ORIGIN]), 0)
 
 
 def test_hull_site_raises_rather_than_truncates(origin_cell):
     # a first-shell site with no sites beyond it has an open cell
     shell = [ORIGIN] + list(origin_cell.neighbor_sites)
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell(shell, 1)
+        dirichlet_cell(*_xy(shell), 1)
 
 
 def test_duplicate_sites_rejected():
     with pytest.raises(DomainError):
-        dirichlet_cell([ORIGIN, HPoint(0.0, 1.0), HPoint(1.0, 1.0)], 0)
+        dirichlet_cell(*_xy([ORIGIN, HPoint(0.0, 1.0), HPoint(1.0, 1.0)]), 0)
 
 
 def test_site_index_out_of_range():
     with pytest.raises(DomainError):
-        dirichlet_cell([ORIGIN, HPoint(1.0, 1.0)], 5)
+        dirichlet_cell(*_xy([ORIGIN, HPoint(1.0, 1.0)]), 5)
 
 
 def test_packing_cell_rejects_non_center(tight7):
@@ -347,7 +352,7 @@ def test_open_cell_among_five_sites_raises():
     assert all(distance(far, s) > distance(far, sites[1])
                for k, s in enumerate(sites) if k != 1)
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell(sites, 1)
+        dirichlet_cell(*_xy(sites), 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,7 +369,7 @@ def test_cell_agrees_with_nearest_site_ownership(data, pick, seed):
     i = pick % len(sites)
     assume(min(distance(sites[i], s) for k, s in enumerate(sites) if k != i) > 1e-3)
     try:
-        cell = dirichlet_cell(sites, i)
+        cell = dirichlet_cell(*_xy(sites), i)
     except UnboundedCellError:
         # the site owns a point 20 away
         assert _witness(sites, i, 20.0) > 0.0
