@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, RangeError
 
 _LN2 = math.log(2.0)
@@ -37,7 +36,9 @@ _SAFE_LOG = 600.0
 # y C sqrt(14 * 2^-53) = 4e-8 y C (the square root is steep at C = 1),
 # and the centre, radius and KD-tree distances round at 1e-16 y C.
 _BALL_PAD = 1e-7
-_LOG_MIN_IMAGE_Y = math.log(DEFAULT_TOLERANCES.min_image_y)
+_MIN_IMAGE_Y = 1e-300  # the smallest image height an isometry may produce
+_LOG_MIN_IMAGE_Y = math.log(_MIN_IMAGE_Y)
+_MAX_BALL_RADIUS = 600.0  # beyond it cosh and sinh keep no useful precision
 
 
 class HPoint:
@@ -307,10 +308,8 @@ def apply(g: Isometry, p: HPoint) -> HPoint:
         den = cd * cd + (g.c * y) ** 2
         if den > 0.0 and math.isfinite(den):
             ny = y / den
-            if ny < DEFAULT_TOLERANCES.min_image_y:
-                raise RangeError(
-                    f"image height {ny:.3e} is below min_image_y={DEFAULT_TOLERANCES.min_image_y:g}"
-                )
+            if ny < _MIN_IMAGE_Y:
+                raise RangeError(f"image height {ny:.3e} is below {_MIN_IMAGE_Y:g}")
             nx = ((g.a * x + g.b) * cd + g.a * g.c * y * y) / den
             return HPoint(nx, ny)
         # fall through to the log-domain branch on overflow
@@ -333,7 +332,7 @@ def apply(g: Isometry, p: HPoint) -> HPoint:
             nlog = -2.0 * math.log(abs(g.c)) - p.log_y
     if nlog < _LOG_MIN_IMAGE_Y:
         raise RangeError(
-            f"image log-height {nlog:.3f} is below log(min_image_y)={_LOG_MIN_IMAGE_Y:.3f}"
+            f"image log-height {nlog:.3f} is below log({_MIN_IMAGE_Y:g}) = {_LOG_MIN_IMAGE_Y:.3f}"
         )
     return HPoint.from_log(nx, nlog)
 
@@ -419,10 +418,8 @@ def ball_area(R: float) -> float:
     R = float(R)
     if R < 0.0 or not math.isfinite(R):
         raise DomainError(f"ball radius must be nonnegative and finite, got {R!r}")
-    if R > DEFAULT_TOLERANCES.max_ball_radius:
-        raise RangeError(
-            f"radius {R:g} exceeds max_ball_radius={DEFAULT_TOLERANCES.max_ball_radius:g}"
-        )
+    if R > _MAX_BALL_RADIUS:
+        raise RangeError(f"radius {R:g} exceeds the largest ball radius {_MAX_BALL_RADIUS:g}")
     return 2.0 * math.pi * (math.cosh(R) - 1.0)
 
 

@@ -274,21 +274,24 @@ class FundamentalDomain:
         return sum(f * ball_area(r) for _, r, f in self.sectors)
 
 
-# Points of finite y > 0 reach the chamber within a few thousand sweeps;
-# more means float coordinates lost the point (y underflowed to zero).
+# Each inversion brings a point closer to (0, 1), so every point reaches
+# the chamber; the cap guards against roundoff cycling a point.
 _MAX_SWEEPS = 10_000
+_FOLD_BLOCK = 1 << 14  # points per block of the fold, which bounds its temporaries
 
 
 class TightPacking(Packing):
     """Disks of radius r_m about the vertices of the {3,m} triangulation.
 
-    The packing is one disk carried around by the (2,3,m) triangle group,
-    whose chamber is bounded by x = 0, |z| = e^{r_m} and the geodesic
-    through (0, 1) at angle pi/m (the circle about (cot(pi/m), 0) of
-    radius csc(pi/m)). A point is covered iff its reflection into the
-    chamber lies within r_m of (0, 1). Window queries fold the window's
-    center the same way, take the vertices of a cached neighbourhood of
-    (0, 1) that lie in the folded window, and reflect them back.
+    The packing is one disk carried around by the (2,3,m) triangle group.
+    Its chamber is the triangle at (0, 1) between x = 0, the geodesic
+    through (0, 1) at angle pi/m to it and the circle |z| = e^{r_m}. A
+    sweep turns a point about (0, 1) by the multiple of 2 pi/m nearest
+    straight up, mirrors it into x >= 0 and, if it lies outside that
+    circle, inverts it, which starts another sweep. A point is covered
+    iff its folded image lies within r_m of (0, 1). Window queries fold
+    the window's center, take the vertices of a cached neighbourhood of
+    (0, 1) in the folded window and carry them back by the sweeps.
 
     The neighbourhood is generated ring by ring from the layered structure
     of the {3,m} triangulation (Dunham, Lindgren and Witte, 1981), which
@@ -307,9 +310,9 @@ class TightPacking(Packing):
         self.disk_radius = tight_radius(self.m)
         self.label = f"tight(m={self.m})"
         self._e2r = math.exp(2.0 * self.disk_radius)
-        self._wall_c = 1.0 / math.tan(math.pi / self.m)
-        # csc^2 = cot^2 + 1 keeps (0, 1) exactly on the circle wall
-        self._wall_r2 = self._wall_c * self._wall_c + 1.0
+        # cos and sin of pi k / m: the turn by 2 pi k / m about (0, 1)
+        half_turns = np.pi * np.arange(self.m) / self.m
+        self._cos, self._sin = np.cos(half_turns), np.sin(half_turns)
         # the neighbourhood: vertices and their cosh distances to (0, 1),
         # nearest first, complete out to _reach
         self._z = np.array([1j])
@@ -321,52 +324,64 @@ class TightPacking(Packing):
 
     # -- the fold ------------------------------------------------------------
 
-    def _outside(self, wall: int, x, y):
-        """Mask of points strictly outside the chamber across one wall."""
-        if wall == 0:
-            return x < 0.0
-        if wall == 1:
-            return x * x + y * y > self._e2r
-        dx = x - self._wall_c
-        return dx * dx + y * y < self._wall_r2
+    def _turn(self, x, y, k):
+        """Turn points about (0, 1) by -2 pi k / m.
 
-    def _reflect(self, wall: int, x, y):
-        """Reflect points across one wall."""
-        if wall == 0:
-            return -x, y
-        if wall == 1:
-            s = self._e2r / (x * x + y * y)
-            return s * x, s * y
-        dx = x - self._wall_c
-        s = self._wall_r2 / (dx * dx + y * y)
-        return self._wall_c + s * dx, s * y
+        The turn is z -> (c z - s) / (s z + c) with c, s = cos, sin(pi k / m).
+        Its denominator |s z + c|^2 is summed from two squares: expanded,
+        it cancels near the pole z = -c/s.
+        """
+        s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
+        p = s * x + c
+        den = p * p + (s * y) ** 2
+        return ((c * x - s) * p + c * s * y * y) / den, y / den
 
-    def _fold(self, xs, ys, word=None):
-        """Reflect each point into the chamber until no point moves.
+    def _sweep(self, x, y, steps):
+        """Turn points into the sector straight up from (0, 1), mirror them
+        into x >= 0 and invert those outside |z| = e^{r_m}.
 
-        Returns flat copies of the folded coordinates. For a single point,
-        the walls it crossed are appended to word in order.
+        Returns x, y, x^2 + y^2 before the inversion and the inverted mask;
+        appends a single point's (k, mirrored, inverted) to steps.
+        """
+        # the angle about (0, 1) from straight up is arg (z - i) / (z + i)
+        angle = np.arctan2(-2.0 * x, x * x + y * y - 1.0)
+        k = np.rint(angle * (self.m / (2.0 * math.pi))).astype(np.intp)
+        x, y = self._turn(x, y, k)
+        mirrored = steps is not None and bool(x[0] < 0.0)
+        x = np.abs(x)
+        q = x * x + y * y
+        if not (np.isfinite(q).all() and (y > 0.0).all()):
+            raise RangeError("points beyond float reach do not fold into the chamber")
+        inv = q > self._e2r
+        if steps is not None:
+            steps.append((int(k[0]), mirrored, bool(inv[0])))
+        # a factor of exactly 1.0 leaves the points inside the circle as they are
+        s = np.minimum(self._e2r / q, 1.0)
+        return x * s, y * s, q, inv
+
+    def _fold(self, xs, ys, steps=None):
+        """Sweep each point into the chamber until it is not inverted.
+
+        Returns flat copies of the folded x and y and their x^2 + y^2. For
+        a single point, each sweep's (k, mirrored, inverted) goes to steps.
         """
         x = np.array(xs, dtype=float).ravel()
         y = np.array(ys, dtype=float).ravel()
         if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
             raise DomainError("half-plane points need finite x and finite y > 0")
-        live = np.arange(x.size)
-        for _ in range(_MAX_SWEEPS):
-            if live.size == 0:
-                return x, y
+        q = np.empty_like(x)
+        for start in range(0, x.size, _FOLD_BLOCK):
+            live = np.arange(start, min(start + _FOLD_BLOCK, x.size))
             lx, ly = x[live], y[live]
-            moved = np.zeros(live.size, dtype=bool)
-            for wall in range(3):
-                out = self._outside(wall, lx, ly)
-                if out.any():
-                    lx[out], ly[out] = self._reflect(wall, lx[out], ly[out])
-                    moved |= out
-                    if word is not None:
-                        word.append(wall)
-            x[live], y[live] = lx, ly
-            live = live[moved]
-        raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
+            for _ in range(_MAX_SWEEPS):
+                lx, ly, lq, inv = self._sweep(lx, ly, steps)
+                x[live], y[live], q[live] = lx, ly, lq
+                live, lx, ly = live[inv], lx[inv], ly[inv]
+                if not live.size:
+                    break
+            else:
+                raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
+        return x, y, q
 
     # -- the neighbourhood of (0, 1) -------------------------------------------
 
@@ -409,8 +424,8 @@ class TightPacking(Packing):
 
     def _centers(self, ball: BallSpec):
         """Coordinates of the vertices in the closed ball."""
-        word: list[int] = []
-        cx, cy = self._fold([ball.center.x], [ball.center.y], word)
+        steps: list[tuple[int, bool, bool]] = []
+        cx, cy, _ = self._fold([ball.center.x], [ball.center.y], steps)
         cd = float(cosh_distance_xy(cx[0], cy[0], 0.0, 1.0))
         reach = math.acosh(max(cd, 1.0)) + ball.radius + 1e-9
         if reach > self._cap_radius:
@@ -420,8 +435,13 @@ class TightPacking(Packing):
         z = self._z[: np.searchsorted(self._cd, math.cosh(reach), side="right")]
         near = cosh_distance_xy(z.real, z.imag, cx[0], cy[0]) <= math.cosh(ball.radius)
         x, y = z.real[near], z.imag[near]
-        for wall in reversed(word):
-            x, y = self._reflect(wall, x, y)
+        for k, mirrored, inverted in reversed(steps):
+            if inverted:
+                s = self._e2r / (x * x + y * y)
+                x, y = s * x, s * y
+            if mirrored:
+                x = -x
+            x, y = self._turn(x, y, -k)
         return x, y
 
     def centers_in_ball(self, ball: BallSpec) -> list[HPoint]:
@@ -437,9 +457,11 @@ class TightPacking(Packing):
         return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])
 
     def covers_xy(self, xs, ys):
-        x, y = self._fold(xs, ys)
-        cd = cosh_distance_xy(x, y, 0.0, 1.0)
-        return (cd <= math.cosh(self.disk_radius)).reshape(np.shape(xs))
+        _, y, q = self._fold(xs, ys)
+        # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y), compared in place
+        q += 1.0
+        y *= 2.0 * math.cosh(self.disk_radius)
+        return (q <= y).reshape(np.shape(xs))
 
     @property
     def fundamental_domain(self) -> FundamentalDomain:

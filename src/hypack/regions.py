@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .config import DEFAULT_TOLERANCES
 from .errors import DomainError
 from .hgeom import (
     BallSpec,
@@ -268,6 +267,9 @@ def mc_area_fraction(target, ball: BallSpec, plan: SamplePlan) -> AreaEstimate:
 
 # ------------------------------------------------------------- quadrature
 
+_QUAD_REL = 1e-10  # relative tolerance of the box-in-ball quadrature
+
+
 def _chord_factor(u, R):
     """sqrt((1 - e^{-(R-u)})(1 - e^{-(R+u)})), clamped at the endpoints."""
     rad = (1.0 - math.exp(-(R - u))) * (1.0 - math.exp(-(R + u)))
@@ -328,7 +330,7 @@ def _box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
         hi,
         points=points or None,
         epsabs=epsabs,
-        epsrel=DEFAULT_TOLERANCES.quad_rel,
+        epsrel=_QUAD_REL,
         limit=200,
     )
     return val

@@ -17,6 +17,9 @@ independent oracles:
   grows by turning every rim vertex's known neighbour through all its
   turns and merging the candidates that a KD-tree ball query finds
   within the disk radius of a known vertex or an earlier candidate;
+- ``WallFoldTightPacking``, a tight packing that folds points into its
+  chamber by reflecting them across one chamber wall at a time, and
+  carries window vertices back by the word of walls crossed;
 - ``nearest_site``, the hyperbolically nearest site of one point and the
   margin to the second, by Euclidean disk queries of growing radius, and
   ``transport_loop``, the mass-transport mean that places its samples
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from hypack.density import tile_density
-from hypack.errors import DomainError
+from hypack.errors import DomainError, RangeError
 from hypack.hgeom import (
     BallSpec,
     Geodesic,
@@ -350,6 +353,95 @@ class DedupTightPacking(TightPacking):
         assert (gap <= DEDUP_RADIUS).all(), "vertex candidates in the ambiguity zone"
         first = np.minimum.reduceat(flat, np.cumsum(counts) - counts)
         return first == ref.size + np.arange(cand.size)
+
+
+# ---------------------------------------------------------------- tight fold
+
+# Points of finite y > 0 reach the chamber within a few thousand sweeps;
+# more means float coordinates lost the point (y underflowed to zero).
+_MAX_WALL_SWEEPS = 10_000
+
+
+class WallFoldTightPacking(TightPacking):
+    """TightPacking that folds by reflecting across the chamber walls.
+
+    The walls are x = 0, |z| = e^{r_m} and the circle about
+    (cot(pi/m), 0) of radius csc(pi/m). Each sweep reflects the points
+    outside one wall across it, wall by wall, until no point moves.
+    """
+
+    def __init__(self, m: int):
+        super().__init__(m)
+        self._wall_c = 1.0 / math.tan(math.pi / self.m)
+        # csc^2 = cot^2 + 1 keeps (0, 1) exactly on the circle wall
+        self._wall_r2 = self._wall_c * self._wall_c + 1.0
+
+    def _outside(self, wall: int, x, y):
+        """Mask of points strictly outside the chamber across one wall."""
+        if wall == 0:
+            return x < 0.0
+        if wall == 1:
+            return x * x + y * y > self._e2r
+        dx = x - self._wall_c
+        return dx * dx + y * y < self._wall_r2
+
+    def _reflect(self, wall: int, x, y):
+        """Reflect points across one wall."""
+        if wall == 0:
+            return -x, y
+        if wall == 1:
+            s = self._e2r / (x * x + y * y)
+            return s * x, s * y
+        dx = x - self._wall_c
+        s = self._wall_r2 / (dx * dx + y * y)
+        return self._wall_c + s * dx, s * y
+
+    def _wall_fold(self, xs, ys, word=None):
+        """Reflect each point into the chamber until no point moves.
+
+        Returns flat copies of the folded coordinates. For a single point,
+        the walls it crossed are appended to word in order.
+        """
+        x = np.array(xs, dtype=float).ravel()
+        y = np.array(ys, dtype=float).ravel()
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
+            raise DomainError("half-plane points need finite x and finite y > 0")
+        live = np.arange(x.size)
+        for _ in range(_MAX_WALL_SWEEPS):
+            if live.size == 0:
+                return x, y
+            lx, ly = x[live], y[live]
+            moved = np.zeros(live.size, dtype=bool)
+            for wall in range(3):
+                out = self._outside(wall, lx, ly)
+                if out.any():
+                    lx[out], ly[out] = self._reflect(wall, lx[out], ly[out])
+                    moved |= out
+                    if word is not None:
+                        word.append(wall)
+            x[live], y[live] = lx, ly
+            live = live[moved]
+        raise RangeError(f"points did not fold into the chamber in {_MAX_WALL_SWEEPS} sweeps")
+
+    def _centers(self, ball: BallSpec):
+        """Coordinates of the vertices in the closed ball."""
+        word: list[int] = []
+        cx, cy = self._wall_fold([ball.center.x], [ball.center.y], word)
+        cd = float(cosh_distance_xy(cx[0], cy[0], 0.0, 1.0))
+        reach = math.acosh(max(cd, 1.0)) + ball.radius + 1e-9
+        if reach > self._reach:
+            self._grow(reach + math.log(2.0))
+        z = self._z[: np.searchsorted(self._cd, math.cosh(reach), side="right")]
+        near = cosh_distance_xy(z.real, z.imag, cx[0], cy[0]) <= math.cosh(ball.radius)
+        x, y = z.real[near], z.imag[near]
+        for wall in reversed(word):
+            x, y = self._reflect(wall, x, y)
+        return x, y
+
+    def covers_xy(self, xs, ys):
+        x, y = self._wall_fold(xs, ys)
+        cd = cosh_distance_xy(x, y, 0.0, 1.0)
+        return (cd <= math.cosh(self.disk_radius)).reshape(np.shape(xs))
 
 
 # ---------------------------------------------------------------- mass transport

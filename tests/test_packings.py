@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypack import (
     ball_area,
     distance,
 )
+from hypack.hgeom import cosh_distance_xy, polar_xy
 from hypack.regions import SamplePlan, sample_ball_uniform, quad_black_fraction
 from hypack.packings import (
     BoroczkyPacking,
@@ -32,7 +34,7 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
-from oracles import DedupTightPacking
+from oracles import DedupTightPacking, WallFoldTightPacking
 
 SEED = 40917
 
@@ -462,6 +464,111 @@ def test_tight_covers_invariant_under_triangle_group(m, u, log_y):
         assert tp.covers(HPoint(qx, qy)) == covered
     xs, ys = np.array(pts).T
     assert tp.covers_xy(xs, ys).tolist() == [tp.covers(HPoint(a, b)) for a, b in pts]
+
+
+# ---------------------------------------------------------------- sector fold
+# The fold turns a point about (0, 1), mirrors it and inverts it; the wall
+# fold it replaced reflects across one chamber wall at a time. Both move
+# points around circles about (0, 1), on which half-plane coordinates
+# resolve distances to about 1e-16 e^d, d the distance to (0, 1), so the
+# two agree to within 1e-12 e^d.
+
+
+def _spokes(log_y, d, theta, n):
+    """n points at distance d from (0, e^log_y), in directions theta + 2 pi j / n."""
+    return polar_xy(0.0, math.exp(log_y), d, theta + 2.0 * math.pi * np.arange(n) / n)
+
+
+def _slack(x, y):
+    """1e-12 e^d, d the distance of (x, y) to (0, 1)."""
+    return 1e-12 * np.exp(np.arccosh(np.maximum(cosh_distance_xy(x, y, 0.0, 1.0), 1.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(7, 12),
+    log_y=st.floats(-30.0, 30.0),
+    d=st.floats(0.0, 20.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_sector_fold_verdicts_match_wall_fold(m, log_y, d, theta):
+    tp, oracle = TightPacking(m), WallFoldTightPacking(m)
+    xs, ys = _spokes(log_y, d, theta, 32)
+    fx, fy = oracle._wall_fold(xs, ys)
+    # only a point whose folded image lies within the fold's precision of
+    # the disk boundary may go either way
+    margin = np.abs(cosh_distance_xy(fx, fy, 0.0, 1.0) - math.cosh(tp.disk_radius))
+    firm = margin > _slack(xs, ys)
+    got, want = tp.covers_xy(xs, ys), oracle.covers_xy(xs, ys)
+    assert np.array_equal(got[firm], want[firm])
+    assert tp.covers(HPoint(xs[0], ys[0])) == bool(got[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(7, 12),
+    log_y=st.floats(-30.0, 30.0),
+    d=st.floats(0.0, 20.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    radius=st.floats(0.5, 3.0),
+)
+def test_sector_fold_windows_match_wall_fold(m, log_y, d, theta, radius):
+    (cx,), (cy,) = _spokes(log_y, d, theta, 1)
+    ball = BallSpec(HPoint(cx, cy), radius)
+    tol = float(_slack(cx, cy))
+    windows = []
+    for packing in (TightPacking(m), WallFoldTightPacking(m)):
+        x, y = packing._centers(ball)
+        # a vertex within tol of the window's rim may fall either way
+        rim = np.arccosh(np.maximum(cosh_distance_xy(x, y, cx, cy), 1.0))
+        firm = np.abs(rim - radius) > tol
+        windows.append(x[firm] + 1j * y[firm])
+    got, want = windows
+    assert got.size == want.size
+    if got.size:
+        assert _nearest_gap(got, want).max() <= tol
+        assert _nearest_gap(want, got).max() <= tol
+
+
+@pytest.mark.parametrize("m", range(7, 13))
+def test_tight_covers_resolves_the_disk_boundary(m):
+    # 1e-11 inside and outside the disk about (0, 1); straight along an
+    # edge, the point past the rim lies in the neighbouring disk
+    tp = TightPacking(m)
+    r = tp.disk_radius
+    theta = 2.0 * math.pi * np.arange(4 * m) / (4 * m)
+    along_edge = np.arange(4 * m) % 4 == 0
+    assert tp.covers_xy(*polar_xy(0.0, 1.0, r - 1e-11, theta)).all()
+    assert np.array_equal(tp.covers_xy(*polar_xy(0.0, 1.0, r + 1e-11, theta)), along_edge)
+
+
+def test_sector_fold_raises_at_the_first_sweep_beyond_float_reach():
+    tp = TightPacking(7)
+    sweeps = []
+    sweep = tp._sweep
+    tp._sweep = lambda *args: (sweeps.append(args[0].size), sweep(*args))[1]
+    with pytest.raises(RangeError), np.errstate(over="ignore"):
+        tp.covers_xy(np.array([0.5, 1e200]), np.array([1.0, 1.0]))
+    assert sweeps == [2]
+    # x^2 + y^2 still finite: the point folds
+    sweeps.clear()
+    assert tp.covers_xy(np.array([1e150]), np.array([1.0])).shape == (1,)
+    assert len(sweeps) > 1
+
+
+def test_sector_fold_memory_is_blockwise():
+    # temporaries are one block long, whatever the number of points
+    tp = TightPacking(7)
+    xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 12.0), SamplePlan(seed=SEED + 5, n=200_000))
+    tp.covers_xy(xs[:10], ys[:10])
+    tracemalloc.start()
+    try:
+        tp.covers_xy(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the folded x, y and x^2 + y^2 and the verdicts, plus under 3 MB
+    assert peak < 25 * xs.size + 3e6
 
 
 # ---------------------------------------------------------------- transformed

@@ -36,8 +36,8 @@ from hypack.regions import (
     stripe_index_range,
     annulus_fraction_euclid,
     annulus_fraction_euclid_brute,
+    _QUAD_REL,
 )
-from hypack.config import DEFAULT_TOLERANCES
 from hypack.packings import BrickTile, TightPacking, brick_region
 from hypack.voronoi import packing_cell
 from oracles import ArcPolygon, ArcPolygonRegion, signed_distance_xy
@@ -315,7 +315,7 @@ def test_box_quadrature_matches_mpmath_oracle():
         cy = math.exp(tile.log_s + float(rng.uniform(-1.0, 3.0)))
         cx = float(rng.uniform(2 * xa - xb, 2 * xb - xa))
         bricks.append((tile, cx, cy, float(rng.uniform(0.2, 6.0))))
-    rel = DEFAULT_TOLERANCES.quad_rel
+    rel = _QUAD_REL
     for x0, sign, cx, cy, R in halfplanes:
         got = HalfSpaceRegion(Geodesic.vertical(x0), sign).exact_area_in_ball(
             BallSpec(HPoint(cx, cy), R)
