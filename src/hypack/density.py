@@ -25,7 +25,7 @@ from .hgeom import (
     ball_area,
     nearest_sites,
 )
-from .packings import BrickTile, TightPacking, brick_region
+from .packings import BrickTile, TightPacking, _disk_radius, brick_region
 from .regions import (
     AreaEstimate,
     SamplePlan,
@@ -315,9 +315,9 @@ def mass_transport_check(
     from their two nearest sites) are resampled, all of them in one batch
     per round, so the charge is well defined. For packings whose cells
     tile with one density this mean reproduces that density regardless
-    of the window.
+    of the window. Regions raise UnsupportedOperationError.
     """
-    spacing = 2.0 * packing.disk_radius
+    spacing = 2.0 * _disk_radius(packing)
     sx, sy = packing._centers(BallSpec(window.center, window.radius + 2.0 * spacing))
     if sx.size < 2:
         raise DomainError("window holds too few packing centers")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, SaturationError
+from .errors import DomainError, RangeError, SaturationError, UnsupportedOperationError
 from .hgeom import (
     ORIGIN,
     BallSpec,
@@ -27,6 +27,7 @@ from .hgeom import (
     HDisk,
     HPoint,
     Isometry,
+    _MIN_IMAGE_Y,
     apply,
     ball_area,
     cosh_distance_xy,
@@ -39,14 +40,37 @@ from .regions import Region, SamplePlan, StripeRegion, _box_area_in_ball, quad_b
 
 
 class Packing:
-    """Closed disks with pairwise disjoint interiors.
+    """Closed disks of one radius with pairwise disjoint interiors.
 
-    Subclasses provide bodies_in_ball(ball), covers(p) for one point and
-    covers_xy(xs, ys) for coordinate arrays.
+    Subclasses provide disk_radius, covers_xy(xs, ys) for coordinate
+    arrays, covers(p) for one point, and the one window primitive
+    _centers(ball) -> (xs, ys): the coordinates of the disk centers in the
+    closed ball. The base class derives centers_in_ball and bodies_in_ball
+    from _centers.
     """
 
     label = "packing"
     fundamental_domain = None
+
+    def centers_in_ball(self, ball: BallSpec) -> list[HPoint]:
+        """Disk centers lying in the closed ball."""
+        return [HPoint(float(a), float(b)) for a, b in zip(*self._centers(ball))]
+
+    def bodies_in_ball(self, ball: BallSpec) -> list[HDisk]:
+        """Disks meeting the closed ball: centers within ball.radius + disk_radius."""
+        r = _disk_radius(self)
+        grown = BallSpec(ball.center, ball.radius + r)
+        return [HDisk(HPoint(float(a), float(b)), r) for a, b in zip(*self._centers(grown))]
+
+
+def _disk_radius(target) -> float:
+    """The disk radius of a disk packing; regions have none."""
+    r = getattr(target, "disk_radius", None)
+    if r is None:
+        raise UnsupportedOperationError(
+            f"{getattr(target, 'label', type(target).__name__)} is a region, not a disk packing"
+        )
+    return r
 
 
 def pairwise_min_gap(disks) -> float:
@@ -181,16 +205,14 @@ class BoroczkyPacking(Packing):
     def covers_xy(self, xs, ys):
         return self._covers(np.asarray(xs, dtype=float), np.log(np.asarray(ys, dtype=float)))
 
-    def bodies_in_ball(self, ball: BallSpec) -> list[HDisk]:
-        """All disks whose Euclidean circle meets the ball's Euclidean circle.
+    def _centers(self, ball: BallSpec):
+        """Coordinates of the centers in the closed ball, one row at a time.
 
-        Equivalently, disks whose hyperbolic center is within
-        ball.radius + disk_radius of the ball center. Raises RangeError if
-        the window would enumerate more than two million disks (deep
-        windows grow exponentially) or run off representable coordinates.
+        Raises RangeError if the window would enumerate more than two
+        million disks (deep windows grow exponentially) or run off
+        representable coordinates.
         """
-        rho = self.disk_radius
-        reach = ball.radius + rho
+        reach = ball.radius
         L0 = ball.center.log_y
         half_scale = math.exp(-0.5 * L0)
         xhat = (ball.center.x * half_scale) * half_scale
@@ -200,7 +222,8 @@ class BoroczkyPacking(Packing):
         j_lo = math.ceil((L0 - reach - 0.5) / 2.0)
         j_hi = math.floor((L0 + reach - 0.5) / 2.0)
         log_cap = math.log(_DISK_CAP + 1.0)
-        out: list[HDisk] = []
+        xs, ys = [np.empty(0)], [np.empty(0)]
+        count = 0
         for j in range(j_lo, j_hi + 1):
             t = 2.0 * j + 0.5 - L0
             if 0.5 * (reach - t) > log_cap:
@@ -217,18 +240,21 @@ class BoroczkyPacking(Packing):
             k_hi = math.floor(base + half_k - 0.5)
             if k_hi < k_lo:
                 continue
-            if len(out) + (k_hi - k_lo + 1) > _DISK_CAP:
+            count += k_hi - k_lo + 1
+            if count > _DISK_CAP:
                 raise _too_many_disks(ball.radius)
             a = 2.0 * j + 0.5
             if abs(a) > 700.0:
                 raise RangeError(f"row {j} lies beyond representable heights")
             ea = math.exp(a)
-            for k in range(k_lo, k_hi + 1):
-                x = (k + 0.5) * ea
-                if not math.isfinite(x):
-                    raise RangeError(f"center ({j}, {k}) overflows the x coordinate")
-                out.append(HDisk(HPoint.from_log(x, a), rho))
-        return out
+            # columns beyond int64 come as Python ints, each rounded once
+            with np.errstate(over="ignore"):
+                x = np.asarray((np.arange(k_lo, k_hi + 1) + 0.5) * ea, dtype=float)
+            if not np.isfinite(x).all():
+                raise RangeError(f"row {j} overflows the x coordinate")
+            xs.append(x)
+            ys.append(np.full(x.size, ea))
+        return np.concatenate(xs), np.concatenate(ys)
 
 
 # --------------------------------------------------------------------------
@@ -444,15 +470,6 @@ class TightPacking(Packing):
             x, y = self._turn(x, y, -k)
         return x, y
 
-    def centers_in_ball(self, ball: BallSpec) -> list[HPoint]:
-        """Vertices lying in the closed ball."""
-        return [HPoint(float(a), float(b)) for a, b in zip(*self._centers(ball))]
-
-    def bodies_in_ball(self, ball: BallSpec) -> list[HDisk]:
-        r = self.disk_radius
-        grown = BallSpec(ball.center, ball.radius + r)
-        return [HDisk(HPoint(float(a), float(b)), r) for a, b in zip(*self._centers(grown))]
-
     def covers(self, p: HPoint) -> bool:
         return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])
 
@@ -502,12 +519,18 @@ class TransformedPacking(Packing):
         bx, by = self.g_inv.apply_xy(xs, ys)
         return self.base.covers_xy(bx, by)
 
-    def bodies_in_ball(self, ball: BallSpec) -> list[HDisk]:
+    def _centers(self, ball: BallSpec):
+        """Coordinates of the moved base centers in the closed ball.
+
+        apply_xy is apply's float path: it gives the same coordinates for
+        base centers of safe-range height, and like apply this raises
+        RangeError for an image height below _MIN_IMAGE_Y.
+        """
         pulled = BallSpec(apply(self.g_inv, ball.center), ball.radius)
-        return [
-            HDisk(apply(self.g, d.center), d.radius)
-            for d in self.base.bodies_in_ball(pulled)
-        ]
+        x, y = self.g.apply_xy(*self.base._centers(pulled))
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and (y >= _MIN_IMAGE_Y).all()):
+            raise RangeError(f"image heights fall below {_MIN_IMAGE_Y:g} or beyond float reach")
+        return x, y
 
 
 # --------------------------------------------------------------------------

@@ -68,23 +68,18 @@ class TruncatedPacking:
                 )
 
 
-def _disk_net(cx, cy, rho, spacing):
-    """Deterministic polar net of the disk of radius rho about (cx, cy)."""
-    rings = [0.0]
+def _disk_net(rho, spacing):
+    """Deterministic polar net of the disk of radius rho about (0, 1)."""
     steps = int(math.ceil(rho / spacing))
     # the outermost ring sits a hair inside the boundary so the net stays
     # within the closed disk under roundoff
     edge = max(rho - 1e-9, 0.0)
-    rings.extend(min(i * spacing, edge) for i in range(1, steps + 1))
-    xs_all, ys_all = [], []
-    for i, r in enumerate(rings):
-        if r == 0.0:
-            xs_all.append(np.array([cx]))
-            ys_all.append(np.array([cy]))
-            continue
+    xs_all, ys_all = [np.zeros(1)], [np.ones(1)]
+    for i in range(1, steps + 1):
+        r = min(i * spacing, edge)
         n_ang = max(3, int(math.ceil(2.0 * math.pi * math.sinh(r) / spacing)))
         theta = 2.0 * math.pi * (np.arange(n_ang) + 0.5 * (i % 2)) / n_ang
-        xs, ys = polar_xy(cx, cy, r, theta)
+        xs, ys = polar_xy(0.0, 1.0, r, theta)
         xs_all.append(xs)
         ys_all.append(ys)
     return np.concatenate(xs_all), np.concatenate(ys_all)
@@ -98,39 +93,35 @@ def _boundary_ring(k, spacing):
 
 
 def _level_net(target, k, spacing):
-    """Net of the covered set within distance k of the origin."""
-    cosh_k = math.cosh(k)
-    xs_parts, ys_parts = [], []
+    """Net of the covered set within distance k of the origin.
 
+    A disk packing nets every disk that meets the level ball at once: the
+    net about (0, 1) is carried to each center (cx, cy) by z -> cx + cy z.
+    A region keeps the points of the level ball's own net that it covers.
+    """
     rho = getattr(target, "disk_radius", None)
-    if rho is not None:
-        for disk in target.bodies_in_ball(BallSpec(ORIGIN, k + 2.0 * rho)):
-            xs, ys = _disk_net(disk.center.x, disk.center.y, disk.radius, spacing)
-            keep = cosh_distance_xy(xs, ys, 0.0, 1.0) <= cosh_k * (1.0 + 1e-12)
-            xs_parts.append(xs[keep])
-            ys_parts.append(ys[keep])
-    else:
-        xs, ys = _disk_net(0.0, 1.0, float(k), spacing)
+    if rho is None:
+        xs, ys = _disk_net(float(k), spacing)
         keep = np.asarray(target.covers_xy(xs, ys), dtype=bool)
-        xs_parts.append(xs[keep])
-        ys_parts.append(ys[keep])
-
+    else:
+        cx, cy = target._centers(BallSpec(ORIGIN, k + rho))
+        nx, ny = _disk_net(rho, spacing)
+        xs = (cx[:, None] + cy[:, None] * nx).ravel()
+        ys = (cy[:, None] * ny).ravel()
+        keep = cosh_distance_xy(xs, ys, 0.0, 1.0) <= math.cosh(k) * (1.0 + 1e-12)
     bx, by = _boundary_ring(k, spacing)
-    keep = np.asarray(target.covers_xy(bx, by), dtype=bool)
-    xs_parts.append(bx[keep])
-    ys_parts.append(by[keep])
-
-    xs = np.concatenate(xs_parts)
-    ys = np.concatenate(ys_parts)
-    return np.column_stack([xs, ys])
+    bkeep = np.asarray(target.covers_xy(bx, by), dtype=bool)
+    return np.column_stack([np.concatenate([xs[keep], bx[bkeep]]),
+                            np.concatenate([ys[keep], by[bkeep]])])
 
 
 def truncate(target, k_max: int = 8, spacing: float = 0.03) -> TruncatedPacking:
     """Deterministic truncation of a packing or region to k_max levels.
 
-    Disk packings get per-body polar nets; regions get a polar net of
-    each level ball filtered by coverage. Level boundaries carry their
-    own covered arcs so clipped bodies stay within the net bound. A
+    Disk packings net each disk meeting a level ball from one polar net;
+    regions get a polar net of each level ball filtered by coverage.
+    Level boundaries carry their own covered arcs so clipped bodies stay
+    within the net bound. A
     nonempty level too thin to reach its minimum point count is refined
     at halved spacing.
     """

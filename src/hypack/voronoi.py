@@ -34,6 +34,7 @@ from .hgeom import (
     distance,
     hyperboloid_xy,
 )
+from .packings import _disk_radius
 from .regions import PolygonRegion
 
 # packing_cell takes the centers within this many disk spacings of its site
@@ -120,12 +121,13 @@ def dirichlet_cell(xs, ys, i: int) -> VoronoiCell:
 
 
 def packing_cell(packing, site: HPoint) -> VoronoiCell:
-    """Dirichlet cell of one disk center of a packing.
+    """Dirichlet cell of one disk center of a disk packing.
 
     The sites are the packing's centers within four disk spacings of the
-    site; the given site must coincide with one of them.
+    site; the given site must coincide with one of them. Regions raise
+    UnsupportedOperationError.
     """
-    spacing = 2.0 * packing.disk_radius
+    spacing = 2.0 * _disk_radius(packing)
     sx, sy = packing._centers(BallSpec(site, _WINDOW_SPACINGS * spacing))
     if not sx.size:
         raise DomainError("no packing centers near the requested site")

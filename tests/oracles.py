@@ -23,7 +23,13 @@ independent oracles:
 - ``nearest_site``, the hyperbolically nearest site of one point and the
   margin to the second, by Euclidean disk queries of growing radius, and
   ``transport_loop``, the mass-transport mean that places its samples
-  one at a time with it.
+  one at a time with it;
+- ``window_centers``, the disk centers of a packing in a ball, built one
+  at a time: Boroczky centers disk by disk along each row, the centers of
+  a moved packing by the scalar ``apply`` of each base center;
+- ``level_net``, the level net of a truncation with one polar net per
+  disk, about the disk's own center, over the disks meeting the level
+  ball grown by one disk diameter.
 """
 
 from __future__ import annotations
@@ -37,14 +43,24 @@ from scipy.spatial import cKDTree
 from hypack.density import tile_density
 from hypack.errors import DomainError, RangeError
 from hypack.hgeom import (
+    ORIGIN,
     BallSpec,
     Geodesic,
     HPoint,
+    apply,
     ball_hits,
     cosh_distance_xy,
     distance,
+    polar_xy,
 )
-from hypack.packings import TightPacking
+from hypack.packings import (
+    _DISK_CAP,
+    BoroczkyPacking,
+    TightPacking,
+    TransformedPacking,
+    _too_many_disks,
+)
+from hypack.pspace import _boundary_ring
 from hypack.regions import PolygonRegion, SamplePlan, _ball_points, sample_ball_uniform
 from hypack.voronoi import packing_cell
 
@@ -499,3 +515,105 @@ def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-
             cache[j] = tile_density(packing, cell, plan).fraction
         values[k] = cache[j]
     return float(np.mean(values))
+
+
+# ---------------------------------------------------------------- windows
+
+def _boroczky_window(packing, ball: BallSpec):
+    """Boroczky centers in the closed ball, row by row and disk by disk."""
+    reach = ball.radius
+    L0 = ball.center.log_y
+    half_scale = math.exp(-0.5 * L0)
+    xhat = (ball.center.x * half_scale) * half_scale
+    if not math.isfinite(xhat):
+        raise RangeError("ball center coordinates overflow the window math")
+    C = math.cosh(reach)
+    j_lo = math.ceil((L0 - reach - 0.5) / 2.0)
+    j_hi = math.floor((L0 + reach - 0.5) / 2.0)
+    log_cap = math.log(_DISK_CAP + 1.0)
+    out = []
+    for j in range(j_lo, j_hi + 1):
+        t = 2.0 * j + 0.5 - L0
+        if 0.5 * (reach - t) > log_cap:
+            raise _too_many_disks(ball.radius)
+        inv = math.exp(-t)
+        disc = 2.0 * (C - 1.0) * inv - (1.0 - inv) ** 2
+        if disc < 0.0:
+            continue
+        half_k = math.sqrt(disc)
+        base = xhat * inv
+        if not math.isfinite(base):
+            continue
+        k_lo = math.ceil(base - half_k - 0.5)
+        k_hi = math.floor(base + half_k - 0.5)
+        if k_hi < k_lo:
+            continue
+        if len(out) + (k_hi - k_lo + 1) > _DISK_CAP:
+            raise _too_many_disks(ball.radius)
+        a = 2.0 * j + 0.5
+        if abs(a) > 700.0:
+            raise RangeError(f"row {j} lies beyond representable heights")
+        ea = math.exp(a)
+        for k in range(k_lo, k_hi + 1):
+            x = (k + 0.5) * ea
+            if not math.isfinite(x):
+                raise RangeError(f"center ({j}, {k}) overflows the x coordinate")
+            out.append(HPoint.from_log(x, a))
+    return out
+
+
+def window_centers(packing, ball: BallSpec):
+    """Disk centers of a packing in the closed ball, as a list of HPoints.
+
+    A moved packing pulls the ball back and moves each base center by the
+    scalar apply; a Boroczky packing enumerates its disks one at a time;
+    a tight packing answers with its own window.
+    """
+    if isinstance(packing, TransformedPacking):
+        pulled = BallSpec(apply(packing.g_inv, ball.center), ball.radius)
+        return [apply(packing.g, c) for c in window_centers(packing.base, pulled)]
+    if isinstance(packing, BoroczkyPacking):
+        return _boroczky_window(packing, ball)
+    return [HPoint(float(a), float(b)) for a, b in zip(*packing._centers(ball))]
+
+
+def _disk_net(cx, cy, rho, spacing):
+    """Deterministic polar net of the disk of radius rho about (cx, cy)."""
+    rings = [0.0]
+    steps = int(math.ceil(rho / spacing))
+    edge = max(rho - 1e-9, 0.0)
+    rings.extend(min(i * spacing, edge) for i in range(1, steps + 1))
+    xs_all, ys_all = [], []
+    for i, r in enumerate(rings):
+        if r == 0.0:
+            xs_all.append(np.array([cx]))
+            ys_all.append(np.array([cy]))
+            continue
+        n_ang = max(3, int(math.ceil(2.0 * math.pi * math.sinh(r) / spacing)))
+        theta = 2.0 * math.pi * (np.arange(n_ang) + 0.5 * (i % 2)) / n_ang
+        xs, ys = polar_xy(cx, cy, r, theta)
+        xs_all.append(xs)
+        ys_all.append(ys)
+    return np.concatenate(xs_all), np.concatenate(ys_all)
+
+
+def level_net(packing, k, spacing):
+    """Level-k net of a disk packing, one disk at a time.
+
+    Every disk meeting the level ball grown by one disk diameter gets its
+    own polar net about its center, clipped to the level ball; the
+    covered arcs of the level boundary follow.
+    """
+    rho = packing.disk_radius
+    cosh_k = math.cosh(k)
+    xs_parts, ys_parts = [], []
+    for c in window_centers(packing, BallSpec(ORIGIN, k + 3.0 * rho)):
+        xs, ys = _disk_net(c.x, c.y, rho, spacing)
+        keep = cosh_distance_xy(xs, ys, 0.0, 1.0) <= cosh_k * (1.0 + 1e-12)
+        xs_parts.append(xs[keep])
+        ys_parts.append(ys[keep])
+    bx, by = _boundary_ring(k, spacing)
+    keep = np.asarray(packing.covers_xy(bx, by), dtype=bool)
+    xs_parts.append(bx[keep])
+    ys_parts.append(by[keep])
+    return np.column_stack([np.concatenate(xs_parts), np.concatenate(ys_parts)])

@@ -2,19 +2,23 @@
 
 These checks keep the names it relies on in place: the tracer finds
 every method and function it wraps and restores each original, and every
-``hp.<name>`` the workloads use resolves on the package.
+``hp.<name>`` the workloads use resolves on the package. The public
+surface itself is exactly the names its users take: the CLI, ``verify``,
+the README's library sketch and the benchmark.
 """
 
 import ast
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import hypack
 import hypack.cli  # install() imports it; load it before any snapshot
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -24,6 +28,17 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _hp_names(source):
+    """The names used as ``hp.<name>`` in Python source."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "hp"
+    }
 
 
 def _snapshot():
@@ -64,14 +79,7 @@ def test_tracer_wraps_every_target_and_restores_it():
 
 def test_workload_names_resolve_on_the_package():
     _load("workloads")
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
-    used = {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "hp"
-    }
+    used = _hp_names((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
     assert used
     assert sorted(name for name in used if not hasattr(hypack, name)) == []
 
@@ -90,3 +98,20 @@ def test_deep_workload_checks_pass(tmp_path):
     checks = workloads.deep_run(hypack, workloads.deep_inputs(1), str(tmp_path))
     assert checks
     assert [name for name, ok in checks if not ok] == []
+
+
+def test_public_surface_is_what_its_users_take():
+    used = set()
+    for name in ("cli", "verify"):
+        tree = ast.parse((ROOT / "src" / "hypack" / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                used |= {alias.name for alias in node.names}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        used |= _hp_names(block)
+    for path in PERFBENCH.glob("*.py"):
+        used |= _hp_names(path.read_text(encoding="utf-8"))
+    assert len(hypack.__all__) == len(set(hypack.__all__))
+    assert set(hypack.__all__) == used
+    assert len(used) <= 55

@@ -21,7 +21,7 @@ from hypack.density import (
     tile_density,
 )
 from hypack.errors import DomainError, UnsupportedOperationError
-from hypack.hgeom import ORIGIN, BallSpec, HPoint, Isometry, apply, ball_area
+from hypack.hgeom import ORIGIN, BallSpec, Geodesic, HPoint, Isometry, apply, ball_area
 from hypack.packings import (
     BoroczkyPacking,
     BrickTile,
@@ -31,7 +31,12 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
-from hypack.regions import SamplePlan, mc_area_fraction, quad_black_fraction
+from hypack.regions import (
+    HalfSpaceRegion,
+    SamplePlan,
+    mc_area_fraction,
+    quad_black_fraction,
+)
 from hypack.voronoi import cell_relative_density, packing_cell
 from oracles import transport_loop
 
@@ -248,6 +253,24 @@ def test_mass_transport_matches_sample_loop(center, radius, seed):
     window, plan = BallSpec(center, radius), SamplePlan(seed=seed, n=256)
     got = mass_transport_check(TightPacking(7), window, plan)
     assert got == transport_loop(TightPacking(7), window, plan)
+
+
+def test_mass_transport_on_a_moved_packing(tight7):
+    g = Isometry.translation(0.37)
+    moved = TransformedPacking(g, tight7)
+    window = BallSpec(apply(g, HPoint(0.2, 1.4)), 2.5)
+    got = mass_transport_check(moved, window, SamplePlan(seed=SEED + 3, n=256))
+    assert abs(got - fundamental_domain_density(tight7)) <= 1e-12
+
+
+@pytest.mark.parametrize("region", [
+    StripeModel(5.0),
+    HalfSpaceRegion(Geodesic.vertical(0.0)),
+    TransformedPacking(Isometry.translation(0.3), StripeModel(5.0)),
+], ids=["stripe", "half-plane", "moved stripe"])
+def test_mass_transport_on_a_region_is_unsupported(region):
+    with pytest.raises(UnsupportedOperationError):
+        mass_transport_check(region, BallSpec(ORIGIN, 2.0), SamplePlan(seed=SEED, n=64))
 
 
 def test_mass_transport_boundary_resampling(tight7):

@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from hypack import (
-    DomainError,
-    RangeError,
-    HPoint,
-    ORIGIN,
-    Isometry,
-    apply,
-    distance,
-    HDisk,
-    BallSpec,
-    ball_area,
+from hypack.errors import DomainError, RangeError
+from hypack.hgeom import (
     angle_of_parallelism,
+    apply,
+    ball_area,
+    BallSpec,
+    cosh_distance_xy,
+    distance,
     Geodesic,
     GeodesicPolygon,
+    HDisk,
+    HPoint,
+    Isometry,
+    nearest_sites,
+    ORIGIN,
+    polar_xy,
 )
-from hypack.hgeom import cosh_distance_xy, nearest_sites, polar_xy
 from oracles import midpoint, signed_distance_xy
 
 RNG_SEED = 20260816

@@ -4,22 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from hypack import (
-    ORIGIN,
-    BallSpec,
-    DomainError,
-    HPoint,
-    Isometry,
-    RangeError,
-    SaturationError,
+from hypack.errors import DomainError, RangeError, SaturationError, UnsupportedOperationError
+from hypack.hgeom import (
     apply,
     ball_area,
+    BallSpec,
+    cosh_distance_xy,
     distance,
+    HPoint,
+    Isometry,
+    ORIGIN,
+    polar_xy,
 )
-from hypack.hgeom import cosh_distance_xy, polar_xy
 from hypack.regions import SamplePlan, sample_ball_uniform, quad_black_fraction
 from hypack.packings import (
     BoroczkyPacking,
@@ -34,7 +33,7 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
-from oracles import DedupTightPacking, WallFoldTightPacking
+from oracles import DedupTightPacking, WallFoldTightPacking, window_centers
 
 SEED = 40917
 
@@ -205,6 +204,38 @@ def test_boroczky_window_cap():
     bp = BoroczkyPacking()
     with pytest.raises(RangeError):
         bp.bodies_in_ball(BallSpec(ORIGIN, 40.0))
+
+
+def _same_window(packing, ball):
+    """The packing's window equals the one-disk-at-a-time oracle bit for
+    bit, or both raise RangeError."""
+    try:
+        want = window_centers(packing, ball)
+    except RangeError:
+        with pytest.raises(RangeError):
+            packing._centers(ball)
+        return
+    x, y = packing._centers(ball)
+    assert np.array_equal(x, [c.x for c in want])
+    assert np.array_equal(y, [c.y for c in want])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.floats(-4.0, 4.0),
+    log_y=st.floats(-300.0, 300.0),
+    w=st.one_of(st.just(0.0), st.floats(0.0, 720.0)),
+    radius=st.one_of(st.floats(0.01, 6.0), st.floats(16.0, 40.0)),
+)
+@example(u=1.0, log_y=0.3, w=50.0, radius=3.0)
+@example(u=3.0, log_y=-10.0, w=720.0, radius=1.0)
+def test_boroczky_window_matches_per_disk_oracle(u, log_y, w, radius):
+    # x = u y e^w: w = 0 keeps the window at the packing's own scale,
+    # w > 44 reaches columns beyond int64, and w > 709 overflows the
+    # ball center's row coordinate. Radii past 16 trip the disk cap at
+    # the first row.
+    x = u * math.exp(min(log_y + w, 709.0))
+    _same_window(BoroczkyPacking(), BallSpec(HPoint.from_log(x, log_y), radius))
 
 
 # ---------------------------------------------------------------- tight radius / density
@@ -603,6 +634,32 @@ def test_transformed_covers_on_region_and_packing_bases():
         assert got == base.covers_xy(bx, by).tolist()
         assert got == moved.covers_xy(xs, ys).tolist()
         assert 0 < sum(got) < len(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_lam=st.one_of(st.floats(-300.0, 300.0), st.floats(-695.0, -685.0)),
+    shift=st.floats(-5.0, 5.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    u=st.floats(-2.0, 2.0),
+    v=st.floats(-2.0, 2.0),
+    radius=st.one_of(st.floats(0.1, 3.0), st.floats(14.0, 30.0)),
+)
+def test_moved_tight_window_matches_per_center_apply(tight7, log_lam, shift, theta, u, v,
+                                                     radius):
+    # g carries (0, 1) to lam (shift + i); near log-height -690 some image
+    # heights fall below the smallest an isometry may produce, and radii
+    # past 14 exceed the tight window cap
+    lam = math.exp(log_lam)
+    g = Isometry.dilation(lam) @ Isometry.translation(shift) @ Isometry.rotation(theta)
+    center = HPoint.from_log((shift + u) * lam, log_lam + v)
+    _same_window(TransformedPacking(g, tight7), BallSpec(center, radius))
+
+
+def test_moved_region_has_no_bodies():
+    moved = TransformedPacking(Isometry.translation(0.3), StripeModel(5.0))
+    with pytest.raises(UnsupportedOperationError):
+        moved.bodies_in_ball(BallSpec(ORIGIN, 1.0))
 
 
 # ---------------------------------------------------------------- bricks

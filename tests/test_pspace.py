@@ -22,6 +22,8 @@ from hypack.pspace import (
 )
 from hypack.regions import EmptyRegion, SamplePlan, sample_ball_uniform
 
+from oracles import level_net
+
 SEED = 88417
 
 
@@ -73,6 +75,24 @@ def test_truncation_counts_and_containment(tight7):
         d = np.arccosh(np.maximum(cosh_distance_xy(pts[:, 0], pts[:, 1], 0.0, 1.0), 1.0))
         assert float(d.max()) <= k + 1e-9
         assert np.all(tight7.covers_xy(pts[:, 0], pts[:, 1]))
+
+
+def _rows(pts):
+    """The rows of an (n, 2) array sorted by x, then y."""
+    return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+
+@pytest.mark.parametrize("which", ["tight7", "boroczky", "moved tight7"])
+def test_truncation_levels_match_per_disk_oracle(which, tight7):
+    target = {
+        "tight7": tight7,
+        "boroczky": BoroczkyPacking(),
+        "moved tight7": TransformedPacking(
+            Isometry.translation(0.37) @ Isometry.rotation(0.9, HPoint(0.2, 1.5)), tight7),
+    }[which]
+    trunc = truncate(target, k_max=2)
+    for k, level in enumerate(trunc.levels, start=1):
+        assert np.array_equal(_rows(level), _rows(level_net(target, k, 0.03)))
 
 
 def test_truncation_is_deterministic(tight7):

@@ -7,20 +7,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from hypack import (
-    DomainError,
-    HPoint,
-    ORIGIN,
-    BallSpec,
-    Isometry,
+from hypack.errors import DomainError
+from hypack.hgeom import (
+    angle_of_parallelism,
     apply,
     ball_area,
-    angle_of_parallelism,
+    BallSpec,
     distance,
     Geodesic,
     GeodesicPolygon,
+    HPoint,
+    Isometry,
+    ORIGIN,
+    polar_xy,
 )
-from hypack.hgeom import polar_xy
 from hypack.regions import (
     SamplePlan,
     FullPlane,

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from hypack.errors import DomainError, UnboundedCellError
+from hypack.errors import DomainError, UnboundedCellError, UnsupportedOperationError
 from hypack.hgeom import (
     ORIGIN,
     BallSpec,
@@ -20,8 +20,15 @@ from hypack.hgeom import (
     distance,
     polar_xy,
 )
-from hypack.packings import TightPacking, tight_density_formula, tight_radius
-from hypack.regions import PolygonRegion, SamplePlan
+from hypack.packings import (
+    BoroczkyPacking,
+    StripeModel,
+    TightPacking,
+    TransformedPacking,
+    tight_density_formula,
+    tight_radius,
+)
+from hypack.regions import HalfSpaceRegion, PolygonRegion, SamplePlan
 from hypack.voronoi import cell_relative_density, dirichlet_cell, packing_cell
 from oracles import geodesic_intersection, partition_audit, point_along
 
@@ -154,6 +161,24 @@ def test_site_index_out_of_range():
 def test_packing_cell_rejects_non_center(tight7):
     with pytest.raises(DomainError):
         packing_cell(tight7, HPoint(0.1, 1.0))
+
+
+def test_moved_tight_cell_is_the_moved_heptagon(tight7):
+    g = Isometry.translation(0.37)
+    cell = packing_cell(TransformedPacking(g, tight7), apply(g, ORIGIN))
+    assert len(cell.polygon.vertices) == 7
+    # the {7,3} face: (7 - 2) pi minus seven angles of 2 pi / 3
+    assert abs(cell.area() - math.pi / 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("region", [
+    StripeModel(5.0),
+    HalfSpaceRegion(Geodesic.vertical(0.0)),
+    TransformedPacking(Isometry.translation(0.3), StripeModel(5.0)),
+], ids=["stripe", "half-plane", "moved stripe"])
+def test_regions_have_no_cells(region):
+    with pytest.raises(UnsupportedOperationError):
+        packing_cell(region, ORIGIN)
 
 
 def test_partition_audit_near_one(tight7):
@@ -329,10 +354,14 @@ def _witness(sites, i, rho):
         x, y = polar_xy(site.x, site.y, rho, np.atleast_1d(theta))
         return _owner_margin(sites, i, x, y)
 
-    grid = np.linspace(0.0, 2.0 * math.pi, 4097)[:-1]
+    return _refined_max(margin, np.linspace(0.0, 2.0 * math.pi, 4097)[:-1])
+
+
+def _refined_max(margin, grid):
+    """Largest margin over a grid of directions, refined about its best eight."""
     m = margin(grid)
     best = float(m.max())
-    step = grid[1]
+    step = grid[1] - grid[0]
     for k in np.argsort(m)[-8:]:
         res = minimize_scalar(lambda t: -float(margin(t)[0]),
                               bounds=(grid[k] - step, grid[k] + step),
@@ -355,6 +384,27 @@ def test_open_cell_among_five_sites_raises():
         dirichlet_cell(*_xy(sites), 1)
 
 
+def _ideal_witness(sites, i):
+    """Whether site i owns an ideal point: it minimises, ties allowed, the
+    Busemann function -log y at infinity or log(((x - t)^2 + y^2) / y) at
+    some real t. Real t are searched as the ideal points straight out from
+    the site, t = x_i - y_i cot(theta / 2), on a grid of directions theta
+    refined about its best points."""
+    ly = np.array([s.log_y for s in sites])
+    if ly[i] == ly.max():
+        return True
+    sx = np.array([s.x for s in sites])
+    sy = np.array([s.y for s in sites])
+
+    def margin(theta):
+        t = sites[i].x - sites[i].y / np.tan(0.5 * np.atleast_1d(theta))
+        b = np.log((sx[None, :] - t[:, None]) ** 2 + sy[None, :] ** 2) - ly[None, :]
+        return np.delete(b, i, axis=1).min(axis=1) - b[:, i]
+
+    # theta = 0 points at infinity, checked above
+    return _refined_max(margin, np.linspace(0.0, 2.0 * math.pi, 4097)[1:-1]) >= 0.0
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.lists(
@@ -364,6 +414,9 @@ def test_open_cell_among_five_sites_raises():
     pick=st.integers(0, 11),
     seed=st.integers(0, 2**32 - 1),
 )
+# site (1, e^2) owns the strip 0.5 < x < 1.5 up to infinity, where its
+# margin at radius 20 is below float resolution
+@example(data=[(2.0, 2.0), (1.0, 2.0), (0.0, 0.0), (0.0, 2.0)], pick=1, seed=0)
 def test_cell_agrees_with_nearest_site_ownership(data, pick, seed):
     sites = [HPoint(x, math.exp(t)) for x, t in data]
     i = pick % len(sites)
@@ -371,8 +424,8 @@ def test_cell_agrees_with_nearest_site_ownership(data, pick, seed):
     try:
         cell = dirichlet_cell(*_xy(sites), i)
     except UnboundedCellError:
-        # the site owns a point 20 away
-        assert _witness(sites, i, 20.0) > 0.0
+        # the site owns a point 20 away, or an ideal point
+        assert _witness(sites, i, 20.0) > 0.0 or _ideal_witness(sites, i)
         return
     site = sites[i]
     verts = cell.polygon.vertices
@@ -391,4 +444,23 @@ def test_cell_agrees_with_nearest_site_ownership(data, pick, seed):
     owned = _owner_margin(sites, i, xs, ys)
     inside = PolygonRegion(cell.polygon).covers_xy(xs, ys)
     clear = np.abs(owned) > 1e-7
+    assert np.array_equal(inside[clear], owned[clear] > 0.0)
+
+
+def test_boroczky_cell_agrees_with_nearest_site_ownership():
+    bp = BoroczkyPacking()
+    cell = packing_cell(bp, bp.center(0, 0))
+    site = cell.site
+    sites = bp.centers_in_ball(BallSpec(site, 8.0))
+    i = min(range(len(sites)), key=lambda j: distance(sites[j], site))
+    verts = cell.polygon.vertices
+    r = max(distance(site, v) for v in verts) * 1.25 + 0.1
+    rng = np.random.default_rng(SEED + 7)
+    n = 4000
+    rho = np.arccosh(1.0 + rng.random(n) * (math.cosh(r) - 1.0))
+    xs, ys = polar_xy(site.x, site.y, rho, rng.uniform(0.0, 2.0 * math.pi, n))
+    owned = _owner_margin(sites, i, xs, ys)
+    inside = PolygonRegion(cell.polygon).covers_xy(xs, ys)
+    clear = np.abs(owned) > 1e-7
+    assert inside.any() and (~inside).any()
     assert np.array_equal(inside[clear], owned[clear] > 0.0)
