@@ -381,16 +381,6 @@ class HDisk:
     def euclid_form(self) -> EuclidCircle:
         return _euclid_form(self.center, self.radius)
 
-    def contains(self, p: HPoint, tol: float = 0.0) -> bool:
-        return distance(self.center, p) <= self.radius + tol
-
-    def boundary_point(self, theta: float) -> HPoint:
-        """Point of the boundary circle at angle theta from the upward direction."""
-        top = HPoint.from_log(self.center.x, self.center.log_y + self.radius)
-        if theta == 0.0:
-            return top
-        return apply(Isometry.rotation(theta, self.center), top)
-
     def __repr__(self):
         return f"HDisk({self.center!r}, {self.radius!r})"
 
@@ -408,9 +398,6 @@ class BallSpec:
 
     def euclid_form(self) -> EuclidCircle:
         return _euclid_form(self.center, self.radius)
-
-    def contains(self, p: HPoint, tol: float = 0.0) -> bool:
-        return distance(self.center, p) <= self.radius + tol
 
 
 def ball_area(R: float) -> float:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, RangeError, SaturationError, UnsupportedOperationError
 from .hgeom import (
@@ -31,6 +32,7 @@ from .hgeom import (
     apply,
     ball_area,
     cosh_distance_xy,
+    nearest_sites,
 )
 from .regions import Region, SamplePlan, StripeRegion, _box_area_in_ball, quad_black_fraction
 
@@ -74,30 +76,26 @@ def _disk_radius(target) -> float:
 
 
 def pairwise_min_gap(disks) -> float:
-    """Smallest (center distance - radius sum) over disk pairs; inf if < 2 disks.
+    """Smallest (center distance - 2 radius) over pairs of disks of one
+    radius; inf if < 2 disks.
 
     A packing window is admissible when this is >= -1e-9: interiors are
     pairwise disjoint up to roundoff, tangencies land at exactly zero.
+    The nearest other center of each center is the second of its two
+    nearest sites, the first being the center itself. Disks of different
+    radii raise DomainError.
     """
     n = len(disks)
     if n < 2:
         return math.inf
+    rad = np.array([d.radius for d in disks])
+    if not (rad == rad[0]).all():
+        raise DomainError("pairwise_min_gap needs disks of one radius")
     xs = np.array([d.center.x for d in disks])
     ys = np.exp(np.array([d.center.log_y for d in disks]))
-    rad = np.array([d.radius for d in disks])
-    best = math.inf
-    chunk = max(1, int(4.0e6 // max(n, 1)))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        dx = xs[i0:i1, None] - xs[None, :]
-        dy = ys[i0:i1, None] - ys[None, :]
-        cd = 1.0 + (dx * dx + dy * dy) / (2.0 * ys[i0:i1, None] * ys[None, :])
-        d = np.arccosh(np.maximum(cd, 1.0))
-        gap = d - (rad[i0:i1, None] + rad[None, :])
-        rows = np.arange(i0, i1)
-        gap[rows - i0, rows] = np.inf
-        best = min(best, float(gap.min()))
-    return best
+    _, cd = nearest_sites(cKDTree(np.column_stack([xs, ys])), xs, ys, 2)
+    gap = np.arccosh(np.maximum(cd[:, 1], 1.0)) - 2.0 * rad[0]
+    return float(gap.min())
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +126,8 @@ _WITHIN_ROW = math.acosh(1.5)
 
 # Window queries of either disk packing refuse to enumerate more disks.
 _DISK_CAP = 2_000_000
+# Boroczky columns from here on have no exact k + 1/2 in float.
+_COLUMN_BOUND = 2**52
 
 
 def _too_many_disks(radius: float) -> RangeError:
@@ -135,6 +135,10 @@ def _too_many_disks(radius: float) -> RangeError:
         f"window of radius {radius:g} would enumerate more than {_DISK_CAP} "
         f"disks; use a smaller window"
     )
+
+
+def _columns_beyond(j: int) -> RangeError:
+    return RangeError(f"row {j} reaches a column index of 2^52, beyond float resolution")
 
 
 def boroczky_max_radius() -> float:
@@ -209,7 +213,8 @@ class BoroczkyPacking(Packing):
         """Coordinates of the centers in the closed ball, one row at a time.
 
         Raises RangeError if the window would enumerate more than two
-        million disks (deep windows grow exponentially) or run off
+        million disks (deep windows grow exponentially), reach a column
+        index of 2^52, where k + 1/2 is no longer exact, or run off
         representable coordinates.
         """
         reach = ball.radius
@@ -235,11 +240,13 @@ class BoroczkyPacking(Packing):
             half_k = math.sqrt(disc)
             base = xhat * inv
             if not math.isfinite(base):
-                continue
+                raise _columns_beyond(j)
             k_lo = math.ceil(base - half_k - 0.5)
             k_hi = math.floor(base + half_k - 0.5)
             if k_hi < k_lo:
                 continue
+            if max(-k_lo, k_hi) >= _COLUMN_BOUND:
+                raise _columns_beyond(j)
             count += k_hi - k_lo + 1
             if count > _DISK_CAP:
                 raise _too_many_disks(ball.radius)
@@ -247,9 +254,8 @@ class BoroczkyPacking(Packing):
             if abs(a) > 700.0:
                 raise RangeError(f"row {j} lies beyond representable heights")
             ea = math.exp(a)
-            # columns beyond int64 come as Python ints, each rounded once
             with np.errstate(over="ignore"):
-                x = np.asarray((np.arange(k_lo, k_hi + 1) + 0.5) * ea, dtype=float)
+                x = (np.arange(k_lo, k_hi + 1) + 0.5) * ea
             if not np.isfinite(x).all():
                 raise RangeError(f"row {j} overflows the x coordinate")
             xs.append(x)
@@ -524,8 +530,10 @@ class TransformedPacking(Packing):
 
         apply_xy is apply's float path: it gives the same coordinates for
         base centers of safe-range height, and like apply this raises
-        RangeError for an image height below _MIN_IMAGE_Y.
+        RangeError for an image height below _MIN_IMAGE_Y. A moved region
+        has no centers and raises UnsupportedOperationError.
         """
+        _disk_radius(self)
         pulled = BallSpec(apply(self.g_inv, ball.center), ball.radius)
         x, y = self.g.apply_xy(*self.base._centers(pulled))
         if not (np.isfinite(x).all() and np.isfinite(y).all() and (y >= _MIN_IMAGE_Y).all()):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 from .hgeom import (
@@ -323,6 +322,9 @@ def _box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
         hw = math.exp(0.5 * (R - u)) * _chord_factor(u, R)
         s = math.exp(-u)
         return max(min(hw, eb * s) - max(-hw, ea * s), 0.0)
+
+    # imported here, so that importing the package does not load scipy.integrate
+    from scipy import integrate
 
     val, _ = integrate.quad(
         width,

@@ -13,9 +13,14 @@ import math
 import numpy as np
 
 from .errors import DomainError, UnsupportedOperationError
-from .hgeom import BallSpec
+from .hgeom import BallSpec, polar_xy
 from .packings import BrickRegion
 from .regions import AnnulusRegionEuclid, HalfSpaceRegion, StripeRegion
+
+
+_WIDTH = 640  # pixels
+# directions of a disk outline's vertices, turning from straight up
+_OUTLINE_THETA = 2.0 * np.pi * np.arange(64) / 64
 
 
 def _fmt(x: float) -> str:
@@ -25,13 +30,12 @@ def _fmt(x: float) -> str:
 class _Canvas:
     """Affine map from a world box (y up) to pixel coordinates (y down)."""
 
-    def __init__(self, x0, x1, y0, y1, width=640, margin=20):
+    def __init__(self, x0, x1, y0, y1, margin=20):
         if not (x1 > x0 and y1 > y0):
             raise DomainError("degenerate render window")
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
-        inner = width - 2 * margin
-        self.scale = inner / (x1 - x0)
-        self.width = width
+        self.scale = (_WIDTH - 2 * margin) / (x1 - x0)
+        self.width = _WIDTH
         self.height = int(round(2 * margin + self.scale * (y1 - y0)))
         self.margin = margin
 
@@ -83,22 +87,17 @@ def _disk_element(canvas, disk, y_log):
             f'fill="#4477aa" fill-opacity="0.55" stroke="#223355" '
             f'stroke-width="0.8"/>\n'
         )
-    pts = []
-    for i in range(64):
-        theta = 2.0 * math.pi * i / 64
-        q = disk.boundary_point(theta)
-        pts.append((canvas.px(q.x), canvas.py(math.log(q.y))))
+    xs, ys = polar_xy(disk.center.x, disk.center.y, disk.radius, _OUTLINE_THETA)
+    pts = list(zip(canvas.px(xs), canvas.py(np.log(ys))))
     return (
         f'<path class="body" d="{_path(pts)}" fill="#4477aa" '
         f'fill-opacity="0.55" stroke="#223355" stroke-width="0.8"/>\n'
     )
 
 
-def render_packing(packing, window: BallSpec, *, y_log: bool = False,
-                   width: int = 640) -> str:
+def render_packing(packing, window: BallSpec, *, y_log: bool = False) -> str:
     """SVG of all bodies meeting the window ball, one element per body."""
-    x0, x1, y0, y1 = _window_box(window, y_log)
-    canvas = _Canvas(x0, x1, y0, y1, width=width)
+    canvas = _Canvas(*_window_box(window, y_log))
     bodies = packing.bodies_in_ball(window)
     bodies = sorted(bodies, key=lambda d: (d.center.x, d.center.y, d.radius))
     out = [canvas.header(), canvas.frame()]
@@ -139,8 +138,7 @@ def _halfspace_elements(canvas, region, y_log):
     if geo.is_line:
         ys = np.linspace(canvas.y0, canvas.y1, 33)
         for y in ys:
-            wy = y if not y_log else y
-            pts.append((canvas.px(geo.x0), canvas.py(wy)))
+            pts.append((canvas.px(geo.x0), canvas.py(y)))
     else:
         thetas = np.linspace(1e-3, math.pi - 1e-3, 65)
         for t in thetas:
@@ -191,16 +189,15 @@ def _brick_elements(canvas, region, y_log):
 
 
 def render_region(region, window: BallSpec, *, y_log: bool = False,
-                  width: int = 640, euclidean: bool = False) -> str:
+                  euclidean: bool = False) -> str:
     """SVG of a region clipped to the window: stripes as alternating
     bands, half-spaces as their boundary geodesic, dyadic annuli as
     alternating circles, bricks as their rectangle."""
     if euclidean:
         R = window.radius
-        canvas = _Canvas(-R, R, -R, R, width=width)
+        canvas = _Canvas(-R, R, -R, R)
     else:
-        x0, x1, y0, y1 = _window_box(window, y_log)
-        canvas = _Canvas(x0, x1, y0, y1, width=width)
+        canvas = _Canvas(*_window_box(window, y_log))
 
     if isinstance(region, StripeRegion):
         parts = _stripe_elements(canvas, region.W, y_log)

@@ -29,7 +29,12 @@ independent oracles:
   a moved packing by the scalar ``apply`` of each base center;
 - ``level_net``, the level net of a truncation with one polar net per
   disk, about the disk's own center, over the disks meeting the level
-  ball grown by one disk diameter.
+  ball grown by one disk diameter;
+- ``all_pairs_min_gap``, the smallest gap between disks over every pair,
+  in chunks of the all-pairs distance matrix;
+- ``boundary_point`` and ``outline_element``, a disk's outline point by
+  point, each the disk's top turned about its center by one rotation
+  isometry, and the SVG element drawn from 64 of them.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ from hypack.hgeom import (
     ORIGIN,
     BallSpec,
     Geodesic,
+    HDisk,
     HPoint,
+    Isometry,
     apply,
     ball_hits,
     cosh_distance_xy,
@@ -54,6 +61,7 @@ from hypack.hgeom import (
     polar_xy,
 )
 from hypack.packings import (
+    _COLUMN_BOUND,
     _DISK_CAP,
     BoroczkyPacking,
     TightPacking,
@@ -61,6 +69,7 @@ from hypack.packings import (
     _too_many_disks,
 )
 from hypack.pspace import _boundary_ring
+from hypack.svg import _disk_element, _path
 from hypack.regions import PolygonRegion, SamplePlan, _ball_points, sample_ball_uniform
 from hypack.voronoi import packing_cell
 
@@ -543,11 +552,13 @@ def _boroczky_window(packing, ball: BallSpec):
         half_k = math.sqrt(disc)
         base = xhat * inv
         if not math.isfinite(base):
-            continue
+            raise RangeError(f"row {j}'s columns lie beyond float reach")
         k_lo = math.ceil(base - half_k - 0.5)
         k_hi = math.floor(base + half_k - 0.5)
         if k_hi < k_lo:
             continue
+        if k_lo <= -_COLUMN_BOUND or k_hi >= _COLUMN_BOUND:
+            raise RangeError(f"row {j} reaches column {max(-k_lo, k_hi)}, past 2^52")
         if len(out) + (k_hi - k_lo + 1) > _DISK_CAP:
             raise _too_many_disks(ball.radius)
         a = 2.0 * j + 0.5
@@ -617,3 +628,53 @@ def level_net(packing, k, spacing):
     xs_parts.append(bx[keep])
     ys_parts.append(by[keep])
     return np.column_stack([np.concatenate(xs_parts), np.concatenate(ys_parts)])
+
+
+# ---------------------------------------------------------------- disks
+
+def all_pairs_min_gap(disks) -> float:
+    """Smallest (center distance - radius sum) over all pairs of disks,
+    from the full distance matrix in chunks of rows; inf if < 2 disks."""
+    n = len(disks)
+    if n < 2:
+        return math.inf
+    xs = np.array([d.center.x for d in disks])
+    ys = np.exp(np.array([d.center.log_y for d in disks]))
+    rad = np.array([d.radius for d in disks])
+    best = math.inf
+    chunk = max(1, int(4.0e6 // n))
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        dx = xs[i0:i1, None] - xs[None, :]
+        dy = ys[i0:i1, None] - ys[None, :]
+        cd = 1.0 + (dx * dx + dy * dy) / (2.0 * ys[i0:i1, None] * ys[None, :])
+        d = np.arccosh(np.maximum(cd, 1.0))
+        gap = d - (rad[i0:i1, None] + rad[None, :])
+        rows = np.arange(i0, i1)
+        gap[rows - i0, rows] = np.inf
+        best = min(best, float(gap.min()))
+    return best
+
+
+def boundary_point(disk: HDisk, theta: float) -> HPoint:
+    """Point of the disk's boundary at angle theta from straight up: the
+    disk's top turned by theta about its center."""
+    top = HPoint.from_log(disk.center.x, disk.center.log_y + disk.radius)
+    if theta == 0.0:
+        return top
+    return apply(Isometry.rotation(theta, disk.center), top)
+
+
+def outline_element(canvas, disk: HDisk, y_log: bool) -> str:
+    """The SVG element of one disk; in y-log plots its outline is 64
+    boundary_point calls, one rotation isometry each."""
+    if not y_log:
+        return _disk_element(canvas, disk, y_log)
+    pts = []
+    for i in range(64):
+        q = boundary_point(disk, 2.0 * math.pi * i / 64)
+        pts.append((canvas.px(q.x), canvas.py(math.log(q.y))))
+    return (
+        f'<path class="body" d="{_path(pts)}" fill="#4477aa" '
+        f'fill-opacity="0.55" stroke="#223355" stroke-width="0.8"/>\n'
+    )

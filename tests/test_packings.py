@@ -14,6 +14,7 @@ from hypack.hgeom import (
     BallSpec,
     cosh_distance_xy,
     distance,
+    HDisk,
     HPoint,
     Isometry,
     ORIGIN,
@@ -33,7 +34,7 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
-from oracles import DedupTightPacking, WallFoldTightPacking, window_centers
+from oracles import DedupTightPacking, WallFoldTightPacking, all_pairs_min_gap, window_centers
 
 SEED = 40917
 
@@ -231,11 +232,76 @@ def _same_window(packing, ball):
 @example(u=3.0, log_y=-10.0, w=720.0, radius=1.0)
 def test_boroczky_window_matches_per_disk_oracle(u, log_y, w, radius):
     # x = u y e^w: w = 0 keeps the window at the packing's own scale,
-    # w > 44 reaches columns beyond int64, and w > 709 overflows the
-    # ball center's row coordinate. Radii past 16 trip the disk cap at
-    # the first row.
+    # w > 36 reaches columns past 2^52, which raise RangeError (the first
+    # example), and w > 709 overflows the ball center's row coordinate.
+    # Radii past 16 trip the disk cap at the first row.
     x = u * math.exp(min(log_y + w, 709.0))
     _same_window(BoroczkyPacking(), BallSpec(HPoint.from_log(x, log_y), radius))
+
+
+def test_boroczky_columns_stop_at_2_52():
+    # at x = e^50.3 the columns near 1e21 are past 2^52, where k + 1/2 and
+    # the row's x coordinates round together: both sides raise rather
+    # than return coincident centers
+    bp = BoroczkyPacking()
+    ball = BallSpec(HPoint.from_log(math.exp(50.3), 0.3), 3.0)
+    with pytest.raises(RangeError):
+        bp.centers_in_ball(ball)
+    with pytest.raises(RangeError):
+        window_centers(bp, ball)
+    # just below the bound (one row, three columns) every center is distinct
+    k = 2**52 - 8
+    ball = BallSpec(bp.center(0, k), 1.0)
+    x, _ = bp._centers(ball)
+    assert x.size >= 3 and (np.diff(x[:3]) > 0.0).all()
+    _same_window(bp, ball)
+    with pytest.raises(RangeError):
+        bp._centers(BallSpec(bp.center(0, k + 8), 1.0))
+
+
+# ---------------------------------------------------------------- gaps
+
+_GAP_PACKINGS = {
+    "boroczky": BoroczkyPacking(),
+    "tight7": TightPacking(7),
+    "tight8": TightPacking(8),
+    "tight9": TightPacking(9),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_GAP_PACKINGS)),
+    moved=st.booleans(),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    shift=st.floats(-3.0, 3.0),
+    u=st.floats(-2.0, 2.0),
+    log_y=st.floats(-20.0, 20.0),
+    radius=st.floats(0.3, 4.0),
+)
+def test_min_gap_matches_all_pairs_oracle(kind, moved, theta, shift, u, log_y, radius):
+    # tight windows are the first shells about a folded center, Boroczky
+    # windows hold tangent pairs within rows, moved windows carry both
+    # through apply_xy
+    packing = _GAP_PACKINGS[kind]
+    if moved:
+        g = Isometry.translation(shift) @ Isometry.rotation(theta, HPoint(0.4, 2.0))
+        packing = TransformedPacking(g, packing)
+    disks = packing.bodies_in_ball(BallSpec(HPoint.from_log(u * math.exp(log_y), log_y),
+                                            radius))
+    assert pairwise_min_gap(disks) == all_pairs_min_gap(disks)
+    if len(disks) >= 2:
+        last = disks[-1]
+        with pytest.raises(DomainError):
+            pairwise_min_gap(disks[:-1] + [HDisk(last.center, 0.5 * last.radius)])
+
+
+def test_min_gap_of_few_disks():
+    assert pairwise_min_gap([]) == math.inf
+    assert pairwise_min_gap([HDisk(ORIGIN, 0.5)]) == math.inf
+    # two disks on one vertical geodesic, 3 apart
+    pair = [HDisk(ORIGIN, 0.5), HDisk(HPoint.from_log(0.0, 3.0), 0.5)]
+    assert abs(pairwise_min_gap(pair) - 2.0) < 1e-12
 
 
 # ---------------------------------------------------------------- tight radius / density
@@ -660,6 +726,8 @@ def test_moved_region_has_no_bodies():
     moved = TransformedPacking(Isometry.translation(0.3), StripeModel(5.0))
     with pytest.raises(UnsupportedOperationError):
         moved.bodies_in_ball(BallSpec(ORIGIN, 1.0))
+    with pytest.raises(UnsupportedOperationError):
+        moved.centers_in_ball(BallSpec(ORIGIN, 1.0))
 
 
 # ---------------------------------------------------------------- bricks

@@ -1,12 +1,17 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
+import hypack
 from hypack.errors import DomainError
 from hypack.hgeom import (
     angle_of_parallelism,
@@ -491,3 +496,14 @@ def test_annulus_region_matches_formula_by_euclid_mc():
     want = annulus_fraction_euclid(K)
     sigma = math.sqrt(want * (1 - want) / n)
     assert abs(frac - want) <= 4 * sigma
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate loads with the first box-in-ball quadrature, not
+    # with the package
+    src = str(Path(hypack.__file__).resolve().parent.parent)
+    code = "import sys, hypack; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
