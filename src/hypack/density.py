@@ -34,7 +34,7 @@ from .regions import (
     mc_area_fraction,
     sample_ball_uniform,
 )
-from .voronoi import VoronoiCell, packing_cell
+from .voronoi import VoronoiCell, cell_relative_density, packing_cell
 
 CSV_HEADER = "radius,fraction,std_error,samples,method"
 
@@ -235,21 +235,11 @@ def tile_density(packing, tile, plan: SamplePlan) -> AreaEstimate:
 
     if isinstance(tile, VoronoiCell) and isinstance(packing, TightPacking):
         if packing._centers(BallSpec(tile.site, 1e-9))[0].size:
-            frac = _cell_fraction(packing, tile)
-            if frac is not None:
-                return AreaEstimate(frac, 0.0, 0, "closed-form")
+            frac = cell_relative_density(tile, packing.disk_radius)
+            return AreaEstimate(frac, 0.0, 0, "closed-form")
 
     xs, ys = region.sample_uniform(plan)
     return AreaEstimate.monte_carlo(packing.covers_xy(xs, ys))
-
-
-def _cell_fraction(packing, cell: VoronoiCell):
-    """Covered fraction of a tight packing's cell about one of its centers:
-    the whole disk when the cell's inscribed bound holds it, else None."""
-    rho = packing.disk_radius
-    if rho <= cell.inscribed_radius_bound() + 1e-12:
-        return ball_area(rho) / cell.area()
-    return None
 
 
 def annulus_density_curve(exponents) -> DensityCurve:
@@ -317,8 +307,8 @@ def mass_transport_check(
     tile with one density this mean reproduces that density regardless
     of the window. Regions raise UnsupportedOperationError.
     """
-    spacing = 2.0 * _disk_radius(packing)
-    sx, sy = packing._centers(BallSpec(window.center, window.radius + 2.0 * spacing))
+    rho = _disk_radius(packing)
+    sx, sy = packing._centers(BallSpec(window.center, window.radius + 4.0 * rho))
     if sx.size < 2:
         raise DomainError("window holds too few packing centers")
     tree = cKDTree(np.column_stack([sx, sy]))
@@ -336,11 +326,8 @@ def mass_transport_check(
         if todo.size:
             xs[todo], ys[todo] = _ball_points(window, rng, todo.size)
 
-    # the owners are centers of the packing: no vertex check is needed
+    # a disk lies in its own cell: d(p, q) >= d(s, q) - d(s, p) >= rho
     sites, inverse = np.unique(owner, return_inverse=True)
-    fractions = np.empty(sites.size)
-    for k, j in enumerate(sites):
-        cell = packing_cell(packing, HPoint(sx[j], sy[j]))
-        frac = _cell_fraction(packing, cell)
-        fractions[k] = tile_density(packing, cell, plan).fraction if frac is None else frac
+    cells = (packing_cell(packing, HPoint(sx[j], sy[j])) for j in sites)
+    fractions = np.array([cell_relative_density(cell, rho) for cell in cells])
     return float(np.mean(fractions[inverse]))

@@ -225,6 +225,16 @@ def nearest_sites(tree, xs, ys, k: int):
     return idx, cd
 
 
+def mobius_xy(a, b, c, d, xs, ys):
+    """z -> (a z + b) / (c z + d), ad - bc = 1, on coordinates; a..d are
+    scalars or one per point. |c z + d|^2 is summed from two squares:
+    expanded, it cancels near the pole z = -d/c."""
+    cd = c * xs + d
+    cy = c * ys
+    den = cd * cd + cy * cy
+    return ((a * xs + b) * cd + a * c * ys * ys) / den, ys / den
+
+
 class Isometry:
     """Normalized real Mobius transformation of the half-plane."""
 
@@ -288,13 +298,8 @@ class Isometry:
 
     def apply_xy(self, xs, ys):
         """Vectorized action on coordinate arrays (safe-range heights only)."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        cd = self.c * xs + self.d
-        den = cd * cd + (self.c * ys) ** 2
-        nx = ((self.a * xs + self.b) * cd + self.a * self.c * ys * ys) / den
-        ny = ys / den
-        return nx, ny
+        return mobius_xy(self.a, self.b, self.c, self.d,
+                         np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
 
     def __repr__(self):
         return f"Isometry({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -303,16 +308,13 @@ class Isometry:
 def apply(g: Isometry, p: HPoint) -> HPoint:
     """Image of p under g, staying accurate at extreme heights."""
     if not p.is_extreme():
-        x, y = p.x, p.y
-        cd = g.c * x + g.d
-        den = cd * cd + (g.c * y) ** 2
-        if den > 0.0 and math.isfinite(den):
-            ny = y / den
+        with np.errstate(all="ignore"):
+            nx, ny = mobius_xy(g.a, g.b, g.c, g.d, np.float64(p.x), np.float64(p.y))
+        if 0.0 < ny < math.inf:
             if ny < _MIN_IMAGE_Y:
                 raise RangeError(f"image height {ny:.3e} is below {_MIN_IMAGE_Y:g}")
-            nx = ((g.a * x + g.b) * cd + g.a * g.c * y * y) / den
             return HPoint(nx, ny)
-        # fall through to the log-domain branch on overflow
+        # fall through to the log-domain branch where |cz + d|^2 over- or underflows
     if g.c == 0.0:
         # affine map z -> a^2 z + a b (normalized, so d = 1/a)
         scale = 2.0 * math.log(abs(g.a))

@@ -32,6 +32,7 @@ from .hgeom import (
     apply,
     ball_area,
     cosh_distance_xy,
+    mobius_xy,
     nearest_sites,
 )
 from .regions import Region, SamplePlan, StripeRegion, _box_area_in_ball, quad_black_fraction
@@ -310,6 +311,7 @@ class FundamentalDomain:
 # the chamber; the cap guards against roundoff cycling a point.
 _MAX_SWEEPS = 10_000
 _FOLD_BLOCK = 1 << 14  # points per block of the fold, which bounds its temporaries
+_MAX_REFOLDS = 4  # one refold settles every window center floats can carry
 
 
 class TightPacking(Packing):
@@ -321,9 +323,10 @@ class TightPacking(Packing):
     sweep turns a point about (0, 1) by the multiple of 2 pi/m nearest
     straight up, mirrors it into x >= 0 and, if it lies outside that
     circle, inverts it, which starts another sweep. A point is covered
-    iff its folded image lies within r_m of (0, 1). Window queries fold
-    the window's center, take the vertices of a cached neighbourhood of
-    (0, 1) in the folded window and carry them back by the sweeps.
+    iff its folded image lies within r_m of (0, 1). Window queries carry
+    the window's center near (0, 1) by one isometry g (see _home), take
+    the vertices of a cached neighbourhood of (0, 1) in the moved window
+    and carry them back by g^-1.
 
     The neighbourhood is generated ring by ring from the layered structure
     of the {3,m} triangulation (Dunham, Lindgren and Witte, 1981), which
@@ -332,9 +335,10 @@ class TightPacking(Packing):
     it with ln 2 of headroom, which about doubles the vertex count, so
     generation is amortized linear in the vertices finally held. A window
     whose neighbourhood would exceed two million vertices raises
-    RangeError. Folding moves a point around circles about (0, 1), on
-    which half-plane coordinates resolve distances to about
-    1e-16 e^{d(p, (0, 1))}.
+    RangeError. Window gaps are exact to 2e-14 about (x, y) with |x| <= y,
+    and windows sit in place, out to |log y| = 60 for m = 7 and 95 for
+    m = 8 and 12; beyond, each is right or raises RangeError, and all
+    raise by 80 and 110. Off that axis, gaps lose about 1e-14 |x| / y.
     """
 
     def __init__(self, m: int):
@@ -356,18 +360,6 @@ class TightPacking(Packing):
 
     # -- the fold ------------------------------------------------------------
 
-    def _turn(self, x, y, k):
-        """Turn points about (0, 1) by -2 pi k / m.
-
-        The turn is z -> (c z - s) / (s z + c) with c, s = cos, sin(pi k / m).
-        Its denominator |s z + c|^2 is summed from two squares: expanded,
-        it cancels near the pole z = -c/s.
-        """
-        s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
-        p = s * x + c
-        den = p * p + (s * y) ** 2
-        return ((c * x - s) * p + c * s * y * y) / den, y / den
-
     def _sweep(self, x, y, steps):
         """Turn points into the sector straight up from (0, 1), mirror them
         into x >= 0 and invert those outside |z| = e^{r_m}.
@@ -378,7 +370,9 @@ class TightPacking(Packing):
         # the angle about (0, 1) from straight up is arg (z - i) / (z + i)
         angle = np.arctan2(-2.0 * x, x * x + y * y - 1.0)
         k = np.rint(angle * (self.m / (2.0 * math.pi))).astype(np.intp)
-        x, y = self._turn(x, y, k)
+        # the turn by -2 pi k / m is z -> (c z - s) / (s z + c)
+        s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
+        x, y = mobius_xy(c, -s, s, c, x, y)
         mirrored = steps is not None and bool(x[0] < 0.0)
         x = np.abs(x)
         q = x * x + y * y
@@ -414,6 +408,34 @@ class TightPacking(Packing):
             else:
                 raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
         return x, y, q
+
+    def _home(self, p: HPoint):
+        """An Isometry g of the packing with g(p) near (0, 1), and g(p).
+
+        With sigma z = -conj(z) the mirror, a sweep's turn is (c, -s; s, c)
+        and its inversion sigma (0, -e^{2 r_m}; 1, 0); moved past a sigma, a
+        map (a, b; c, d) becomes (a, -b; -c, d), so the sweeps compose to
+        sigma^flip g. A float g is an exact isometry of a nearby group
+        element, while the folded point is off by about 1e-16 e^{d(p, (0, 1))},
+        so g(p) is folded again until it folds without an inversion."""
+        g, x, y = Isometry.identity(), p.x, p.y
+        try:
+            for _ in range(_MAX_REFOLDS):
+                steps: list[tuple[int, bool, bool]] = []
+                self._fold([x], [y], steps)
+                if not any(inverted for _, _, inverted in steps):
+                    return g, x, y
+                flip = False
+                for k, mirrored, inverted in steps:
+                    c, s = self._cos[k % self.m], self._sin[k % self.m] * (-1.0 if flip else 1.0)
+                    g = Isometry(c, -s, s, c) @ g
+                    if inverted:
+                        g = Isometry(0.0, -self._e2r, 1.0, 0.0) @ g
+                    flip ^= mirrored ^ inverted
+                (x,), (y,) = g.apply_xy([p.x], [p.y])
+        except DomainError as exc:
+            raise RangeError("floats cannot carry a window this far out home") from exc
+        raise RangeError(f"a window center did not settle in {_MAX_REFOLDS} folds")
 
     # -- the neighbourhood of (0, 1) -------------------------------------------
 
@@ -455,26 +477,17 @@ class TightPacking(Packing):
     # -- queries -------------------------------------------------------------
 
     def _centers(self, ball: BallSpec):
-        """Coordinates of the vertices in the closed ball."""
-        steps: list[tuple[int, bool, bool]] = []
-        cx, cy, _ = self._fold([ball.center.x], [ball.center.y], steps)
-        cd = float(cosh_distance_xy(cx[0], cy[0], 0.0, 1.0))
+        """Coordinates of the vertices in the closed ball, carried by _home."""
+        g, cx, cy = self._home(ball.center)
+        cd = float(cosh_distance_xy(cx, cy, 0.0, 1.0))
         reach = math.acosh(max(cd, 1.0)) + ball.radius + 1e-9
         if reach > self._cap_radius:
             raise _too_many_disks(ball.radius)
         if reach > self._reach:
             self._grow(min(reach + math.log(2.0), self._cap_radius))
         z = self._z[: np.searchsorted(self._cd, math.cosh(reach), side="right")]
-        near = cosh_distance_xy(z.real, z.imag, cx[0], cy[0]) <= math.cosh(ball.radius)
-        x, y = z.real[near], z.imag[near]
-        for k, mirrored, inverted in reversed(steps):
-            if inverted:
-                s = self._e2r / (x * x + y * y)
-                x, y = s * x, s * y
-            if mirrored:
-                x = -x
-            x, y = self._turn(x, y, -k)
-        return x, y
+        near = cosh_distance_xy(z.real, z.imag, cx, cy) <= math.cosh(ball.radius)
+        return g.inverse().apply_xy(z.real[near], z.imag[near])
 
     def covers(self, p: HPoint) -> bool:
         return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])

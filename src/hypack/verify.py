@@ -67,9 +67,8 @@ def _a1(bias):
     formula = tight_density_formula(7) + bias
     domain = packing.fundamental_domain
     dual = domain.covered_area() / domain.area()
-    region = PolygonRegion(domain.polygon)
-    xs, ys = region.sample_uniform(SamplePlan(seed=101, n=1_000_000))
-    mc = float(np.mean(packing.covers_xy(xs, ys)))
+    mc = tile_density(packing, PolygonRegion(domain.polygon),
+                      SamplePlan(seed=101, n=1_000_000)).fraction
     elapsed = time.perf_counter() - t0
     ok_lit = abs(formula - TIGHT_DENSITY_LITERAL) <= 5e-5
     ok_dual = abs(formula - dual) <= 1e-12

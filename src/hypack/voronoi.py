@@ -37,10 +37,6 @@ from .hgeom import (
 from .packings import _disk_radius
 from .regions import PolygonRegion
 
-# packing_cell takes the centers within this many disk spacings of its site
-_WINDOW_SPACINGS = 4.0
-
-
 @dataclass(frozen=True)
 class VoronoiCell:
     """One bounded Dirichlet cell: site, polygon, and the sites sharing an edge."""
@@ -121,24 +117,26 @@ def dirichlet_cell(xs, ys, i: int) -> VoronoiCell:
 
 
 def packing_cell(packing, site: HPoint) -> VoronoiCell:
-    """Dirichlet cell of one disk center of a disk packing.
-
-    The sites are the packing's centers within four disk spacings of the
-    site; the given site must coincide with one of them. Regions raise
-    UnsupportedOperationError.
+    """Dirichlet cell of one disk center of a disk packing, among the
+    centers of a window about it. A center that cut the cell at a vertex v
+    lies nearer v than the site, so within 2 d(site, v) of it: the window,
+    two disk spacings at first, doubles until it holds that reach. Regions
+    raise UnsupportedOperationError.
     """
-    spacing = 2.0 * _disk_radius(packing)
-    sx, sy = packing._centers(BallSpec(site, _WINDOW_SPACINGS * spacing))
-    if not sx.size:
-        raise DomainError("no packing centers near the requested site")
-    # sinh^2(d / 2) = (cosh d - 1) / 2, formed without cancellation
-    half = ((sx - site.x) ** 2 + (sy - site.y) ** 2) / (4.0 * sy * site.y)
-    idx = int(np.argmin(half))
-    if 2.0 * math.asinh(math.sqrt(half[idx])) > 1e-9:
-        raise DomainError(
-            f"point ({site.x:g}, {site.y:g}) is not a center of the packing"
-        )
-    return dirichlet_cell(sx, sy, idx)
+    radius = 4.0 * _disk_radius(packing)
+    while True:
+        sx, sy = packing._centers(BallSpec(site, radius))
+        # sinh^2(d / 2) = (cosh d - 1) / 2, formed without cancellation
+        half = ((sx - site.x) ** 2 + (sy - site.y) ** 2) / (4.0 * sy * site.y)
+        if not sx.size or 2.0 * math.asinh(math.sqrt(half.min())) > 1e-9:
+            raise DomainError(f"point ({site.x:g}, {site.y:g}) is not a center of the packing")
+        try:
+            cell = dirichlet_cell(sx, sy, int(np.argmin(half)))
+            if 2.0 * max(distance(cell.site, v) for v in cell.polygon.vertices) <= radius:
+                return cell
+        except UnboundedCellError:
+            pass
+        radius *= 2.0
 
 
 def cell_relative_density(cell: VoronoiCell, rho: float) -> float:

@@ -20,6 +20,9 @@ independent oracles:
 - ``WallFoldTightPacking``, a tight packing that folds points into its
   chamber by reflecting them across one chamber wall at a time, and
   carries window vertices back by the word of walls crossed;
+- ``ReplayTightPacking``, a tight packing that carries window vertices
+  back by replaying each sweep of the center's fold, inversion, mirror
+  and turn, on every vertex;
 - ``nearest_site``, the hyperbolically nearest site of one point and the
   margin to the second, by Euclidean disk queries of growing radius, and
   ``transport_loop``, the mass-transport mean that places its samples
@@ -467,6 +470,42 @@ class WallFoldTightPacking(TightPacking):
         x, y = self._wall_fold(xs, ys)
         cd = cosh_distance_xy(x, y, 0.0, 1.0)
         return (cd <= math.cosh(self.disk_radius)).reshape(np.shape(xs))
+
+
+class ReplayTightPacking(TightPacking):
+    """TightPacking that carries window vertices back sweep by sweep.
+
+    Each sweep of the window center's fold is undone on every vertex, last
+    sweep first: the inversion, the mirror, then the turn back, so every
+    vertex picks up the roundoff of every sweep.
+    """
+
+    def _turn(self, x, y, k):
+        """Turn points about (0, 1) by -2 pi k / m: z -> (c z - s) / (s z + c)."""
+        s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
+        p = s * x + c
+        den = p * p + (s * y) ** 2
+        return ((c * x - s) * p + c * s * y * y) / den, y / den
+
+    def _centers(self, ball: BallSpec):
+        """Coordinates of the vertices in the closed ball."""
+        steps: list[tuple[int, bool, bool]] = []
+        cx, cy, _ = self._fold([ball.center.x], [ball.center.y], steps)
+        cd = float(cosh_distance_xy(cx[0], cy[0], 0.0, 1.0))
+        reach = math.acosh(max(cd, 1.0)) + ball.radius + 1e-9
+        if reach > self._reach:
+            self._grow(reach + math.log(2.0))
+        z = self._z[: np.searchsorted(self._cd, math.cosh(reach), side="right")]
+        near = cosh_distance_xy(z.real, z.imag, cx[0], cy[0]) <= math.cosh(ball.radius)
+        x, y = z.real[near], z.imag[near]
+        for k, mirrored, inverted in reversed(steps):
+            if inverted:
+                s = self._e2r / (x * x + y * y)
+                x, y = s * x, s * y
+            if mirrored:
+                x = -x
+            x, y = self._turn(x, y, -k)
+        return x, y
 
 
 # ---------------------------------------------------------------- mass transport

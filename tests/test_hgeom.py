@@ -178,6 +178,23 @@ def test_apply_xy_matches_pointwise():
         assert abs(ny[i] - img.y) < 1e-10 * max(1.0, img.y)
 
 
+def test_apply_and_apply_xy_agree_bit_for_bit():
+    # one float expression in both: a float's ** 2 is pow, which rounded
+    # this point's squared c y one unit off the product numpy forms
+    g = Isometry.dilation(math.exp(209.04673344530693)) @ Isometry.rotation(5.164633286483477)
+    cases = [(g, -1.1706757972145567, 0.4048659043405369)]
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for _ in range(2000):
+        g = (Isometry.dilation(math.exp(rng.uniform(-300.0, 300.0)))
+             @ Isometry.translation(rng.uniform(-5.0, 5.0))
+             @ Isometry.rotation(rng.uniform(0.0, 2.0 * math.pi)))
+        cases.append((g, rng.uniform(-3.0, 3.0), math.exp(rng.uniform(-3.0, 3.0))))
+    for g, x, y in cases:
+        img = apply(g, HPoint(x, y))
+        (nx,), (ny,) = g.apply_xy([x], [y])
+        assert (img.x, img.y) == (nx, ny)
+
+
 # ---------------------------------------------------------------- disks
 
 def test_disk_euclid_form_identity_and_roundtrip():

@@ -34,7 +34,13 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
-from oracles import DedupTightPacking, WallFoldTightPacking, all_pairs_min_gap, window_centers
+from oracles import (
+    DedupTightPacking,
+    ReplayTightPacking,
+    WallFoldTightPacking,
+    all_pairs_min_gap,
+    window_centers,
+)
 
 SEED = 40917
 
@@ -625,6 +631,92 @@ def test_sector_fold_windows_match_wall_fold(m, log_y, d, theta, radius):
     if got.size:
         assert _nearest_gap(got, want).max() <= tol
         assert _nearest_gap(want, got).max() <= tol
+
+
+# ---------------------------------------------------------------- composed windows
+# A window is carried home by one isometry composed from the center's
+# sweeps; the replay it replaced undid every sweep on every vertex, so
+# each vertex picked up the fold's roundoff, about 1e-16 e^d with d the
+# center's distance to (0, 1), and the gaps between vertices with it.
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(7, 12),
+    d=st.floats(0.0, 10.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    radius=st.floats(0.5, 4.0),
+)
+def test_composed_windows_match_replay(m, d, theta, radius):
+    (cx,), (cy,) = polar_xy(0.0, 1.0, d, np.array([theta]))
+    ball = BallSpec(HPoint(cx, cy), radius)
+    tol = 1e-12 * math.exp(d)
+    windows = []
+    for packing in (TightPacking(m), ReplayTightPacking(m)):
+        x, y = packing._centers(ball)
+        # a vertex within tol of the window's rim may fall either way
+        rim = np.arccosh(np.maximum(cosh_distance_xy(x, y, cx, cy), 1.0))
+        firm = np.abs(rim - radius) > tol
+        windows.append(x[firm] + 1j * y[firm])
+    got, want = windows
+    assert got.size == want.size
+    if got.size:
+        assert _nearest_gap(got, want).max() <= tol
+        assert _nearest_gap(want, got).max() <= tol
+
+
+def _assert_window_in_place(packing, ball):
+    """The window's disks do not overlap, its centers lie in the ball, and
+    every center 2 r_m inside the rim has its m neighbours in the window."""
+    x, y = packing._centers(ball)
+    r = packing.disk_radius
+    assert pairwise_min_gap([HDisk(HPoint(a, b), r) for a, b in zip(x, y)]) >= -1e-9
+    c = ball.center
+    d = np.arccosh(np.maximum(cosh_distance_xy(x, y, c.x, c.y), 1.0))
+    assert (d <= ball.radius + 1e-9).all()
+    for i in np.flatnonzero(d <= ball.radius - 2.0 * r - 1e-6):
+        e = np.arccosh(np.maximum(cosh_distance_xy(x, y, x[i], y[i]), 1.0))
+        assert np.count_nonzero(np.abs(e - 2.0 * r) <= 1e-9) == packing.m
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(7, 12),
+    u=st.floats(-1.0, 1.0),
+    log_y=st.floats(-50.0, 50.0),
+    radius=st.floats(0.5, 4.0),
+)
+# the replay's gap here was -2.1e-9; at log-height 40 its vertices lay up
+# to 5 past the ball
+@example(m=7, u=0.0, log_y=14.0, radius=4.0)
+@example(m=7, u=0.5, log_y=40.0, radius=3.0)
+def test_far_tight_windows_are_admissible_and_in_place(m, u, log_y, radius):
+    _assert_window_in_place(
+        TightPacking(m), BallSpec(HPoint.from_log(u * math.exp(log_y), log_y), radius))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(7, 12),
+    u=st.floats(-1.0, 1.0),
+    log_y=st.floats(50.0, 200.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    radius=st.floats(0.5, 4.0),
+)
+def test_windows_past_float_reach_are_right_or_raise(m, u, log_y, sign, radius):
+    ball = BallSpec(HPoint.from_log(u * math.exp(sign * log_y), sign * log_y), radius)
+    try:
+        _assert_window_in_place(TightPacking(m), ball)
+    except RangeError:
+        pass
+
+
+@pytest.mark.parametrize("log_y", [-200.0, 200.0])
+def test_window_beyond_the_composed_isometry_raises(log_y):
+    # floats cannot form the isometry that carries this window home; the
+    # replay returned overlapping disks here (gap -1.09)
+    with pytest.raises(RangeError):
+        TightPacking(7).bodies_in_ball(BallSpec(HPoint.from_log(0.0, log_y), 2.0))
 
 
 @pytest.mark.parametrize("m", range(7, 13))

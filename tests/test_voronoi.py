@@ -464,3 +464,20 @@ def test_boroczky_cell_agrees_with_nearest_site_ownership():
     clear = np.abs(owned) > 1e-7
     assert inside.any() and (~inside).any()
     assert np.array_equal(inside[clear], owned[clear] > 0.0)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.25, 0.26, 0.27, 0.28, 0.3])
+def test_small_boroczky_cells_match_a_wide_window(rho):
+    # a window of fixed disk spacings is too short for small disks: the
+    # cell grows its window until it reaches twice the farthest vertex
+    bp = BoroczkyPacking(rho)
+    sx, sy = bp._centers(BallSpec(ORIGIN, 3.0))
+    assert sx.size == 24
+    for x, y in zip(sx, sy):
+        site = HPoint(x, y)
+        wx, wy = bp._centers(BallSpec(site, 5.0))
+        want = dirichlet_cell(wx, wy, int(np.argmin((wx - x) ** 2 + (wy - y) ** 2)))
+        # the oracle's window holds every center within 5 of the site,
+        # twice its cell's farthest vertex and more
+        assert 2.0 * max(distance(site, v) for v in want.polygon.vertices) <= 5.0
+        assert abs(packing_cell(bp, site).area() - want.area()) <= 1e-12
