@@ -30,6 +30,7 @@ from .regions import (
     AreaEstimate,
     SamplePlan,
     _ball_points,
+    _estimate,
     annulus_fraction_euclid,
     mc_area_fraction,
     sample_ball_uniform,
@@ -207,15 +208,18 @@ def fundamental_domain_density(packing) -> float:
 
 
 def _resolve_tile(tile):
-    """Normalize a tile argument to (region-with-sampler, exact area)."""
+    """Normalize a tile argument to (region with a block sampler, exact area).
+
+    The block sampler is the region's _points(u, v), the block map behind
+    its sample_uniform.
+    """
     if isinstance(tile, BrickTile):
         return brick_region(tile), tile.area()
     if isinstance(tile, VoronoiCell):
         region = tile.region()
         return region, tile.area()
     area_fn = getattr(tile, "area", None)
-    sampler = getattr(tile, "sample_uniform", None)
-    if area_fn is None or sampler is None:
+    if area_fn is None or not hasattr(tile, "_points"):
         raise UnsupportedOperationError(
             f"{type(tile).__name__} supports neither exact area nor sampling"
         )
@@ -238,8 +242,7 @@ def tile_density(packing, tile, plan: SamplePlan) -> AreaEstimate:
             frac = cell_relative_density(tile, packing.disk_radius)
             return AreaEstimate(frac, 0.0, 0, "closed-form")
 
-    xs, ys = region.sample_uniform(plan)
-    return AreaEstimate.monte_carlo(packing.covers_xy(xs, ys))
+    return _estimate(packing, region._points, plan)
 
 
 def annulus_density_curve(exponents) -> DensityCurve:
@@ -283,13 +286,13 @@ class EuclidDiskLattice:
 
 def euclid_window_density(packing, side: float, plan: SamplePlan) -> AreaEstimate:
     """Covered fraction of the axis-aligned square of the given side at the
-    origin, under a Euclidean packing. Converges as the side grows."""
+    origin, under a Euclidean packing. Converges as the side grows.
+
+    Point i has x from draw i of the plan's first stream and y from draw i
+    of its second (see regions._uniform_blocks)."""
     if not (side > 0.0) or not math.isfinite(side):
         raise DomainError(f"window side must be positive, got {side}")
-    rng = np.random.Generator(np.random.Philox(plan.seed))
-    xs = (rng.random(plan.n) - 0.5) * side
-    ys = (rng.random(plan.n) - 0.5) * side
-    return AreaEstimate.monte_carlo(packing.covers_xy(xs, ys))
+    return _estimate(packing, lambda u, v: ((u - 0.5) * side, (v - 0.5) * side), plan)
 
 
 def mass_transport_check(
@@ -324,7 +327,8 @@ def mass_transport_check(
         owner[todo[clear]] = idx[clear, 0]
         todo = todo[~clear]
         if todo.size:
-            xs[todo], ys[todo] = _ball_points(window, rng, todo.size)
+            u, v = rng.random(todo.size), rng.random(todo.size)
+            xs[todo], ys[todo] = _ball_points(window, u, v)
 
     # a disk lies in its own cell: d(p, q) >= d(s, q) - d(s, p) >= rho
     sites, inverse = np.unique(owner, return_inverse=True)

@@ -35,7 +35,14 @@ from .hgeom import (
     mobius_xy,
     nearest_sites,
 )
-from .regions import Region, SamplePlan, StripeRegion, _box_area_in_ball, quad_black_fraction
+from .regions import (
+    Region,
+    SamplePlan,
+    StripeRegion,
+    _box_area_in_ball,
+    _fill,
+    quad_black_fraction,
+)
 
 
 # --------------------------------------------------------------------------
@@ -396,18 +403,14 @@ class TightPacking(Packing):
         if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
             raise DomainError("half-plane points need finite x and finite y > 0")
         q = np.empty_like(x)
-        for start in range(0, x.size, _FOLD_BLOCK):
-            live = np.arange(start, min(start + _FOLD_BLOCK, x.size))
-            lx, ly = x[live], y[live]
-            for _ in range(_MAX_SWEEPS):
-                lx, ly, lq, inv = self._sweep(lx, ly, steps)
-                x[live], y[live], q[live] = lx, ly, lq
-                live, lx, ly = live[inv], lx[inv], ly[inv]
-                if not live.size:
-                    break
-            else:
-                raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
-        return x, y, q
+        live, lx, ly = np.arange(x.size), x, y
+        for _ in range(_MAX_SWEEPS):
+            lx, ly, lq, inv = self._sweep(lx, ly, steps)
+            x[live], y[live], q[live] = lx, ly, lq
+            live, lx, ly = live[inv], lx[inv], ly[inv]
+            if not live.size:
+                return x, y, q
+        raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
 
     def _home(self, p: HPoint):
         """An Isometry g of the packing with g(p) near (0, 1), and g(p).
@@ -493,11 +496,19 @@ class TightPacking(Packing):
         return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])
 
     def covers_xy(self, xs, ys):
-        _, y, q = self._fold(xs, ys)
-        # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y), compared in place
-        q += 1.0
-        y *= 2.0 * math.cosh(self.disk_radius)
-        return (q <= y).reshape(np.shape(xs))
+        """Whether each point's folded image lies within r_m of (0, 1),
+        folded and compared one _FOLD_BLOCK of points at a time."""
+        xs = np.asarray(xs, dtype=float)
+        x, y = xs.ravel(), np.asarray(ys, dtype=float).ravel()
+        out = np.empty(x.size, dtype=bool)
+        scale = 2.0 * math.cosh(self.disk_radius)
+        for lo in range(0, x.size, _FOLD_BLOCK):
+            _, fy, q = self._fold(x[lo : lo + _FOLD_BLOCK], y[lo : lo + _FOLD_BLOCK])
+            # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y), compared in place
+            q += 1.0
+            fy *= scale
+            np.less_equal(q, fy, out=out[lo : lo + q.size])
+        return out.reshape(xs.shape)
 
     @property
     def fundamental_domain(self) -> FundamentalDomain:
@@ -645,11 +656,16 @@ class BrickRegion(Region):
         return _box_area_in_ball(ball.radius, ball.center, xa, xb, t.log_s, t.log_s + 2.0)
 
     def sample_uniform(self, plan: SamplePlan):
-        """Area-uniform sample of the brick: x uniform, 1/y^2 in height."""
+        """Area-uniform sample of the brick: x uniform, 1/y^2 in height.
+
+        Point i is _points of draw i of the plan's first stream (the
+        height) and of its second (x); see regions._uniform_blocks.
+        """
+        return _fill(self._points, plan)
+
+    def _points(self, u, v):
+        """Area-uniform points of the brick from two uniform blocks."""
         t = self.tile
-        rng = np.random.Generator(np.random.Philox(plan.seed))
-        u = rng.random(plan.n)
-        v = rng.random(plan.n)
         ys = t.s / (1.0 - u * (1.0 - math.exp(-2.0)))
         xa, xb = t.x_bounds
         xs = xa + v * (xb - xa)

@@ -6,6 +6,14 @@ annulus fractions. Every sampler is driven by a counter-based generator
 keyed on the plan seed, so identical plans give identical output
 regardless of platform or call order.
 
+Monte Carlo works in blocks of at most _BLOCK points, so its memory is
+bounded by the block, not by the sample count. A plan has two uniform
+streams, u and v: u is the first n draws of Philox(seed) and v the next
+n, as two rng.random(n) calls would give them. Each sampler is a block
+map from a (u, v) block to points; the public samplers fill their
+outputs block by block, and estimates count the covered points of each
+block.
+
 Stripes, half-planes and bricks are all boxes {xa <= x < xb,
 la <= log y < lb}, with some edges at infinity, and a hyperbolic ball is
 a Euclidean disk. One quadrature, _box_area_in_ball, measures a box
@@ -19,6 +27,7 @@ exactly, triangle by triangle of a fan, with no rejection.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,11 +65,10 @@ class AreaEstimate:
     method: str
 
     @classmethod
-    def monte_carlo(cls, covered) -> "AreaEstimate":
-        """Covered fraction of uniform samples, with its binomial standard error."""
-        cov = np.asarray(covered, dtype=bool)
-        n = cov.size
-        frac = float(np.mean(cov))
+    def monte_carlo(cls, hits: int, n: int) -> "AreaEstimate":
+        """Covered fraction hits / n of n uniform samples, with its binomial
+        standard error."""
+        frac = hits / n
         return cls(frac, math.sqrt(frac * (1.0 - frac) / n), n, "mc")
 
 
@@ -152,15 +160,23 @@ class PolygonRegion(Region):
     def sample_uniform(self, plan: SamplePlan):
         """Exactly plan.n area-uniform points, placed without rejection.
 
+        Point i is _points of draw i of the plan's first stream (u) and of
+        its second (v); see _uniform_blocks.
+        """
+        return _fill(self._points, plan)
+
+    def _points(self, u, v):
+        """Area-uniform points of the polygon from two uniform blocks.
+
         The polygon is fanned from vertex 0 into the triangles (0, k, k+1).
         In the Poincare disk about vertex 0, where vertex k sits at b and
         vertex k+1 at c, triangle k has area D = 2 atan2(|b x c|, 1 - b.c).
-        One draw picks a triangle by cumulative area and the area u D of
+        The draw u picks a triangle by cumulative area and the area h D of
         the part (0, b, c') cut off along the edge from 0 to c, with
-        c' = q c / (|b x c| + q b.c) and q = tan(u D / 2), the disk form of
-        Arvo's T_s = q / (T_c (sin a + q cos a)). A second draw v places
-        the point on the geodesic from b to c' at the distance t from b
-        with cosh t = 1 + v (cosh |bc'| - 1).
+        c' = q c / (|b x c| + q b.c) and q = tan(h D / 2), the disk form of
+        Arvo's T_s = q / (T_c (sin a + q cos a)). The draw v places the
+        point on the geodesic from b to c' at the distance t from b with
+        cosh t = 1 + v (cosh |bc'| - 1).
         """
         base = self.polygon.vertices[0]
         x0, x1, x2 = self.polygon.lifted.T
@@ -171,15 +187,13 @@ class PolygonRegion(Region):
         half = np.arctan2(cross, 1.0 - dot)
         start = np.concatenate([[0.0], np.cumsum(half)[:-1]])
 
-        rng = np.random.Generator(np.random.Philox(plan.seed))
-        h = rng.random(plan.n) * (start[-1] + half[-1])
+        h = u * (start[-1] + half[-1])
         k = np.searchsorted(start, h, side="right") - 1
         q = np.tan(h - start[k])
         b, c = b[k], c[k]
         c = q * c / (cross[k] + q * dot[k])
         # the disk isometry taking b to 0 carries the geodesic from b to c'
         # to a diameter, along which tanh(t / 2) is the distance from 0
-        v = rng.random(plan.n)
         phi = (c - b) / (1.0 - b.conj() * c)
         rho2 = phi.real ** 2 + phi.imag ** 2
         z = phi * np.sqrt(v / (1.0 - rho2 * (1.0 - v)))
@@ -226,31 +240,68 @@ class AnnulusRegionEuclid:
     """
 
     def covers_xy(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        r = np.hypot(xs, ys)
-        out = np.zeros(len(xs), dtype=bool)
-        pos = r > 2.0
-        j = np.ceil(np.log2(r, where=pos, out=np.ones_like(r))).astype(np.int64)
-        out[pos] = j[pos] % 2 == 0
-        return out
+        r = np.hypot(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        # r <= 2 is white; there log2 is taken of 2 and discarded
+        return (r > 2.0) & (np.ceil(np.log2(np.maximum(r, 2.0))) % 2.0 == 0.0)
 
 
 # ------------------------------------------------------------- sampling
 
+_BLOCK = 1 << 16  # points per Monte Carlo block, which bounds its temporaries
+
+
+def _uniform_blocks(seed: int, n: int):
+    """The plan's two uniform streams, in blocks of at most _BLOCK draws.
+
+    Yields (u, v) blocks: u is draws [lo, lo + m) of Philox(seed) and v
+    draws [n + lo, n + lo + m), so the blocks put together equal a first
+    and a second rng.random(n) call. Philox makes four doubles per counter
+    step, so the second stream is Philox(seed) advanced by n // 4 steps,
+    with n % 4 doubles drawn and dropped.
+    """
+    first = np.random.Generator(np.random.Philox(seed))
+    bits = np.random.Philox(seed)
+    bits.advance(n // 4)
+    second = np.random.Generator(bits)
+    second.random(n % 4)
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        yield first.random(m), second.random(m)
+
+
+def _fill(points, plan: SamplePlan):
+    """The plan.n points of the block map points(u, v), as two arrays."""
+    xs, ys = np.empty(plan.n), np.empty(plan.n)
+    lo = 0
+    for u, v in _uniform_blocks(plan.seed, plan.n):
+        hi = lo + u.size
+        xs[lo:hi], ys[lo:hi] = points(u, v)
+        lo = hi
+    return xs, ys
+
+
+def _estimate(target, points, plan: SamplePlan) -> AreaEstimate:
+    """Covered fraction under target of the plan.n points of points(u, v),
+    counted block by block."""
+    hits = 0
+    for u, v in _uniform_blocks(plan.seed, plan.n):
+        hits += int(np.count_nonzero(target.covers_xy(*points(u, v))))
+    return AreaEstimate.monte_carlo(hits, plan.n)
+
+
 def sample_ball_uniform(ball: BallSpec, plan: SamplePlan):
     """Area-uniform points of the ball, via the radial inverse CDF.
 
-    The radius is drawn from arccosh(1 + u (cosh R - 1)); the direction is an
-    independent uniform angle.
+    Point i is _ball_points of draw i of the plan's first stream (the
+    radius) and of its second (the direction); see _uniform_blocks.
     """
-    rng = np.random.Generator(np.random.Philox(plan.seed))
-    return _ball_points(ball, rng, plan.n)
+    return _fill(functools.partial(_ball_points, ball), plan)
 
 
-def _ball_points(ball: BallSpec, rng, n: int):
-    u = rng.random(n)
-    theta = rng.random(n) * (2.0 * math.pi)
+def _ball_points(ball: BallSpec, u, v):
+    """Area-uniform points of the ball from two uniform blocks: radius
+    arccosh(1 + u (cosh R - 1)), independent direction 2 pi v."""
+    theta = v * (2.0 * math.pi)
     rho = np.arccosh(1.0 + u * (math.cosh(ball.radius) - 1.0))
     return polar_xy(ball.center.x, ball.center.y, rho, theta)
 
@@ -258,10 +309,10 @@ def _ball_points(ball: BallSpec, rng, n: int):
 def mc_area_fraction(target, ball: BallSpec, plan: SamplePlan) -> AreaEstimate:
     """Monte Carlo covered-area fraction of the ball under target.
 
-    target is anything with covers_xy (Region or packing).
+    target is anything with covers_xy (Region or packing). The points are
+    those of sample_ball_uniform, taken one block at a time.
     """
-    xs, ys = sample_ball_uniform(ball, plan)
-    return AreaEstimate.monte_carlo(target.covers_xy(xs, ys))
+    return _estimate(target, functools.partial(_ball_points, ball), plan)
 
 
 # ------------------------------------------------------------- quadrature

@@ -37,7 +37,12 @@ independent oracles:
   in chunks of the all-pairs distance matrix;
 - ``boundary_point`` and ``outline_element``, a disk's outline point by
   point, each the disk's top turned about its center by one rotation
-  isometry, and the SVG element drawn from 64 of them.
+  isometry, and the SVG element drawn from 64 of them;
+- the one-shot samplers ``ball_points``, ``ball_sample``,
+  ``polygon_sample``, ``brick_sample`` and ``euclid_window_sample``, which
+  draw all n points at once from one generator, and the estimators
+  ``mc_area_fraction``, ``tile_density`` and ``euclid_window_density``
+  that average the verdicts of all n points with ``np.mean``.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from scipy.spatial import cKDTree
 
-from hypack.density import tile_density
+from hypack import density
 from hypack.errors import DomainError, RangeError
 from hypack.hgeom import (
     ORIGIN,
@@ -73,7 +78,7 @@ from hypack.packings import (
 )
 from hypack.pspace import _boundary_ring
 from hypack.svg import _disk_element, _path
-from hypack.regions import PolygonRegion, SamplePlan, _ball_points, sample_ball_uniform
+from hypack.regions import AreaEstimate, PolygonRegion, SamplePlan, sample_ball_uniform
 from hypack.voronoi import packing_cell
 
 # two endpoint x's closer than this, relative to the points' size, make a
@@ -293,7 +298,7 @@ class ArcPolygonRegion:
         got = 0
         batch = max(4 * plan.n, 1024)
         while got < plan.n:
-            xs, ys = _ball_points(ball, rng, batch)
+            xs, ys = ball_points(ball, rng, batch)
             keep = self.covers_xy(xs, ys)
             xs_out.append(xs[keep])
             ys_out.append(ys[keep])
@@ -551,7 +556,7 @@ def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-
             if gap >= boundary_tol:
                 owner[k] = j
                 break
-            nx, ny = _ball_points(window, rng, 1)
+            nx, ny = ball_points(window, rng, 1)
             xs[k], ys[k] = float(nx[0]), float(ny[0])
 
     values = np.empty(plan.n)
@@ -560,7 +565,7 @@ def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-
         j = int(owner[k])
         if j not in cache:
             cell = packing_cell(packing, sites[j])
-            cache[j] = tile_density(packing, cell, plan).fraction
+            cache[j] = density.tile_density(packing, cell, plan).fraction
         values[k] = cache[j]
     return float(np.mean(values))
 
@@ -717,3 +722,86 @@ def outline_element(canvas, disk: HDisk, y_log: bool) -> str:
         f'<path class="body" d="{_path(pts)}" fill="#4477aa" '
         f'fill-opacity="0.55" stroke="#223355" stroke-width="0.8"/>\n'
     )
+
+
+# ---------------------------------------------------------------- one-shot Monte Carlo
+# Each sampler draws its first stream with one rng.random(n) call and its
+# second with another, and each estimator holds all n points and verdicts.
+
+
+def ball_points(ball: BallSpec, rng, n: int):
+    """n area-uniform points of the ball from the generator: n radii, then
+    n directions."""
+    u = rng.random(n)
+    theta = rng.random(n) * (2.0 * math.pi)
+    rho = np.arccosh(1.0 + u * (math.cosh(ball.radius) - 1.0))
+    return polar_xy(ball.center.x, ball.center.y, rho, theta)
+
+
+def ball_sample(ball: BallSpec, plan: SamplePlan):
+    return ball_points(ball, np.random.Generator(np.random.Philox(plan.seed)), plan.n)
+
+
+def polygon_sample(region: PolygonRegion, plan: SamplePlan):
+    """The fan sampler of PolygonRegion, all n points at once."""
+    base = region.polygon.vertices[0]
+    x0, x1, x2 = region.polygon.lifted.T
+    w = (x1 + 1j * x2) / (1.0 + x0)
+    b, c = w[1:-1], w[2:]
+    bc = b.conj() * c
+    cross, dot = np.abs(bc.imag), bc.real
+    half = np.arctan2(cross, 1.0 - dot)
+    start = np.concatenate([[0.0], np.cumsum(half)[:-1]])
+
+    rng = np.random.Generator(np.random.Philox(plan.seed))
+    h = rng.random(plan.n) * (start[-1] + half[-1])
+    k = np.searchsorted(start, h, side="right") - 1
+    q = np.tan(h - start[k])
+    b, c = b[k], c[k]
+    c = q * c / (cross[k] + q * dot[k])
+    v = rng.random(plan.n)
+    phi = (c - b) / (1.0 - b.conj() * c)
+    rho2 = phi.real ** 2 + phi.imag ** 2
+    z = phi * np.sqrt(v / (1.0 - rho2 * (1.0 - v)))
+    z = (z + b) / (1.0 + b.conj() * z)
+    z = (z + 1j) / (1.0 + 1j * z)
+    return base.x + base.y * z.real, base.y * z.imag
+
+
+def brick_sample(region, plan: SamplePlan):
+    """The brick sampler of BrickRegion, all n points at once."""
+    t = region.tile
+    rng = np.random.Generator(np.random.Philox(plan.seed))
+    u = rng.random(plan.n)
+    v = rng.random(plan.n)
+    ys = t.s / (1.0 - u * (1.0 - math.exp(-2.0)))
+    xa, xb = t.x_bounds
+    return xa + v * (xb - xa), ys
+
+
+def euclid_window_sample(side: float, plan: SamplePlan):
+    """Uniform points of the square of the given side about the origin."""
+    rng = np.random.Generator(np.random.Philox(plan.seed))
+    xs = (rng.random(plan.n) - 0.5) * side
+    ys = (rng.random(plan.n) - 0.5) * side
+    return xs, ys
+
+
+def _mean_estimate(covered) -> AreaEstimate:
+    cov = np.asarray(covered, dtype=bool)
+    frac = float(np.mean(cov))
+    return AreaEstimate(frac, math.sqrt(frac * (1.0 - frac) / cov.size), cov.size, "mc")
+
+
+def mc_area_fraction(target, ball: BallSpec, plan: SamplePlan) -> AreaEstimate:
+    return _mean_estimate(target.covers_xy(*ball_sample(ball, plan)))
+
+
+def tile_density(packing, region, plan: SamplePlan) -> AreaEstimate:
+    """Monte Carlo tile density over a PolygonRegion or BrickRegion."""
+    sample = polygon_sample if isinstance(region, PolygonRegion) else brick_sample
+    return _mean_estimate(packing.covers_xy(*sample(region, plan)))
+
+
+def euclid_window_density(packing, side: float, plan: SamplePlan) -> AreaEstimate:
+    return _mean_estimate(packing.covers_xy(*euclid_window_sample(side, plan)))

@@ -1,9 +1,11 @@
 """Density curves, limits, tile densities, and transport averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypack.density import (
     CSV_HEADER,
@@ -28,16 +30,20 @@ from hypack.packings import (
     StripeModel,
     TightPacking,
     TransformedPacking,
+    brick_region,
     tight_density_formula,
     tight_radius,
 )
 from hypack.regions import (
     HalfSpaceRegion,
+    PolygonRegion,
     SamplePlan,
     mc_area_fraction,
     quad_black_fraction,
+    sample_ball_uniform,
 )
 from hypack.voronoi import cell_relative_density, packing_cell
+import oracles
 from oracles import transport_loop
 
 SEED = 72051
@@ -202,7 +208,7 @@ def test_tile_density_zero_area_rejected(tight7):
         def area(self):
             return 0.0
 
-        def sample_uniform(self, plan):
+        def _points(self, u, v):
             raise AssertionError("should not sample a degenerate tile")
 
     with pytest.raises(DomainError):
@@ -308,3 +314,72 @@ def test_csv_output_shape():
         assert int(n) == 0
         assert method == "quadrature"
     assert curve.to_csv() == text
+
+
+# ---------------------------------------------------------------- streaming Monte Carlo
+# Samplers and estimators work in blocks of 2^16 points; the one-shot
+# oracles draw each stream with one rng.random(n) call. The second stream
+# starts n draws in, which is where a block source can go wrong: around
+# multiples of 4 (Philox makes four doubles per counter step) and around
+# the block edges.
+
+_STREAM_NS = [*range(1, 10), 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.sampled_from(_STREAM_NS) | st.integers(1, 64))
+def test_block_samplers_match_one_shot_draws(seed, n):
+    plan = SamplePlan(seed=seed, n=n)
+    ball = BallSpec(HPoint(0.3, 2.0), 3.0)
+    fd = PolygonRegion(TightPacking(7).fundamental_domain.polygon)
+    brick = brick_region(BrickTile(j=1, k=-2))
+    for got, want in (
+        (sample_ball_uniform(ball, plan), oracles.ball_sample(ball, plan)),
+        (fd.sample_uniform(plan), oracles.polygon_sample(fd, plan)),
+        (brick.sample_uniform(plan), oracles.brick_sample(brick, plan)),
+    ):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.sampled_from(_STREAM_NS) | st.integers(1, 64))
+def test_block_estimators_match_one_shot_estimates(seed, n, tight7):
+    plan = SamplePlan(seed=seed, n=n)
+    fd = PolygonRegion(tight7.fundamental_domain.polygon)
+    boro, brick = BoroczkyPacking(), BrickTile(family_offset=1.0)
+    lattice = EuclidDiskLattice()
+    ball = BallSpec(ORIGIN, 4.0)
+    for got, want in (
+        (mc_area_fraction(tight7, ball, plan), oracles.mc_area_fraction(tight7, ball, plan)),
+        (tile_density(tight7, fd, plan), oracles.tile_density(tight7, fd, plan)),
+        (tile_density(boro, brick, plan), oracles.tile_density(boro, brick_region(brick), plan)),
+        (euclid_window_density(lattice, 7.5, plan),
+         oracles.euclid_window_density(lattice, 7.5, plan)),
+    ):
+        assert (got.fraction, got.std_error, got.samples) == (
+            want.fraction, want.std_error, want.samples)
+
+
+def _traced_peak(run, n):
+    tracemalloc.start()
+    try:
+        run(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_is_bounded_by_the_block(tight7):
+    # A1's region and seed, and a ball estimate: the peak stays under a
+    # constant, and four times the points add no memory
+    fd = PolygonRegion(tight7.fundamental_domain.polygon)
+    ball = BallSpec(ORIGIN, 6.0)
+    runs = (
+        lambda n: tile_density(tight7, fd, SamplePlan(seed=101, n=n)),
+        lambda n: mc_area_fraction(tight7, ball, SamplePlan(seed=101, n=n)),
+    )
+    for run in runs:
+        run(10)
+        small, large = _traced_peak(run, 2**18), _traced_peak(run, 2**20)
+        assert large < 12e6
+        assert large <= small + 1e6

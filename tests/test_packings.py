@@ -607,13 +607,19 @@ def test_sector_fold_verdicts_match_wall_fold(m, log_y, d, theta):
     assert tp.covers(HPoint(xs[0], ys[0])) == bool(got[0])
 
 
+# Centers lie within 25 of (0, 1), where the slack 1e-12 e^d is under 0.08;
+# beyond about 29 it exceeds the window radius, so no vertex would be firm,
+# and the wall fold misplaces windows near 46-50. Far windows are checked
+# by test_far_tight_windows_are_admissible_and_in_place. Every ball of
+# radius 1.5 holds a vertex: the circumradius of the {3,m} triangle,
+# arccosh(cot(pi/3) cot(pi/m)), is at most 1.42 for m <= 12.
 @settings(max_examples=80, deadline=None)
 @given(
     m=st.integers(7, 12),
-    log_y=st.floats(-30.0, 30.0),
-    d=st.floats(0.0, 20.0),
+    log_y=st.floats(-12.5, 12.5),
+    d=st.floats(0.0, 12.5),
     theta=st.floats(0.0, 2.0 * math.pi),
-    radius=st.floats(0.5, 3.0),
+    radius=st.floats(1.5, 3.0),
 )
 def test_sector_fold_windows_match_wall_fold(m, log_y, d, theta, radius):
     (cx,), (cy,) = _spokes(log_y, d, theta, 1)
@@ -627,10 +633,9 @@ def test_sector_fold_windows_match_wall_fold(m, log_y, d, theta, radius):
         firm = np.abs(rim - radius) > tol
         windows.append(x[firm] + 1j * y[firm])
     got, want = windows
-    assert got.size == want.size
-    if got.size:
-        assert _nearest_gap(got, want).max() <= tol
-        assert _nearest_gap(want, got).max() <= tol
+    assert got.size == want.size > 0
+    assert _nearest_gap(got, want).max() <= tol
+    assert _nearest_gap(want, got).max() <= tol
 
 
 # ---------------------------------------------------------------- composed windows
@@ -756,8 +761,8 @@ def test_sector_fold_memory_is_blockwise():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the folded x, y and x^2 + y^2 and the verdicts, plus under 3 MB
-    assert peak < 25 * xs.size + 3e6
+    # the verdicts, plus under 3 MB
+    assert peak < xs.size + 3e6
 
 
 # ---------------------------------------------------------------- transformed

@@ -100,6 +100,26 @@ def test_mc_full_and_empty():
     assert EmptyRegion().covers_xy(xs, ys).shape == (2, 3)
 
 
+@pytest.mark.parametrize("region", [
+    FullPlane(),
+    EmptyRegion(),
+    HalfSpaceRegion(Geodesic.vertical(0.2)),
+    HalfSpaceRegion(Geodesic.circle(-1.0, 3.0), sign=-1),
+    StripeRegion(1.0),
+    PolygonRegion(TightPacking(7).fundamental_domain.polygon),
+    brick_region(BrickTile(j=-1)),
+    AnnulusRegionEuclid(),
+], ids=lambda region: type(region).__name__)
+def test_covers_xy_keeps_shape_and_agrees_with_scalars(region):
+    rng = np.random.default_rng(SEED + 9)
+    xs, ys = rng.uniform(-6.0, 6.0, (3, 40)), np.exp(rng.uniform(-3.0, 3.0, (3, 40)))
+    got = region.covers_xy(xs, ys)
+    assert got.shape == xs.shape
+    for x, y, want in zip(xs.ravel(), ys.ravel(), got.ravel()):
+        one = region.covers_xy(x, y)
+        assert np.shape(one) == () and bool(one) == want
+
+
 def test_plan_validation():
     with pytest.raises(DomainError):
         SamplePlan(seed=0, n=0)
