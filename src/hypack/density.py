@@ -23,6 +23,7 @@ from .hgeom import (
     HPoint,
     angle_of_parallelism,
     ball_area,
+    cosh_distance_xy,
     nearest_sites,
 )
 from .packings import BrickTile, TightPacking, _disk_radius, brick_region
@@ -35,7 +36,7 @@ from .regions import (
     mc_area_fraction,
     sample_ball_uniform,
 )
-from .voronoi import VoronoiCell, cell_relative_density, packing_cell
+from .voronoi import VoronoiCell, _site_cells, cell_relative_density
 
 CSV_HEADER = "radius,fraction,std_error,samples,method"
 
@@ -309,13 +310,33 @@ def mass_transport_check(
     per round, so the charge is well defined. For packings whose cells
     tile with one density this mean reproduces that density regardless
     of the window. Regions raise UnsupportedOperationError.
+
+    The owners' cells come from the one site array of the window, grown
+    by two disk spacings: about an owner at distance d from the window's
+    center it holds every center within window.radius + 4 rho - d, and a
+    cell is kept only where its certificate holds within that radius
+    (see voronoi._site_cells).
     """
     rho = _disk_radius(packing)
-    sx, sy = packing._centers(BallSpec(window.center, window.radius + 4.0 * rho))
+    reach = window.radius + 4.0 * rho
+    sx, sy = packing._centers(BallSpec(window.center, reach))
     if sx.size < 2:
         raise DomainError("window holds too few packing centers")
     tree = cKDTree(np.column_stack([sx, sy]))
+    owner = _owners(tree, window, plan, boundary_tol)
 
+    # a disk lies in its own cell: d(p, q) >= d(s, q) - d(s, p) >= rho
+    sites, inverse = np.unique(owner, return_inverse=True)
+    cd = cosh_distance_xy(sx[sites], sy[sites], window.center.x, window.center.y)
+    cells = _site_cells(packing, tree, sites, reach - np.arccosh(np.maximum(cd, 1.0)))
+    fractions = np.array([cell_relative_density(cell, rho) for cell in cells])
+    return float(np.mean(fractions[inverse]))
+
+
+def _owners(tree, window: BallSpec, plan: SamplePlan, boundary_tol: float):
+    """Tree index of the nearest site of each area-uniform point of the
+    window; points within boundary_tol of a cell wall are redrawn from
+    the Philox(plan.seed + 977) stream, one batch per round."""
     xs, ys = sample_ball_uniform(window, plan)
     rng = np.random.Generator(np.random.Philox(plan.seed + 977))
     owner = np.empty(plan.n, dtype=np.intp)
@@ -329,9 +350,4 @@ def mass_transport_check(
         if todo.size:
             u, v = rng.random(todo.size), rng.random(todo.size)
             xs[todo], ys[todo] = _ball_points(window, u, v)
-
-    # a disk lies in its own cell: d(p, q) >= d(s, q) - d(s, p) >= rho
-    sites, inverse = np.unique(owner, return_inverse=True)
-    cells = (packing_cell(packing, HPoint(sx[j], sy[j])) for j in sites)
-    fractions = np.array([cell_relative_density(cell, rho) for cell in cells])
-    return float(np.mean(fractions[inverse]))
+    return owner

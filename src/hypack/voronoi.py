@@ -31,6 +31,7 @@ from .hgeom import (
     GeodesicPolygon,
     HPoint,
     ball_area,
+    ball_hits,
     distance,
     hyperboloid_xy,
 )
@@ -63,6 +64,12 @@ def dirichlet_cell(xs, ys, i: int) -> VoronoiCell:
     Vertices are ordered by ascending angle about the site, and
     neighbor_sites are the sites whose bisector carries a cell edge.
     """
+    return _klein_cell(xs, ys, i)[0]
+
+
+def _klein_cell(xs, ys, i: int):
+    """dirichlet_cell, and the squared Klein radii |k|^2 of its vertices
+    about the site."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = xs.size
@@ -112,16 +119,27 @@ def dirichlet_cell(xs, ys, i: int) -> VoronoiCell:
     ang[ang > math.pi - 1e-12] -= 2.0 * math.pi
     vertices = [HPoint(vx[k], vy[k]) for k in np.argsort(ang)]
     neighbors = tuple(HPoint(ox[j], oy[j]) for j in hull.vertices)
-    return VoronoiCell(site=site, polygon=GeodesicPolygon(vertices),
+    cell = VoronoiCell(site=site, polygon=GeodesicPolygon(vertices),
                        neighbor_sites=neighbors)
+    return cell, kk
+
+
+def _certified(kk, radius) -> bool:
+    """Whether a cell is exact among sites that hold every center within
+    radius of its site, given the squared Klein radii kk of its vertices.
+
+    A center that cut the cell at a vertex v lies nearer v than the site,
+    so within 2 d(site, v) = 2 atanh|k| of the site: the cell is exact when
+    that reach is at most radius, that is when |k|^2 <= tanh^2(radius / 2).
+    """
+    return bool(kk.max() <= math.tanh(0.5 * radius) ** 2)
 
 
 def packing_cell(packing, site: HPoint) -> VoronoiCell:
     """Dirichlet cell of one disk center of a disk packing, among the
-    centers of a window about it. A center that cut the cell at a vertex v
-    lies nearer v than the site, so within 2 d(site, v) of it: the window,
-    two disk spacings at first, doubles until it holds that reach. Regions
-    raise UnsupportedOperationError.
+    centers of a window about it. The window, two disk spacings at first,
+    doubles until it reaches twice the cell's farthest vertex (_certified).
+    Regions raise UnsupportedOperationError.
     """
     radius = 4.0 * _disk_radius(packing)
     while True:
@@ -131,12 +149,48 @@ def packing_cell(packing, site: HPoint) -> VoronoiCell:
         if not sx.size or 2.0 * math.asinh(math.sqrt(half.min())) > 1e-9:
             raise DomainError(f"point ({site.x:g}, {site.y:g}) is not a center of the packing")
         try:
-            cell = dirichlet_cell(sx, sy, int(np.argmin(half)))
-            if 2.0 * max(distance(cell.site, v) for v in cell.polygon.vertices) <= radius:
+            cell, kk = _klein_cell(sx, sy, int(np.argmin(half)))
+            if _certified(kk, radius):
                 return cell
         except UnboundedCellError:
             pass
         radius *= 2.0
+
+
+def _site_cells(packing, tree, sites, complete):
+    """Dirichlet cells of the sites tree.data[sites] of a disk packing,
+    built from the sites of the KD-tree alone.
+
+    The tree must hold every center within complete[i] of site sites[i].
+    One ball_hits query gathers each site's centers within two disk
+    spacings, or within complete[i] if that is less. A cell that is not
+    _certified at that radius is redone at twice the radius, again capped
+    at complete[i]; one that fails at complete[i] is a packing_cell.
+    """
+    sx, sy = tree.data[:, 0], tree.data[:, 1]
+    cells = [None] * len(sites)
+    todo = np.arange(len(sites))
+    trial = 4.0 * _disk_radius(packing)
+    while todo.size:
+        j = sites[todo]
+        radius = np.minimum(trial, complete[todo])
+        counts, flat = ball_hits(tree, sx[j], sy[j], np.cosh(radius), np.sinh(radius))
+        retry = []
+        for t, hits, r in zip(todo, np.split(flat, np.cumsum(counts)[:-1]), radius):
+            try:
+                cell, kk = _klein_cell(sx[hits], sy[hits], int(np.flatnonzero(hits == sites[t])[0]))
+                if _certified(kk, r):
+                    cells[t] = cell
+                    continue
+            except UnboundedCellError:
+                pass
+            if r < complete[t]:
+                retry.append(t)
+            else:
+                cells[t] = packing_cell(packing, HPoint(sx[sites[t]], sy[sites[t]]))
+        todo = np.array(retry, dtype=np.intp)
+        trial *= 2.0
+    return cells
 
 
 def cell_relative_density(cell: VoronoiCell, rho: float) -> float:

@@ -25,8 +25,8 @@ independent oracles:
   and turn, on every vertex;
 - ``nearest_site``, the hyperbolically nearest site of one point and the
   margin to the second, by Euclidean disk queries of growing radius, and
-  ``transport_loop``, the mass-transport mean that places its samples
-  one at a time with it;
+  ``transport_loop``, the mass-transport mean and owners that it finds
+  placing the samples one at a time;
 - ``window_centers``, the disk centers of a packing in a ball, built one
   at a time: Boroczky centers disk by disk along each row, the centers of
   a moved packing by the scalar ``apply`` of each base center;
@@ -532,7 +532,9 @@ def nearest_site(tree, sx, sy, x, y, rho0):
 
 
 def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-9):
-    """Mean Dirichlet-cell density over area-uniform points of the window.
+    """Mean Dirichlet-cell density over area-uniform points of the window,
+    and each sample's owner: its nearest site's index among the centers
+    within two disk spacings of the window.
 
     Samples are placed one at a time; a sample within boundary_tol of a
     cell wall is replaced by one new point of the window at a time.
@@ -567,7 +569,7 @@ def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-
             cell = packing_cell(packing, sites[j])
             cache[j] = density.tile_density(packing, cell, plan).fraction
         values[k] = cache[j]
-    return float(np.mean(values))
+    return float(np.mean(values)), owner
 
 
 # ---------------------------------------------------------------- windows

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from hypack.density import (
     CSV_HEADER,
+    _owners,
     CurvePoint,
     DensityCurve,
     EuclidDiskLattice,
@@ -254,11 +256,25 @@ def test_mass_transport_reproduces_density(tight7):
     (ORIGIN, 7.0, SEED + 2),
 ])
 def test_mass_transport_matches_sample_loop(center, radius, seed):
-    # cell areas differ from cell to cell in the last bits, so the mean
-    # is bit-equal only when every sample finds the same owner
+    # every tight cell has one density, so the mean would hide a wrong
+    # owner in its last bits: the owners themselves must be equal
+    packing = TightPacking(7)
     window, plan = BallSpec(center, radius), SamplePlan(seed=seed, n=256)
-    got = mass_transport_check(TightPacking(7), window, plan)
-    assert got == transport_loop(TightPacking(7), window, plan)
+    want, want_owner = transport_loop(packing, window, plan)
+    sx, sy = packing._centers(BallSpec(center, radius + 4.0 * packing.disk_radius))
+    owner = _owners(cKDTree(np.column_stack([sx, sy])), window, plan, 1e-9)
+    assert np.array_equal(owner, want_owner)
+    assert abs(mass_transport_check(packing, window, plan) - want) <= 1e-14
+
+
+def test_mass_transport_folds_only_the_window_center(monkeypatch):
+    # the owners' cells come from the window's site array: the window
+    # query is the one fold home, with none per owner
+    homes = []
+    home = TightPacking._home
+    monkeypatch.setattr(TightPacking, "_home", lambda self, p: homes.append(p) or home(self, p))
+    mass_transport_check(TightPacking(7), BallSpec(ORIGIN, 7.0), SamplePlan(seed=SEED, n=256))
+    assert homes == [ORIGIN]
 
 
 def test_mass_transport_on_a_moved_packing(tight7):

@@ -587,11 +587,14 @@ def _slack(x, y):
     return 1e-12 * np.exp(np.arccosh(np.maximum(cosh_distance_xy(x, y, 0.0, 1.0), 1.0)))
 
 
+# Points lie within 25 of (0, 1), where the slack 1e-12 e^d is under 0.08;
+# beyond about 27 it exceeds every margin a folded point can have, so no
+# verdict would be firm.
 @settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(7, 12),
-    log_y=st.floats(-30.0, 30.0),
-    d=st.floats(0.0, 20.0),
+    log_y=st.floats(-12.5, 12.5),
+    d=st.floats(0.0, 12.5),
     theta=st.floats(0.0, 2.0 * math.pi),
 )
 def test_sector_fold_verdicts_match_wall_fold(m, log_y, d, theta):
@@ -603,6 +606,7 @@ def test_sector_fold_verdicts_match_wall_fold(m, log_y, d, theta):
     margin = np.abs(cosh_distance_xy(fx, fy, 0.0, 1.0) - math.cosh(tp.disk_radius))
     firm = margin > _slack(xs, ys)
     got, want = tp.covers_xy(xs, ys), oracle.covers_xy(xs, ys)
+    assert firm.any()
     assert np.array_equal(got[firm], want[firm])
     assert tp.covers(HPoint(xs[0], ys[0])) == bool(got[0])
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.spatial import cKDTree
 
 from hypack.errors import DomainError, UnboundedCellError, UnsupportedOperationError
 from hypack.hgeom import (
@@ -28,8 +29,10 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
+from hypack import voronoi
+from hypack.density import _owners
 from hypack.regions import HalfSpaceRegion, PolygonRegion, SamplePlan
-from hypack.voronoi import cell_relative_density, dirichlet_cell, packing_cell
+from hypack.voronoi import _site_cells, cell_relative_density, dirichlet_cell, packing_cell
 from oracles import geodesic_intersection, partition_audit, point_along
 
 SEED = 60112
@@ -481,3 +484,73 @@ def test_small_boroczky_cells_match_a_wide_window(rho):
         # twice its cell's farthest vertex and more
         assert 2.0 * max(distance(site, v) for v in want.polygon.vertices) <= 5.0
         assert abs(packing_cell(bp, site).area() - want.area()) <= 1e-12
+
+
+# ---------------------------------------------------------------- cells from one site array
+# mass_transport_check builds its owners' cells from one site array, the
+# centers within window.radius + 4 rho of the window's center; each cell
+# must be the one packing_cell builds about its own window.
+
+
+def _site_array(packing, window):
+    """The transport's site array of a window as a KD-tree, and the radius
+    it is complete to about each site."""
+    reach = window.radius + 4.0 * packing.disk_radius
+    sx, sy = packing._centers(BallSpec(window.center, reach))
+    cd = cosh_distance_xy(sx, sy, window.center.x, window.center.y)
+    return cKDTree(np.column_stack([sx, sy])), reach - np.arccosh(np.maximum(cd, 1.0))
+
+
+def _assert_cells_match(monkeypatch, packing, tree, sites, complete):
+    """Each cell of _site_cells has packing_cell's area to 1e-12 and its
+    neighbour sites. Returns how many cells fell back to packing_cell."""
+    fallbacks = []
+    monkeypatch.setattr(voronoi, "packing_cell",
+                        lambda p, s: fallbacks.append(s) or packing_cell(p, s))
+    cells = _site_cells(packing, tree, sites, complete)
+    for j, cell in zip(sites, cells):
+        want = packing_cell(packing, HPoint(*tree.data[j]))
+        assert abs(cell.area() - want.area()) <= 1e-12
+        got_z, want_z = ([complex(q.x, q.y) for q in c.neighbor_sites] for c in (cell, want))
+        # distinct sites are at least a disk diameter apart, so a match
+        # within 1e-9 of each neighbour pairs the two sets one to one
+        gap = np.abs(np.subtract.outer(got_z, want_z)) / np.imag(got_z)[:, None]
+        assert len(got_z) == len(want_z)
+        assert gap.min(axis=1).max() <= 1e-9
+    return len(fallbacks)
+
+
+@pytest.mark.parametrize("packing, window", [
+    (TightPacking(7), BallSpec(ORIGIN, 3.0)),
+    (TightPacking(7), BallSpec(HPoint(0.4, 1.3), 3.0)),
+    (TightPacking(8), BallSpec(HPoint(-0.7, 0.6), 3.0)),
+    (TransformedPacking(Isometry.translation(0.37), TightPacking(7)),
+     BallSpec(apply(Isometry.translation(0.37), HPoint(0.2, 1.4)), 2.5)),
+    (BoroczkyPacking(), BallSpec(HPoint(0.3, 2.0), 3.0)),
+    (BoroczkyPacking(0.25), BallSpec(HPoint(0.3, 2.0), 4.0)),
+], ids=["tight7", "tight7 off (0, 1)", "tight8 off (0, 1)", "moved tight7",
+        "boroczky", "boroczky 0.25"])
+def test_transport_cells_match_packing_cell(monkeypatch, packing, window):
+    tree, complete = _site_array(packing, window)
+    sites = np.unique(_owners(tree, window, SamplePlan(SEED, 256), 1e-9))
+    fallbacks = _assert_cells_match(monkeypatch, packing, tree, sites, complete[sites])
+    if isinstance(packing, BoroczkyPacking):
+        # two disk spacings (1.93 or less) never certify a Boroczky cell
+        # (2 rho_c is about 2.27): the cells that did not fall back were
+        # certified on a later pass, at a larger radius
+        assert 0 < fallbacks < sites.size
+    else:
+        assert fallbacks == 0
+
+
+@pytest.mark.parametrize("packing, window", [
+    (TightPacking(7), BallSpec(ORIGIN, 1.0)),
+    (BoroczkyPacking(0.27), BallSpec(HPoint(0.3, 2.0), 3.0)),
+], ids=["tight7", "boroczky 0.27"])
+def test_site_cells_out_to_the_rim_of_the_array(monkeypatch, packing, window):
+    # every site of the array, down to those it holds no neighbour beyond:
+    # near the rim a cell among the array's sites is bounded and wrong, so
+    # only the radius the array is complete to may certify it
+    tree, complete = _site_array(packing, window)
+    assert complete.min() < 2.0 * packing.disk_radius
+    _assert_cells_match(monkeypatch, packing, tree, np.arange(tree.n), complete)
