@@ -93,6 +93,12 @@ def _build_target(args):
     raise DomainError(f"unknown kind {kind!r}")
 
 
+def _check_euclidean(args):
+    """The annulus region is the one Euclidean target."""
+    if (args.kind == "annulus") != args.euclidean:
+        raise DomainError("--kind annulus needs --euclidean, and every other kind refuses it")
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -123,9 +129,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_density(args) -> int:
     radii = _parse_radii(args.radii)
+    _check_euclidean(args)
     if args.kind == "annulus":
-        if not args.euclidean:
-            raise DomainError("the annulus region is Euclidean; pass --euclidean")
         curve = annulus_density_curve(radii)
     else:
         target, _, _, _ = _build_target(args)
@@ -154,15 +159,14 @@ def _cmd_voronoi(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _check_euclidean(args)
     target, _, _, has_bodies = _build_target(args)
     center = _parse_center(args.center)
     window = BallSpec(center, args.R)
     if has_bodies:
         svg = render_packing(target, window, y_log=args.y_log)
     else:
-        svg = render_region(
-            target, window, y_log=args.y_log, euclidean=args.euclidean
-        )
+        svg = render_region(target, window, y_log=args.y_log)
     _emit(svg, args.out)
     return 0
 

@@ -26,7 +26,7 @@ from .hgeom import (
     cosh_distance_xy,
     nearest_sites,
 )
-from .packings import BrickTile, TightPacking, _disk_radius, brick_region
+from .packings import BrickTile, _disk_radius, brick_region
 from .regions import (
     AreaEstimate,
     SamplePlan,
@@ -36,7 +36,7 @@ from .regions import (
     mc_area_fraction,
     sample_ball_uniform,
 )
-from .voronoi import VoronoiCell, _site_cells, cell_relative_density
+from .voronoi import _site_cells, cell_relative_density
 
 CSV_HEADER = "radius,fraction,std_error,samples,method"
 
@@ -211,14 +211,11 @@ def fundamental_domain_density(packing) -> float:
 def _resolve_tile(tile):
     """Normalize a tile argument to (region with a block sampler, exact area).
 
-    The block sampler is the region's _points(u, v), the block map behind
-    its sample_uniform.
+    A BrickTile stands for its brick_region. Any other tile must have
+    area() and _points(u, v), the block map behind its sample_uniform.
     """
     if isinstance(tile, BrickTile):
         return brick_region(tile), tile.area()
-    if isinstance(tile, VoronoiCell):
-        region = tile.region()
-        return region, tile.area()
     area_fn = getattr(tile, "area", None)
     if area_fn is None or not hasattr(tile, "_points"):
         raise UnsupportedOperationError(
@@ -228,21 +225,15 @@ def _resolve_tile(tile):
 
 
 def tile_density(packing, tile, plan: SamplePlan) -> AreaEstimate:
-    """Covered fraction of a tile under a packing.
+    """Monte Carlo covered fraction of a tile under a packing, by
+    area-uniform sampling of the tile.
 
-    Exact (closed-form) when the tile is a Dirichlet cell of a tight
-    packing, whose inscribed disk is the entire covered part; Monte
-    Carlo by uniform tile sampling otherwise.
+    A Dirichlet cell's exact density is cell_relative_density; its
+    estimate here is tile_density(packing, PolygonRegion(cell.polygon), plan).
     """
     region, area = _resolve_tile(tile)
     if not (area > 0.0):
         raise DomainError(f"tile has non-positive area {area:g}")
-
-    if isinstance(tile, VoronoiCell) and isinstance(packing, TightPacking):
-        if packing._centers(BallSpec(tile.site, 1e-9))[0].size:
-            frac = cell_relative_density(tile, packing.disk_radius)
-            return AreaEstimate(frac, 0.0, 0, "closed-form")
-
     return _estimate(packing, region._points, plan)
 
 
@@ -256,44 +247,10 @@ def annulus_density_curve(exponents) -> DensityCurve:
     """
     pts = []
     for K in exponents:
-        if float(K) != int(K):
+        if not float(K).is_integer():
             raise DomainError(f"annulus exponents must be integers, got {K!r}")
         pts.append(CurvePoint(float(K), annulus_fraction_euclid(int(K)), 0.0, 0))
     return DensityCurve(center=ORIGIN, points=tuple(pts), method="closed-form")
-
-
-class EuclidDiskLattice:
-    """Unit-spacing integer lattice of Euclidean disks of radius 1/2."""
-
-    def __init__(self, radius: float = 0.5, spacing: float = 1.0):
-        if not (0.0 < radius <= spacing / 2.0):
-            raise DomainError(
-                f"radius {radius} must lie in (0, spacing/2] for a packing"
-            )
-        self.radius = radius
-        self.spacing = spacing
-
-    def covers_xy(self, xs, ys):
-        xs = np.asarray(xs, dtype=float) / self.spacing
-        ys = np.asarray(ys, dtype=float) / self.spacing
-        dx = xs - np.round(xs)
-        dy = ys - np.round(ys)
-        r = self.radius / self.spacing
-        return dx * dx + dy * dy <= r * r
-
-    def density(self) -> float:
-        return math.pi * self.radius**2 / self.spacing**2
-
-
-def euclid_window_density(packing, side: float, plan: SamplePlan) -> AreaEstimate:
-    """Covered fraction of the axis-aligned square of the given side at the
-    origin, under a Euclidean packing. Converges as the side grows.
-
-    Point i has x from draw i of the plan's first stream and y from draw i
-    of its second (see regions._uniform_blocks)."""
-    if not (side > 0.0) or not math.isfinite(side):
-        raise DomainError(f"window side must be positive, got {side}")
-    return _estimate(packing, lambda u, v: ((u - 0.5) * side, (v - 0.5) * side), plan)
 
 
 def mass_transport_check(

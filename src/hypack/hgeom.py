@@ -422,23 +422,13 @@ def angle_of_parallelism(t: float) -> float:
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Vertical line x = x0 (is_line) or semicircle centered (c, 0), radius r."""
+    """The vertical geodesic x = x0."""
 
-    is_line: bool
-    x0: float = 0.0
-    c: float = 0.0
-    r: float = 0.0
+    x0: float
 
     @classmethod
     def vertical(cls, x0: float) -> "Geodesic":
-        return cls(is_line=True, x0=float(x0))
-
-    @classmethod
-    def circle(cls, c: float, r: float) -> "Geodesic":
-        r = float(r)
-        if not (r > 0.0) or not math.isfinite(r):
-            raise DomainError(f"geodesic circle radius must be positive, got {r!r}")
-        return cls(is_line=False, c=float(c), r=r)
+        return cls(x0=float(x0))
 
 
 # Minkowski form <A, B> = -A0 B0 + A1 B1 + A2 B2, as a row of signs

@@ -41,7 +41,6 @@ from .regions import (
     StripeRegion,
     _box_area_in_ball,
     _fill,
-    quad_black_fraction,
 )
 
 
@@ -122,9 +121,6 @@ class StripeModel(StripeRegion):
     def __init__(self, W: float):
         super().__init__(W)
         self.label = f"stripe(W={self.W:g})"
-
-    def black_fraction(self, R: float, center: HPoint = ORIGIN) -> float:
-        return quad_black_fraction(self.W, R, center_log_y=center.log_y)
 
 
 # --------------------------------------------------------------------------

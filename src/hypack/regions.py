@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,15 @@ class SamplePlan:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"sample count must be >= 1, got {self.n}")
+        try:
+            ok = operator.index(self.seed) >= 0 and operator.index(self.n) >= 1
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DomainError(
+                f"a plan needs an integer seed >= 0 and an integer sample count >= 1, "
+                f"got seed {self.seed!r} and count {self.n!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,6 @@ class Region:
 
 
 class FullPlane(Region):
-    def contains(self, p):
-        return True
-
     def covers_xy(self, xs, ys):
         return np.ones(np.shape(xs), dtype=bool)
 
@@ -99,9 +104,6 @@ class FullPlane(Region):
 
 
 class EmptyRegion(Region):
-    def contains(self, p):
-        return False
-
     def covers_xy(self, xs, ys):
         return np.zeros(np.shape(xs), dtype=bool)
 
@@ -110,10 +112,10 @@ class EmptyRegion(Region):
 
 
 class HalfSpaceRegion(Region):
-    """Closed side of a geodesic: sign * signed distance >= 0.
+    """Closed side of a vertical geodesic x = x0: sign * (x - x0) >= 0.
 
-    covers_xy reads the sign of the signed distance's numerator, which
-    needs no division by y (0 or inf beyond log-heights of about 709).
+    covers_xy reads the sign of x - x0 alone, which needs no division by
+    y (0 or inf beyond log-heights of about 709).
     """
 
     def __init__(self, geodesic: Geodesic, sign: int = +1):
@@ -123,15 +125,9 @@ class HalfSpaceRegion(Region):
         self.sign = sign
 
     def covers_xy(self, xs, ys):
-        geo, xs = self.geodesic, np.asarray(xs, dtype=float)
-        if geo.is_line:
-            return self.sign * (xs - geo.x0) >= 0.0
-        ys = np.asarray(ys, dtype=float)
-        return self.sign * ((xs - geo.c) ** 2 + ys * ys - geo.r * geo.r) >= 0.0
+        return self.sign * (np.asarray(xs, dtype=float) - self.geodesic.x0) >= 0.0
 
     def exact_area_in_ball(self, ball):
-        if not self.geodesic.is_line:
-            return None
         if ball.radius > 50.0 or ball.center.is_extreme():
             return None
         x0 = self.geodesic.x0

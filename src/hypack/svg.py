@@ -132,23 +132,9 @@ def _stripe_elements(canvas, W, y_log):
     return parts
 
 
-def _halfspace_elements(canvas, region, y_log):
-    geo = region.geodesic
-    pts = []
-    if geo.is_line:
-        ys = np.linspace(canvas.y0, canvas.y1, 33)
-        for y in ys:
-            pts.append((canvas.px(geo.x0), canvas.py(y)))
-    else:
-        thetas = np.linspace(1e-3, math.pi - 1e-3, 65)
-        for t in thetas:
-            x = geo.c + geo.r * math.cos(t)
-            y = geo.r * math.sin(t)
-            wy = math.log(y) if y_log else y
-            if canvas.x0 <= x <= canvas.x1 and canvas.y0 <= wy <= canvas.y1:
-                pts.append((canvas.px(x), canvas.py(wy)))
-    if not pts:
-        return []
+def _halfspace_elements(canvas, region):
+    x = canvas.px(region.geodesic.x0)
+    pts = [(x, canvas.py(y)) for y in np.linspace(canvas.y0, canvas.y1, 33)]
     return [
         f'<path class="boundary" d="{_path(pts, close=False)}" fill="none" '
         f'stroke="#aa3311" stroke-width="1.5"/>\n'
@@ -188,12 +174,11 @@ def _brick_elements(canvas, region, y_log):
     ]
 
 
-def render_region(region, window: BallSpec, *, y_log: bool = False,
-                  euclidean: bool = False) -> str:
+def render_region(region, window: BallSpec, *, y_log: bool = False) -> str:
     """SVG of a region clipped to the window: stripes as alternating
-    bands, half-spaces as their boundary geodesic, dyadic annuli as
-    alternating circles, bricks as their rectangle."""
-    if euclidean:
+    bands, half-spaces as their boundary geodesic, bricks as their
+    rectangle, Euclidean dyadic annuli as circles in [-R, R]^2, R = window.radius."""
+    if isinstance(region, AnnulusRegionEuclid):
         R = window.radius
         canvas = _Canvas(-R, R, -R, R)
     else:
@@ -202,7 +187,7 @@ def render_region(region, window: BallSpec, *, y_log: bool = False,
     if isinstance(region, StripeRegion):
         parts = _stripe_elements(canvas, region.W, y_log)
     elif isinstance(region, HalfSpaceRegion):
-        parts = _halfspace_elements(canvas, region, y_log)
+        parts = _halfspace_elements(canvas, region)
     elif isinstance(region, AnnulusRegionEuclid):
         parts = _annulus_elements(canvas)
     elif isinstance(region, BrickRegion):

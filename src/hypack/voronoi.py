@@ -36,7 +36,6 @@ from .hgeom import (
     hyperboloid_xy,
 )
 from .packings import _disk_radius
-from .regions import PolygonRegion
 
 @dataclass(frozen=True)
 class VoronoiCell:
@@ -46,9 +45,6 @@ class VoronoiCell:
     polygon: GeodesicPolygon
     neighbor_sites: tuple
 
-    def region(self) -> PolygonRegion:
-        return PolygonRegion(self.polygon)
-
     def area(self) -> float:
         return self.polygon.area()
 
@@ -57,19 +53,14 @@ class VoronoiCell:
         return min(distance(self.site, s) for s in self.neighbor_sites) / 2.0
 
 
-def dirichlet_cell(xs, ys, i: int) -> VoronoiCell:
+def _klein_cell(xs, ys, i: int):
     """Voronoi cell of site i among the sites with coordinates (xs, ys),
-    as the polar dual of one convex hull in the Klein model about the site.
+    as the polar dual of one convex hull in the Klein model about the
+    site, and the squared Klein radii |k|^2 of its vertices about the site.
 
     Vertices are ordered by ascending angle about the site, and
     neighbor_sites are the sites whose bisector carries a cell edge.
     """
-    return _klein_cell(xs, ys, i)[0]
-
-
-def _klein_cell(xs, ys, i: int):
-    """dirichlet_cell, and the squared Klein radii |k|^2 of its vertices
-    about the site."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = xs.size

@@ -3,9 +3,10 @@
 These are the package's earlier, slower constructions, kept as
 independent oracles:
 
-- geodesics as half-plane arcs: ``geodesic_through``,
-  ``geodesic_intersection``, ``arc_coordinate``, ``point_along``,
-  ``midpoint`` and ``signed_distance_xy``;
+- geodesics as half-plane arcs, vertical lines and semicircles
+  (``ArcGeodesic``): ``geodesic_through``, ``geodesic_intersection``,
+  ``arc_coordinate``, ``point_along``, ``midpoint`` and
+  ``signed_distance_xy``;
 - ``ArcPolygon``, a polygon that checks simplicity by intersecting its
   edge arcs pairwise and measures its interior angles between Euclidean
   tangents, with ``ArcPolygonRegion``, whose membership test takes one
@@ -39,15 +40,16 @@ independent oracles:
   point, each the disk's top turned about its center by one rotation
   isometry, and the SVG element drawn from 64 of them;
 - the one-shot samplers ``ball_points``, ``ball_sample``,
-  ``polygon_sample``, ``brick_sample`` and ``euclid_window_sample``, which
-  draw all n points at once from one generator, and the estimators
-  ``mc_area_fraction``, ``tile_density`` and ``euclid_window_density``
-  that average the verdicts of all n points with ``np.mean``.
+  ``polygon_sample`` and ``brick_sample``, which draw all n points at
+  once from one generator, and the estimators ``mc_area_fraction`` and
+  ``tile_density`` that average the verdicts of all n points with
+  ``np.mean``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +60,6 @@ from hypack.errors import DomainError, RangeError
 from hypack.hgeom import (
     ORIGIN,
     BallSpec,
-    Geodesic,
     HDisk,
     HPoint,
     Isometry,
@@ -79,7 +80,7 @@ from hypack.packings import (
 from hypack.pspace import _boundary_ring
 from hypack.svg import _disk_element, _path
 from hypack.regions import AreaEstimate, PolygonRegion, SamplePlan, sample_ball_uniform
-from hypack.voronoi import packing_cell
+from hypack.voronoi import cell_relative_density, packing_cell
 
 # two endpoint x's closer than this, relative to the points' size, make a
 # vertical geodesic. (The package's version used max(1, |x|) as the size,
@@ -91,19 +92,40 @@ _LINE_TOL = 1e-12
 
 # ---------------------------------------------------------------- geodesic arcs
 
-def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
+@dataclass(frozen=True)
+class ArcGeodesic:
+    """Vertical line x = x0 (is_line) or semicircle centered (c, 0), radius r."""
+
+    is_line: bool
+    x0: float = 0.0
+    c: float = 0.0
+    r: float = 0.0
+
+    @classmethod
+    def vertical(cls, x0: float) -> "ArcGeodesic":
+        return cls(is_line=True, x0=float(x0))
+
+    @classmethod
+    def circle(cls, c: float, r: float) -> "ArcGeodesic":
+        r = float(r)
+        if not (r > 0.0) or not math.isfinite(r):
+            raise DomainError(f"geodesic circle radius must be positive, got {r!r}")
+        return cls(is_line=False, c=float(c), r=r)
+
+
+def geodesic_through(p: HPoint, q: HPoint) -> ArcGeodesic:
     """The unique geodesic containing both points."""
     scale = max(abs(p.x), abs(q.x), p.y, q.y)
     if abs(p.x - q.x) <= _LINE_TOL * scale:
         if p.log_y == q.log_y:
             raise DomainError("coincident points do not determine a geodesic")
-        return Geodesic.vertical(0.5 * (p.x + q.x))
+        return ArcGeodesic.vertical(0.5 * (p.x + q.x))
     c = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
     r = math.hypot(p.x - c, p.y)
-    return Geodesic.circle(c, r)
+    return ArcGeodesic.circle(c, r)
 
 
-def arc_coordinate(geo: Geodesic, p: HPoint) -> float:
+def arc_coordinate(geo: ArcGeodesic, p: HPoint) -> float:
     """Arclength coordinate of p along geo (p is assumed to lie on geo)."""
     if geo.is_line:
         return p.log_y
@@ -111,7 +133,7 @@ def arc_coordinate(geo: Geodesic, p: HPoint) -> float:
     return math.log(math.tan(0.5 * phi))
 
 
-def point_along(geo: Geodesic, s: float) -> HPoint:
+def point_along(geo: ArcGeodesic, s: float) -> HPoint:
     """Point at arclength coordinate s; inverse of arc_coordinate."""
     if geo.is_line:
         return HPoint.from_log(geo.x0, s)
@@ -127,7 +149,7 @@ def midpoint(p: HPoint, q: HPoint) -> HPoint:
     return point_along(geo, 0.5 * (arc_coordinate(geo, p) + arc_coordinate(geo, q)))
 
 
-def signed_distance_xy(geo: Geodesic, xs, ys):
+def signed_distance_xy(geo: ArcGeodesic, xs, ys):
     """Signed distance from points to geo: positive right of a line, outside a circle."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -137,12 +159,12 @@ def signed_distance_xy(geo: Geodesic, xs, ys):
     return np.arcsinh(val)
 
 
-def signed_distance(geo: Geodesic, p: HPoint) -> float:
+def signed_distance(geo: ArcGeodesic, p: HPoint) -> float:
     """Signed distance from one point to geo."""
     return float(signed_distance_xy(geo, p.x, p.y))
 
 
-def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> HPoint | None:
+def geodesic_intersection(g1: ArcGeodesic, g2: ArcGeodesic) -> HPoint | None:
     """Intersection point of two full geodesics in the open half-plane, if any."""
     if g1.is_line and g2.is_line:
         return None
@@ -164,7 +186,7 @@ def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> HPoint | None:
 
 # ---------------------------------------------------------------- arc polygons
 
-def _edge_interval(geo: Geodesic, a: HPoint, b: HPoint):
+def _edge_interval(geo: ArcGeodesic, a: HPoint, b: HPoint):
     """Parameter interval of the arc from a to b: x-range (circle) or y-range (line)."""
     if geo.is_line:
         return min(a.log_y, b.log_y), max(a.log_y, b.log_y)
@@ -200,7 +222,7 @@ def _edges_cross(geo1, a1, b1, geo2, a2, b2) -> bool:
     return _strictly_inside(lo1, hi1, v1) and _strictly_inside(lo2, hi2, v2)
 
 
-def _tangent_toward(geo: Geodesic, v: HPoint, w: HPoint):
+def _tangent_toward(geo: ArcGeodesic, v: HPoint, w: HPoint):
     """Unit Euclidean tangent of geo at v pointing toward w."""
     if geo.is_line:
         return (0.0, 1.0) if w.log_y > v.log_y else (0.0, -1.0)
@@ -537,7 +559,9 @@ def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-
     within two disk spacings of the window.
 
     Samples are placed one at a time; a sample within boundary_tol of a
-    cell wall is replaced by one new point of the window at a time.
+    cell wall is replaced by one new point of the window at a time. A
+    sample is charged its cell's cell_relative_density in a tight packing
+    and the Monte Carlo tile_density of the cell in any other.
     """
     spacing = 2.0 * packing.disk_radius
     sites = packing.centers_in_ball(
@@ -567,7 +591,11 @@ def transport_loop(packing, window: BallSpec, plan: SamplePlan, boundary_tol=1e-
         j = int(owner[k])
         if j not in cache:
             cell = packing_cell(packing, sites[j])
-            cache[j] = density.tile_density(packing, cell, plan).fraction
+            if isinstance(packing, TightPacking):
+                cache[j] = cell_relative_density(cell, packing.disk_radius)
+            else:
+                region = PolygonRegion(cell.polygon)
+                cache[j] = density.tile_density(packing, region, plan).fraction
         values[k] = cache[j]
     return float(np.mean(values)), owner
 
@@ -781,14 +809,6 @@ def brick_sample(region, plan: SamplePlan):
     return xa + v * (xb - xa), ys
 
 
-def euclid_window_sample(side: float, plan: SamplePlan):
-    """Uniform points of the square of the given side about the origin."""
-    rng = np.random.Generator(np.random.Philox(plan.seed))
-    xs = (rng.random(plan.n) - 0.5) * side
-    ys = (rng.random(plan.n) - 0.5) * side
-    return xs, ys
-
-
 def _mean_estimate(covered) -> AreaEstimate:
     cov = np.asarray(covered, dtype=bool)
     frac = float(np.mean(cov))
@@ -803,7 +823,3 @@ def tile_density(packing, region, plan: SamplePlan) -> AreaEstimate:
     """Monte Carlo tile density over a PolygonRegion or BrickRegion."""
     sample = polygon_sample if isinstance(region, PolygonRegion) else brick_sample
     return _mean_estimate(packing.covers_xy(*sample(region, plan)))
-
-
-def euclid_window_density(packing, side: float, plan: SamplePlan) -> AreaEstimate:
-    return _mean_estimate(packing.covers_xy(*euclid_window_sample(side, plan)))

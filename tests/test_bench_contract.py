@@ -115,3 +115,26 @@ def test_public_surface_is_what_its_users_take():
     assert len(hypack.__all__) == len(set(hypack.__all__))
     assert set(hypack.__all__) == used
     assert len(used) <= 55
+
+
+def test_every_public_definition_has_a_caller():
+    # a public module-level function or class of src/hypack is exported or
+    # used by other package code: names, attributes and imports count, text
+    # in docstrings does not
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "hypack").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined
+    unused = {name: module for name, module in defined.items()
+              if name not in used and name not in hypack.__all__}
+    assert unused == {}

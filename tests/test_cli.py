@@ -106,6 +106,34 @@ def test_density_annulus_needs_euclidean_flag(capsys):
     assert "--euclidean" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--kind", "stripe", "--radii", "2.5", "--euclidean"],
+    ["render", "--kind", "stripe", "--R", "4", "--euclidean"],
+    ["render", "--kind", "tight", "--R", "2", "--euclidean"],
+    ["render", "--kind", "annulus", "--R", "8"],
+], ids=["density stripe", "render stripe", "render tight", "render annulus"])
+def test_euclidean_flag_goes_with_the_annulus_alone(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--euclidean" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_density_annulus_rejects_non_finite_exponents(capsys, value):
+    code, _, err = run(capsys, ["density", "--kind", "annulus", "--euclidean",
+                                "--radii", value])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_density_rejects_a_negative_seed(capsys):
+    code, _, err = run(capsys, ["density", "--kind", "tight", "--radii", "4",
+                                "--samples", "10", "--seed", "-1"])
+    assert code == 2
+    assert err.startswith("error:") and "seed" in err
+
+
 def test_density_annulus_closed_form(capsys):
     code, out, _ = run(capsys, ["density", "--kind", "annulus",
                                 "--radii", "10,11,12", "--euclidean"])

@@ -13,10 +13,8 @@ from hypack.density import (
     _owners,
     CurvePoint,
     DensityCurve,
-    EuclidDiskLattice,
     annulus_density_curve,
     density_curve,
-    euclid_window_density,
     f_R_average,
     fundamental_domain_density,
     halfspace_density_limit,
@@ -188,18 +186,10 @@ def test_brick_tile_density_ratio(tight7):
     assert abs(d0.fraction / d1.fraction - math.e) <= 0.15
 
 
-def test_tile_density_exact_on_dirichlet_cell(tight7):
-    cell = packing_cell(tight7, ORIGIN)
-    est = tile_density(tight7, cell, SamplePlan(seed=SEED, n=10))
-    assert est.method == "closed-form"
-    assert est.std_error == 0.0
-    assert est.fraction == cell_relative_density(cell, tight_radius(7))
-
-
 def test_tile_density_mc_on_cell_matches_exact(tight7):
     cell = packing_cell(tight7, ORIGIN)
     proxy = TransformedPacking(Isometry.identity(), tight7)
-    est = tile_density(proxy, cell, SamplePlan(seed=SEED, n=20000))
+    est = tile_density(proxy, PolygonRegion(cell.polygon), SamplePlan(seed=SEED, n=20000))
     assert est.method == "mc"
     exact = cell_relative_density(cell, tight_radius(7))
     assert abs(est.fraction - exact) <= 4.0 * est.std_error + 1e-4
@@ -215,19 +205,6 @@ def test_tile_density_zero_area_rejected(tight7):
 
     with pytest.raises(DomainError):
         tile_density(tight7, FlatTile(), SamplePlan(seed=SEED, n=10))
-
-
-def test_euclid_lattice_window_density():
-    lat = EuclidDiskLattice()
-    assert abs(lat.density() - math.pi / 4.0) <= 1e-15
-    est = euclid_window_density(lat, 40.0, SamplePlan(seed=SEED, n=80000))
-    assert abs(est.fraction - math.pi / 4.0) <= 4.0 * est.std_error
-    assert lat.covers_xy([0.2, 3.0], [0.0, 4.1])[0]
-    assert not lat.covers_xy([0.5], [0.5])[0]
-    with pytest.raises(DomainError):
-        EuclidDiskLattice(radius=0.6)
-    with pytest.raises(DomainError):
-        euclid_window_density(lat, 0.0, SamplePlan(seed=SEED, n=10))
 
 
 def test_annulus_curve_closed_form():
@@ -363,14 +340,11 @@ def test_block_estimators_match_one_shot_estimates(seed, n, tight7):
     plan = SamplePlan(seed=seed, n=n)
     fd = PolygonRegion(tight7.fundamental_domain.polygon)
     boro, brick = BoroczkyPacking(), BrickTile(family_offset=1.0)
-    lattice = EuclidDiskLattice()
     ball = BallSpec(ORIGIN, 4.0)
     for got, want in (
         (mc_area_fraction(tight7, ball, plan), oracles.mc_area_fraction(tight7, ball, plan)),
         (tile_density(tight7, fd, plan), oracles.tile_density(tight7, fd, plan)),
         (tile_density(boro, brick, plan), oracles.tile_density(boro, brick_region(brick), plan)),
-        (euclid_window_density(lattice, 7.5, plan),
-         oracles.euclid_window_density(lattice, 7.5, plan)),
     ):
         assert (got.fraction, got.std_error, got.samples) == (
             want.fraction, want.std_error, want.samples)

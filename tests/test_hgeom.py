@@ -13,7 +13,6 @@ from hypack.hgeom import (
     BallSpec,
     cosh_distance_xy,
     distance,
-    Geodesic,
     GeodesicPolygon,
     HDisk,
     HPoint,
@@ -22,7 +21,7 @@ from hypack.hgeom import (
     ORIGIN,
     polar_xy,
 )
-from oracles import boundary_point, midpoint, signed_distance_xy
+from oracles import ArcGeodesic, boundary_point, midpoint, signed_distance_xy
 
 RNG_SEED = 20260816
 
@@ -366,10 +365,10 @@ def test_angle_of_parallelism_values():
 # ---------------------------------------------------------------- geodesics
 
 def test_signed_distance_line_and_circle():
-    line = Geodesic.vertical(0.0)
+    line = ArcGeodesic.vertical(0.0)
     assert abs(signed_distance_xy(line, math.sinh(1.0), 1.0) - 1.0) < 1e-12
     assert signed_distance_xy(line, -0.5, 1.0) < 0.0
-    circ = Geodesic.circle(0.0, 1.0)
+    circ = ArcGeodesic.circle(0.0, 1.0)
     assert abs(signed_distance_xy(circ, 0.0, 1.0)) < 1e-12
     # distance agrees with the true metric distance to the geodesic, here
     # sampled at the points of the unit circle at angles 2 atan(e^s)

