@@ -108,6 +108,7 @@ def _emit(text: str, out_path):
 
 
 def _cmd_gen(args) -> int:
+    _check_euclidean(args)
     target, params, model, has_bodies = _build_target(args)
     doc = {
         "version": "hypack/1",
@@ -147,6 +148,7 @@ def _cmd_voronoi(args) -> int:
             f"dirichlet cells are only generated for tight packings, "
             f"not {args.kind!r}"
         )
+    _check_euclidean(args)
     packing = TightPacking(args.m)
     site = _parse_center(args.center)
     cell = packing_cell(packing, site)

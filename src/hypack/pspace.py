@@ -7,13 +7,17 @@ levels of the Hausdorff distance between same-level nets, scaled by
 1/k. Small distance means the packings nearly agree on a large ball,
 which is the topology in which density results are stable.
 
-A directed Hausdorff distance needs each point's nearest neighbour in the
-other net: hgeom.nearest_sites with k = 1 bounds it by the Euclidean
-nearest neighbour's cosh distance C and refines inside the hyperbolic
-ball {cosh d <= C}, a padded Euclidean disk, skipping the refine where
-the second Euclidean neighbour lies beyond that disk. The result equals
-the all-pairs minimum bit for bit: each pair's cosh distance is the same
-float expression, and the candidates include every minimiser.
+A directed Hausdorff distance needs only its maximum, not every point's
+nearest neighbour (the early break of Taha and Hanbury, 2015). One k = 1
+KD-tree query gives each point its Euclidean nearest site at Euclidean
+distance delta; that site's cosh distance is an upper bound ub on the
+point's nearest cosh distance, and 1 + delta^2 / (2 y (y + delta)) a
+lower bound, since every site q has |p - q| >= delta and y_q <= y + |p -
+q|. Only points whose ub reaches the largest value known so far can
+attain the maximum: they are taken against every site, largest ub first,
+and the rest are dropped as the maximum rises. The result equals the
+all-pairs minimum bit for bit: each pair's cosh distance is the same
+float expression, and the point attaining the maximum is never dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DomainError, RangeError
-from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, nearest_sites, polar_xy
+from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, polar_xy
 
 # Net spacing h yields a covering radius of about 0.72 h in the body
 # interiors and at worst about 1.25 h where bodies meet the level
@@ -34,9 +38,11 @@ from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, nearest_sites, polar_xy
 MAX_NET_SPACING = 0.04
 MIN_LEVEL_POINTS = 64
 # With |x|, y and 1/y at most 1e30, cosh distances stay below 3e120, and
-# the refine disks' centres y C and the KD-tree's squared distances stay
-# finite.
+# the KD-tree's squared distances and the lower bounds' delta^2 and
+# y (y + delta) stay finite and normal.
 _COORD_LIMIT = 1e30
+# (point, site) pairs taken against each other at once in the exact pass
+_BLOCK_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -149,10 +155,41 @@ def truncate(target, k_max: int = 8, spacing: float = 0.03) -> TruncatedPacking:
     return TruncatedPacking(k_max=k_max, levels=tuple(levels))
 
 
-def _directed_hausdorff(a, c):
-    """Largest distance from a point of a to the nearest point of c."""
-    _, cd = nearest_sites(cKDTree(c), a[:, 0], a[:, 1], 1)
-    return float(np.arccosh(np.maximum(cd[:, 0], 1.0)).max())
+def _cut(best):
+    """Smallest upper bound that may still reach the cosh distance best.
+
+    The lower bounds that raise best round a few ulps high; the relative
+    pad on best - 1 covers that, and the absolute ulps of best cover the
+    cosh - 1 lost below one ulp in 1 + q.
+    """
+    return best - ((best - 1.0) * 1e-9 + 4.0 * np.finfo(float).eps * best)
+
+
+def _directed_cosh(a, c, floor):
+    """Largest cosh distance from a point of a to its nearest point of c,
+    or floor if that is larger.
+
+    Candidates are the points whose upper bound reaches the cut of the
+    best known value; they are taken against all of c, largest upper
+    bound first, in blocks of at most _BLOCK_PAIRS pairs (or one point).
+    """
+    x, y = a[:, 0], a[:, 1]
+    delta, j = cKDTree(c).query(a)
+    ub = cosh_distance_xy(x, y, c[j, 0], c[j, 1])
+    lb = 1.0 + delta * delta / (2.0 * y * (y + delta))
+    top = floor
+    best = max(float(lb.max()), floor)
+    cand = np.flatnonzero((ub > 1.0) & (ub >= _cut(best)))
+    cand = cand[np.argsort(-ub[cand], kind="stable")]
+    cx, cy = c[:, 0], c[:, 1]
+    rows = max(1, _BLOCK_PAIRS // len(c))
+    while cand.size:
+        blk, cand = cand[:rows], cand[rows:]
+        m = cosh_distance_xy(x[blk, None], y[blk, None], cx, cy).min(axis=1)
+        top = max(top, float(m.max()))
+        best = max(best, top)
+        cand = cand[ub[cand] >= _cut(best)]
+    return top
 
 
 def _point_set(pts):
@@ -180,7 +217,9 @@ def hausdorff_distance(a, c) -> float:
     (RangeError otherwise).
     """
     a, c = _point_set(a), _point_set(c)
-    return max(_directed_hausdorff(a, c), _directed_hausdorff(c, a))
+    # the pass from a sets the floor below which the pass from c drops points
+    worst = _directed_cosh(a, c, 1.0)
+    return float(np.arccosh(_directed_cosh(c, a, worst)))
 
 
 @dataclass(frozen=True)

@@ -426,13 +426,17 @@ def annulus_fraction_euclid(K: int) -> float:
     """Black fraction of the Euclidean disk of radius 2^K.
 
     Annulus j is {2^{j-1} < r <= 2^j}; even j >= 2 are black. The closed
-    form sums the geometric series in exact integer arithmetic.
+    form sums the geometric series in exact integer arithmetic. It tends
+    to 4/5 (K even) or 1/5 (K odd) as 4^-K, which from K = 28 on rounds to
+    the limit's double, so larger K return the limit at once.
     """
     if not isinstance(K, (int, np.integer)):
         raise DomainError(f"K must be an integer, got {K!r}")
     K = int(K)
     if K < 2:
         raise DomainError(f"K must be >= 2, got {K}")
+    if K >= 28:
+        return 0.8 if K % 2 == 0 else 0.2
     # sum over even j in [2, K] of 3 * 4^{j-1} = 3 * 4 * (16^{K//2} - 1) / 15
     num = 3 * (4 * (16 ** (K // 2) - 1) // 15)
     den = 4**K

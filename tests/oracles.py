@@ -33,7 +33,9 @@ independent oracles:
   a moved packing by the scalar ``apply`` of each base center;
 - ``level_net``, the level net of a truncation with one polar net per
   disk, about the disk's own center, over the disks meeting the level
-  ball grown by one disk diameter;
+  ball grown by one disk diameter, and ``nearest_site_hausdorff``, the
+  Hausdorff distance from every point's hyperbolically nearest site in
+  the other set (``nearest_sites`` with k = 1 on a KD-tree per pass);
 - ``all_pairs_min_gap``, the smallest gap between disks over every pair,
   in chunks of the all-pairs distance matrix;
 - ``boundary_point`` and ``outline_element``, a disk's outline point by
@@ -67,6 +69,7 @@ from hypack.hgeom import (
     ball_hits,
     cosh_distance_xy,
     distance,
+    nearest_sites,
     polar_xy,
 )
 from hypack.packings import (
@@ -702,6 +705,19 @@ def level_net(packing, k, spacing):
     xs_parts.append(bx[keep])
     ys_parts.append(by[keep])
     return np.column_stack([np.concatenate(xs_parts), np.concatenate(ys_parts)])
+
+
+def _nearest_site_directed(a, c):
+    _, cd = nearest_sites(cKDTree(c), a[:, 0], a[:, 1], 1)
+    return float(np.arccosh(np.maximum(cd[:, 0], 1.0)).max())
+
+
+def nearest_site_hausdorff(a, c) -> float:
+    """Hausdorff distance between two half-plane point sets, each directed
+    pass finding every point's hyperbolically nearest site of the other."""
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    return max(_nearest_site_directed(a, c), _nearest_site_directed(c, a))
 
 
 # ---------------------------------------------------------------- disks

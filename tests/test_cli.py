@@ -111,11 +111,16 @@ def test_density_annulus_needs_euclidean_flag(capsys):
     ["render", "--kind", "stripe", "--R", "4", "--euclidean"],
     ["render", "--kind", "tight", "--R", "2", "--euclidean"],
     ["render", "--kind", "annulus", "--R", "8"],
-], ids=["density stripe", "render stripe", "render tight", "render annulus"])
-def test_euclidean_flag_goes_with_the_annulus_alone(capsys, argv):
-    code, out, err = run(capsys, argv)
+    ["gen", "--kind", "stripe", "--euclidean"],
+    ["gen", "--kind", "annulus"],
+    ["voronoi", "--kind", "tight", "--euclidean"],
+], ids=["density stripe", "render stripe", "render tight", "render annulus",
+        "gen stripe", "gen annulus", "voronoi tight"])
+def test_euclidean_flag_goes_with_the_annulus_alone(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    code, out, err = run(capsys, argv + ["--out", str(path)])
     assert code == 2
-    assert out == ""
+    assert out == "" and not path.exists()
     assert err.startswith("error:") and "--euclidean" in err
 
 

@@ -22,7 +22,7 @@ from hypack.pspace import (
 )
 from hypack.regions import EmptyRegion, SamplePlan, sample_ball_uniform
 
-from oracles import level_net
+from oracles import level_net, nearest_site_hausdorff
 
 SEED = 88417
 
@@ -173,6 +173,18 @@ def test_hausdorff_refines_past_the_euclidean_neighbour():
     assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c)
 
 
+def test_hausdorff_keeps_a_maximum_its_lower_bound_rounds_past():
+    # c lies straight above the first point of a, where the lower bound
+    # 1 + delta^2 / (2 y (y + delta)) is the pair's cosh distance exactly
+    # and rounds one ulp above it; the second point of a sits next to c,
+    # so the pass from c does not reach the maximum either
+    y, top = 2.2095982352553003, 13.737899623518148
+    a = [[0.0, y], [1e-9, top]]
+    c = [[0.0, top]]
+    expected = float(np.arccosh(cosh_distance_xy(0.0, y, 0.0, top)))
+    assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c) == expected
+
+
 @pytest.fixture(scope="module")
 def boroczky_pair():
     boro = BoroczkyPacking()
@@ -187,7 +199,9 @@ def test_hausdorff_equals_all_pairs_on_packing_nets(pool, boroczky_pair):
              (pool[5].levels[0], pool[7].levels[0])]
     pairs += list(zip(boroczky_pair[0].levels, boroczky_pair[1].levels))
     for a, c in pairs:
-        assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c)
+        d = hausdorff_distance(a, c)
+        assert d == _all_pairs_hausdorff(a, c) == nearest_site_hausdorff(a, c)
+        assert d == hausdorff_distance(c, a)
     d = packing_distance(*boroczky_pair)
     assert d.per_level == tuple(
         _all_pairs_hausdorff(a, c) / k
@@ -200,16 +214,17 @@ def _point_sets(draw):
     """One or two clusters of points, log-heights in [-30, 30], with repeats.
 
     A cluster is scattered about (u e^L, e^L) by a spread from 0 (all
-    points equal) to 2 (in log-height and in x / y); clusters at very
-    different heights make the Euclidean and hyperbolic nearest
-    neighbours differ.
+    points equal) to 2 (in log-height and in x / y). L reaches +-30, the
+    edge of the tested heights, and u reaches +-1e3, which sets clusters
+    at one height far apart; clusters at very different heights make the
+    Euclidean and hyperbolic nearest neighbours differ.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     parts = []
     for _ in range(draw(st.integers(1, 2))):
         n = draw(st.integers(1, 40))
-        log_y0 = draw(st.floats(-30.0, 30.0))
-        u = draw(st.floats(-3.0, 3.0))
+        log_y0 = draw(st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-30.0, 30.0])))
+        u = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1e3, 1e3])))
         spread = draw(st.sampled_from([0.0, 1e-12, 1e-7, 0.1, 2.0]))
         log_y = np.clip(log_y0 + spread * rng.standard_normal(n), -30.0, 30.0)
         x = (u + spread * rng.standard_normal(n)) * math.exp(log_y0)
@@ -220,13 +235,28 @@ def _point_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=_point_sets(), c=_point_sets(), same=st.booleans())
-@example(a=np.array([[0.0, 1.0]]), c=np.array([[0.0, 1.0 + 1e-9]]), same=False)
-def test_hausdorff_equals_all_pairs_on_random_sets(a, c, same):
-    if same:
+@given(a=_point_sets(), c=_point_sets(),
+       relation=st.sampled_from(["apart", "same", "offset", "mirrored"]))
+@example(a=np.array([[0.0, 1.0]]), c=np.array([[0.0, 1.0 + 1e-9]]), relation="apart")
+@example(a=np.array([[0.0, 1.0]]), c=np.array([[-1.0, 1.0], [1.0, 1.0]]), relation="apart")
+def test_hausdorff_equals_all_pairs_on_random_sets(a, c, relation):
+    # same: c is a reordered. offset: c is a with heights scaled by
+    # 1 + 1e-9, so each cosh - 1 to the partner is below one ulp of 1.
+    # mirrored: both sets are closed under x -> -x, so points tie in pairs
+    # at the maximum.
+    if relation == "same":
         c = a[::-1]
-        assert hausdorff_distance(a, c) == 0.0
-    assert hausdorff_distance(a, c) == _all_pairs_hausdorff(a, c)
+    elif relation == "offset":
+        c = a * [1.0, 1.0 + 1e-9]
+    elif relation == "mirrored":
+        a = np.concatenate([a, a * [-1.0, 1.0]])
+        c = np.concatenate([c, c * [-1.0, 1.0]])
+    d = hausdorff_distance(a, c)
+    assert d == _all_pairs_hausdorff(a, c)
+    assert d == nearest_site_hausdorff(a, c)
+    assert d == hausdorff_distance(c, a)
+    if relation in ("same", "offset"):
+        assert d == 0.0
 
 
 def test_identity_and_symmetry(pool):

@@ -494,10 +494,11 @@ def test_polygon_sampler_matches_rejection_oracle(deep_cell):
 
 def test_annulus_closed_form_against_brute_force():
     assert annulus_fraction_euclid(2) == 0.75
-    for K in range(2, 13):
-        closed = annulus_fraction_euclid(K)
-        brute = annulus_fraction_euclid_brute(K)
-        assert abs(closed - brute) <= 1e-12
+    for K in range(2, 401):
+        assert annulus_fraction_euclid(K) == annulus_fraction_euclid_brute(K)
+    # in integers, 4^K at K = 1e12 would take 2e12 bits
+    assert annulus_fraction_euclid(10**12) == 0.8
+    assert annulus_fraction_euclid(10**12 + 1) == 0.2
     assert abs(annulus_fraction_euclid(10) - 0.8) <= 0.02 * 0.8
     assert abs(annulus_fraction_euclid(11) - 0.2) <= 0.02 * 0.2
     assert abs(annulus_fraction_euclid(12) - 0.8) <= 0.02 * 0.8
