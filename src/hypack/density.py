@@ -36,7 +36,7 @@ from .regions import (
     mc_area_fraction,
     sample_ball_uniform,
 )
-from .voronoi import _site_cells, cell_relative_density
+from .voronoi import _cell_densities, _site_cells
 
 CSV_HEADER = "radius,fraction,std_error,samples,method"
 
@@ -271,8 +271,9 @@ def mass_transport_check(
     The owners' cells come from the one site array of the window, grown
     by two disk spacings: about an owner at distance d from the window's
     center it holds every center within window.radius + 4 rho - d, and a
-    cell is kept only where its certificate holds within that radius
-    (see voronoi._site_cells).
+    cell is kept only where its certificate holds within that radius.
+    The cells are arrays of fan areas and inscribed radius bounds
+    (voronoi._site_cells).
     """
     rho = _disk_radius(packing)
     reach = window.radius + 4.0 * rho
@@ -286,8 +287,7 @@ def mass_transport_check(
     sites, inverse = np.unique(owner, return_inverse=True)
     cd = cosh_distance_xy(sx[sites], sy[sites], window.center.x, window.center.y)
     cells = _site_cells(packing, tree, sites, reach - np.arccosh(np.maximum(cd, 1.0)))
-    fractions = np.array([cell_relative_density(cell, rho) for cell in cells])
-    return float(np.mean(fractions[inverse]))
+    return float(np.mean(_cell_densities(rho, *cells)[inverse]))
 
 
 def _owners(tree, window: BallSpec, plan: SamplePlan, boundary_tol: float):

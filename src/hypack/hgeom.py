@@ -5,10 +5,9 @@ Geodesics are vertical rays and semicircles centered on the x axis.
 Orientation-preserving isometries are real Mobius maps z -> (az+b)/(cz+d)
 with ad - bc = 1.
 
-Heights are tracked both as y and log(y). Formulas switch to the log
-representation once |log y| exceeds _SAFE_LOG, so distances and isometries
-stay accurate out to the extreme heights the exponential constructions here
-produce.
+Heights are tracked both as y and log(y). Isometries switch to the log
+representation once |log y| exceeds _SAFE_LOG, so they stay accurate out
+to the extreme heights the exponential constructions here produce.
 
 Polygons are convex and live on the hyperboloid -X0^2 + X1^2 + X2^2 = -1,
 with (0, 1) at (1, 0, 0): each vertex is a hyperboloid vector relative to
@@ -28,7 +27,6 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 
-_LN2 = math.log(2.0)
 _SAFE_LOG = 600.0
 # Padding of a refine disk's Euclidean radius, relative to its centre
 # height y C. A float cosh distance C is within 7 units in the last place
@@ -87,34 +85,6 @@ class HPoint:
 
 
 ORIGIN = HPoint(0.0, 1.0)
-
-
-def _log_abs_diff_exp(a: float, b: float) -> float:
-    """log|e^a - e^b| computed without forming the exponentials."""
-    if a == b:
-        return -math.inf
-    hi, lo = (a, b) if a > b else (b, a)
-    return hi + math.log1p(-math.exp(lo - hi))
-
-
-def distance(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance. Vertically aligned pairs use the exact log identity."""
-    if p.x == q.x:
-        return abs(p.log_y - q.log_y)
-    if abs(p.log_y) <= _SAFE_LOG and abs(q.log_y) <= _SAFE_LOG:
-        s = math.hypot(p.x - q.x, p.y - q.y) / (2.0 * math.sqrt(p.y) * math.sqrt(q.y))
-        return 2.0 * math.asinh(s)
-    dx = p.x - q.x
-    ln_dx2 = 2.0 * math.log(abs(dx)) if dx != 0.0 else -math.inf
-    ln_dy2 = 2.0 * _log_abs_diff_exp(p.log_y, q.log_y)
-    ln_e = 0.5 * np.logaddexp(ln_dx2, ln_dy2)
-    ln_s = ln_e - 0.5 * (p.log_y + q.log_y) - _LN2
-    if ln_s > 33.0:
-        # asinh(s) = log(2s) + O(s^-2)
-        return 2.0 * (_LN2 + ln_s)
-    if ln_s < -33.0:
-        return 2.0 * math.exp(ln_s)
-    return 2.0 * math.asinh(math.exp(ln_s))
 
 
 def cosh_distance_xy(x1, y1, x2, y2):

@@ -15,6 +15,14 @@ then an unbounded polygon), when the hull cannot be built (fewer than
 three other sites, or all of them on one line in the dual plane), or
 when a cell vertex lies on or beyond the unit circle, the ideal
 boundary. Nothing is truncated to a search radius.
+
+Among sites that hold every center within r of the site, a cell is exact
+when |k|^2 <= tanh^2(r / 2) at each vertex k: a center that cut it at v
+lies within 2 d(site, v) = 2 atanh|k| of the site. packing_cell returns
+one cell as a polygon; _site_cells returns arrays of the areas and inscribed
+radius bounds of many. Neighbouring vertices k_i, k_j fan a triangle about
+the site of area 2 atan2(|k_i x k_j|, 1 + s_i + s_j + s_i s_j - k_i . k_j),
+s = sqrt(1 - |k|^2): the Poincare disk's 2 atan2(|p_i x p_j|, 1 - p_i . p_j) at p = k / (1 + s).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .hgeom import (
     HPoint,
     ball_area,
     ball_hits,
-    distance,
+    cosh_distance_xy,
     hyperboloid_xy,
 )
 from .packings import _disk_radius
@@ -50,7 +58,8 @@ class VoronoiCell:
 
     def inscribed_radius_bound(self) -> float:
         """Half the distance to the nearest edge-sharing site."""
-        return min(distance(self.site, s) for s in self.neighbor_sites) / 2.0
+        xs, ys = np.array([(s.x, s.y) for s in self.neighbor_sites]).T
+        return 0.5 * math.acosh(cosh_distance_xy(xs, ys, self.site.x, self.site.y).min())
 
 
 def _klein_cell(xs, ys, i: int):
@@ -115,21 +124,10 @@ def _klein_cell(xs, ys, i: int):
     return cell, kk
 
 
-def _certified(kk, radius) -> bool:
-    """Whether a cell is exact among sites that hold every center within
-    radius of its site, given the squared Klein radii kk of its vertices.
-
-    A center that cut the cell at a vertex v lies nearer v than the site,
-    so within 2 d(site, v) = 2 atanh|k| of the site: the cell is exact when
-    that reach is at most radius, that is when |k|^2 <= tanh^2(radius / 2).
-    """
-    return bool(kk.max() <= math.tanh(0.5 * radius) ** 2)
-
-
 def packing_cell(packing, site: HPoint) -> VoronoiCell:
     """Dirichlet cell of one disk center of a disk packing, among the
     centers of a window about it. The window, two disk spacings at first,
-    doubles until it reaches twice the cell's farthest vertex (_certified).
+    doubles until it reaches twice the cell's farthest vertex.
     Regions raise UnsupportedOperationError.
     """
     radius = 4.0 * _disk_radius(packing)
@@ -141,7 +139,7 @@ def packing_cell(packing, site: HPoint) -> VoronoiCell:
             raise DomainError(f"point ({site.x:g}, {site.y:g}) is not a center of the packing")
         try:
             cell, kk = _klein_cell(sx, sy, int(np.argmin(half)))
-            if _certified(kk, radius):
+            if kk.max() <= math.tanh(0.5 * radius) ** 2:
                 return cell
         except UnboundedCellError:
             pass
@@ -149,49 +147,80 @@ def packing_cell(packing, site: HPoint) -> VoronoiCell:
 
 
 def _site_cells(packing, tree, sites, complete):
-    """Dirichlet cells of the sites tree.data[sites] of a disk packing,
-    built from the sites of the KD-tree alone.
+    """Fan areas and inscribed radius bounds, as two arrays, of the
+    Dirichlet cells of the sites tree.data[sites] of a disk packing.
 
-    The tree must hold every center within complete[i] of site sites[i].
-    One ball_hits query gathers each site's centers within two disk
-    spacings, or within complete[i] if that is less. A cell that is not
-    _certified at that radius is redone at twice the radius, again capped
-    at complete[i]; one that fails at complete[i] is a packing_cell.
+    The tree must hold every center within complete[i] of sites[i]. One
+    ball_hits query gathers each site's centers within two disk spacings,
+    capped at complete[i]. Only the hulls are built site by site; the
+    vertices, certificates, areas and bounds (half the distance to the
+    nearest hull vertex) are formed for all sites at once. A cell that is
+    not certified is redone at twice the radius, again capped; one that
+    fails at complete[i] is a packing_cell.
     """
     sx, sy = tree.data[:, 0], tree.data[:, 1]
-    cells = [None] * len(sites)
-    todo = np.arange(len(sites))
-    trial = 4.0 * _disk_radius(packing)
+    area, bound = np.empty(len(sites)), np.empty(len(sites))
+    todo, trial = np.arange(len(sites)), 4.0 * _disk_radius(packing)
     while todo.size:
         j = sites[todo]
         radius = np.minimum(trial, complete[todo])
         counts, flat = ball_hits(tree, sx[j], sy[j], np.cosh(radius), np.sinh(radius))
-        retry = []
-        for t, hits, r in zip(todo, np.split(flat, np.cumsum(counts)[:-1]), radius):
+        # each ball holds its own site once
+        own = np.repeat(j, counts)
+        flat, own, counts = flat[flat != own], own[flat != own], counts - 1
+        x0m1, x1, x2 = hyperboloid_xy(sx[flat], sy[flat], sx[own], sy[own])
+        if np.any(x0m1 == 0.0):
+            raise DomainError("sites must be pairwise distinct")
+        dual = np.column_stack([x1, x2]) / x0m1[:, None]
+        hulls, closed = [], []
+        for t, lo in enumerate(np.cumsum(counts) - counts):
             try:
-                cell, kk = _klein_cell(sx[hits], sy[hits], int(np.flatnonzero(hits == sites[t])[0]))
-                if _certified(kk, r):
-                    cells[t] = cell
-                    continue
-            except UnboundedCellError:
-                pass
-            if r < complete[t]:
-                retry.append(t)
-            else:
-                cells[t] = packing_cell(packing, HPoint(sx[sites[t]], sy[sites[t]]))
-        todo = np.array(retry, dtype=np.intp)
-        trial *= 2.0
-    return cells
+                hull = ConvexHull(dual[lo:lo + counts[t]])
+            except (QhullError, ValueError):
+                continue
+            if not np.any(hull.equations[:, 2] > -0.5):
+                hulls.append(hull.vertices + lo)
+                closed.append(t)
+        done = np.zeros(todo.size, dtype=bool)
+        if hulls:
+            v = np.concatenate(hulls)
+            size = np.fromiter(map(len, hulls), np.intp, len(hulls))
+            first = np.cumsum(size) - size
+            nxt = np.arange(1, v.size + 1)
+            nxt[first + size - 1] = first
+            # the hull edge a -> b is dual to the cell vertex k with D_a . k = D_b . k = 1
+            a, b = dual[v], dual[v[nxt]]
+            det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+            k1, k2 = (b[:, 1] - a[:, 1]) / det, (a[:, 0] - b[:, 0]) / det
+            kk = k1 * k1 + k2 * k2
+            ok = np.maximum.reduceat(kk, first) <= np.tanh(0.5 * radius[closed]) ** 2
+            # an uncertified cell may reach past the ideal boundary; its area is dropped
+            s = np.sqrt(np.maximum(1.0 - kk, 0.0))
+            l1, l2, sl = k1[nxt], k2[nxt], s[nxt]
+            half = np.arctan2(np.abs(k1 * l2 - k2 * l1),
+                              1.0 + s + sl + s * sl - (k1 * l1 + k2 * l2))
+            done[np.array(closed)[ok]] = True
+            area[todo[done]] = 2.0 * np.add.reduceat(half, first)[ok]
+            bound[todo[done]] = 0.5 * np.arccosh(1.0 + np.minimum.reduceat(x0m1[v], first)[ok])
+        again = ~done & (radius < complete[todo])
+        for t in todo[~done & ~again]:
+            cell = packing_cell(packing, HPoint(sx[sites[t]], sy[sites[t]]))
+            area[t], bound[t] = cell.area(), cell.inscribed_radius_bound()
+        todo, trial = todo[again], 2.0 * trial
+    return area, bound
 
 
 def cell_relative_density(cell: VoronoiCell, rho: float) -> float:
     """ball_area(rho) / cell area, for a disk that fits inside the cell."""
     if not (rho > 0.0) or not math.isfinite(rho):
         raise DomainError(f"disk radius must be positive, got {rho}")
-    bound = cell.inscribed_radius_bound()
-    if rho > bound + 1e-12:
-        raise DomainError(
-            f"disk radius {rho:g} exceeds the inscribed bound {bound:g} "
-            f"of the cell"
-        )
-    return ball_area(rho) / cell.area()
+    return float(_cell_densities(rho, cell.area(), cell.inscribed_radius_bound()))
+
+
+def _cell_densities(rho, area, bound):
+    """ball_area(rho) / area for a disk in each cell of the given areas and
+    inscribed radius bounds; tight disks touch their cells' edges, so the
+    bounds allow for roundoff."""
+    if np.any(rho > bound + 1e-12):
+        raise DomainError(f"disk radius {rho:g} exceeds an inscribed bound {np.min(bound):g}")
+    return ball_area(rho) / area

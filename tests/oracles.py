@@ -3,6 +3,8 @@
 These are the package's earlier, slower constructions, kept as
 independent oracles:
 
+- ``distance``, the scalar hyperbolic distance of two points, in log
+  height beyond |log y| = 600 so that it holds at extreme heights;
 - geodesics as half-plane arcs, vertical lines and semicircles
   (``ArcGeodesic``): ``geodesic_through``, ``geodesic_intersection``,
   ``arc_coordinate``, ``point_along``, ``midpoint`` and
@@ -67,8 +69,8 @@ from hypack.hgeom import (
     Isometry,
     apply,
     ball_hits,
+    _SAFE_LOG,
     cosh_distance_xy,
-    distance,
     nearest_sites,
     polar_xy,
 )
@@ -91,6 +93,37 @@ from hypack.voronoi import cell_relative_density, packing_cell
 # polygons below log-height -26; relative to the size the test is the
 # same at every height.)
 _LINE_TOL = 1e-12
+_LN2 = math.log(2.0)
+
+
+# ---------------------------------------------------------------- distance
+
+def _log_abs_diff_exp(a: float, b: float) -> float:
+    """log|e^a - e^b| computed without forming the exponentials."""
+    if a == b:
+        return -math.inf
+    hi, lo = (a, b) if a > b else (b, a)
+    return hi + math.log1p(-math.exp(lo - hi))
+
+
+def distance(p: HPoint, q: HPoint) -> float:
+    """Hyperbolic distance. Vertically aligned pairs use the exact log identity."""
+    if p.x == q.x:
+        return abs(p.log_y - q.log_y)
+    if abs(p.log_y) <= _SAFE_LOG and abs(q.log_y) <= _SAFE_LOG:
+        s = math.hypot(p.x - q.x, p.y - q.y) / (2.0 * math.sqrt(p.y) * math.sqrt(q.y))
+        return 2.0 * math.asinh(s)
+    dx = p.x - q.x
+    ln_dx2 = 2.0 * math.log(abs(dx)) if dx != 0.0 else -math.inf
+    ln_dy2 = 2.0 * _log_abs_diff_exp(p.log_y, q.log_y)
+    ln_e = 0.5 * np.logaddexp(ln_dx2, ln_dy2)
+    ln_s = ln_e - 0.5 * (p.log_y + q.log_y) - _LN2
+    if ln_s > 33.0:
+        # asinh(s) = log(2s) + O(s^-2)
+        return 2.0 * (_LN2 + ln_s)
+    if ln_s < -33.0:
+        return 2.0 * math.exp(ln_s)
+    return 2.0 * math.asinh(math.exp(ln_s))
 
 
 # ---------------------------------------------------------------- geodesic arcs

@@ -12,7 +12,6 @@ from hypack.hgeom import (
     ball_area,
     BallSpec,
     cosh_distance_xy,
-    distance,
     GeodesicPolygon,
     HDisk,
     HPoint,
@@ -21,7 +20,7 @@ from hypack.hgeom import (
     ORIGIN,
     polar_xy,
 )
-from oracles import ArcGeodesic, boundary_point, midpoint, signed_distance_xy
+from oracles import ArcGeodesic, boundary_point, distance, midpoint, signed_distance_xy
 
 RNG_SEED = 20260816
 

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from hypack.hgeom import HPoint, distance
-from oracles import arc_coordinate, geodesic_through, midpoint, point_along
+from hypack.hgeom import HPoint
+from oracles import arc_coordinate, distance, geodesic_through, midpoint, point_along
 
 RNG_SEED = 20260816
 

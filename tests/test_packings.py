@@ -13,7 +13,6 @@ from hypack.hgeom import (
     ball_area,
     BallSpec,
     cosh_distance_xy,
-    distance,
     HDisk,
     HPoint,
     Isometry,
@@ -39,6 +38,7 @@ from oracles import (
     ReplayTightPacking,
     WallFoldTightPacking,
     all_pairs_min_gap,
+    distance,
     window_centers,
 )
 

@@ -18,7 +18,6 @@ from hypack.hgeom import (
     apply,
     ball_area,
     BallSpec,
-    distance,
     Geodesic,
     GeodesicPolygon,
     HPoint,
@@ -45,7 +44,7 @@ from hypack.regions import (
 )
 from hypack.packings import BrickTile, TightPacking, brick_region
 from hypack.voronoi import packing_cell
-from oracles import ArcGeodesic, ArcPolygon, ArcPolygonRegion, signed_distance_xy
+from oracles import ArcGeodesic, ArcPolygon, ArcPolygonRegion, distance, signed_distance_xy
 
 SEED = 811
 

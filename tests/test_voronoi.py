@@ -13,12 +13,12 @@ from hypack.hgeom import (
     ORIGIN,
     BallSpec,
     Geodesic,
+    GeodesicPolygon,
     HPoint,
     Isometry,
     apply,
     ball_area,
     cosh_distance_xy,
-    distance,
     polar_xy,
 )
 from hypack.packings import (
@@ -29,11 +29,11 @@ from hypack.packings import (
     tight_density_formula,
     tight_radius,
 )
-from hypack import voronoi
-from hypack.density import _owners
+from hypack import density, voronoi
+from hypack.density import _owners, mass_transport_check
 from hypack.regions import HalfSpaceRegion, PolygonRegion, SamplePlan
 from hypack.voronoi import _klein_cell, _site_cells, cell_relative_density, packing_cell
-from oracles import ArcGeodesic, geodesic_intersection, partition_audit, point_along
+from oracles import ArcGeodesic, distance, geodesic_intersection, partition_audit, point_along
 
 SEED = 60112
 
@@ -502,21 +502,17 @@ def _site_array(packing, window):
 
 
 def _assert_cells_match(monkeypatch, packing, tree, sites, complete):
-    """Each cell of _site_cells has packing_cell's area to 1e-12 and its
-    neighbour sites. Returns how many cells fell back to packing_cell."""
+    """Each cell of _site_cells has packing_cell's area and inscribed
+    radius bound to 1e-12. Returns how many cells fell back to packing_cell."""
     fallbacks = []
     monkeypatch.setattr(voronoi, "packing_cell",
                         lambda p, s: fallbacks.append(s) or packing_cell(p, s))
-    cells = _site_cells(packing, tree, sites, complete)
-    for j, cell in zip(sites, cells):
+    area, bound = _site_cells(packing, tree, sites, complete)
+    assert area.shape == bound.shape == sites.shape
+    for j, got_area, got_bound in zip(sites, area, bound):
         want = packing_cell(packing, HPoint(*tree.data[j]))
-        assert abs(cell.area() - want.area()) <= 1e-12
-        got_z, want_z = ([complex(q.x, q.y) for q in c.neighbor_sites] for c in (cell, want))
-        # distinct sites are at least a disk diameter apart, so a match
-        # within 1e-9 of each neighbour pairs the two sets one to one
-        gap = np.abs(np.subtract.outer(got_z, want_z)) / np.imag(got_z)[:, None]
-        assert len(got_z) == len(want_z)
-        assert gap.min(axis=1).max() <= 1e-9
+        assert abs(got_area - want.area()) <= 1e-12
+        assert abs(got_bound - want.inscribed_radius_bound()) <= 1e-12
     return len(fallbacks)
 
 
@@ -554,3 +550,55 @@ def test_site_cells_out_to_the_rim_of_the_array(monkeypatch, packing, window):
     tree, complete = _site_array(packing, window)
     assert complete.min() < 2.0 * packing.disk_radius
     _assert_cells_match(monkeypatch, packing, tree, np.arange(tree.n), complete)
+
+
+@pytest.mark.parametrize("packing, center, radius", [
+    *((TightPacking(m), ORIGIN, 1.2 * tight_radius(m) * 2.0) for m in range(7, 13)),
+    (BoroczkyPacking(), HPoint(0.3, 2.0), 2.5),
+    (BoroczkyPacking(0.25), HPoint(-0.4, 0.7), 2.0),
+], ids=[*(f"tight{m}" for m in range(7, 13)), "boroczky", "boroczky 0.25"])
+def test_fan_area_matches_gauss_bonnet(monkeypatch, packing, center, radius):
+    # the fan area of _site_cells against the Gauss-Bonnet area of the
+    # same _klein_cell cell, among the centers within 8 of the center;
+    # every cell near the center certifies well inside that array
+    sx, sy = packing._centers(BallSpec(center, 8.0))
+    d = np.arccosh(np.maximum(cosh_distance_xy(sx, sy, center.x, center.y), 1.0))
+    sites = np.flatnonzero(d <= radius)
+    monkeypatch.setattr(voronoi, "packing_cell", None)  # no cell may fall back
+    area, _ = _site_cells(packing, cKDTree(np.column_stack([sx, sy])), sites, 8.0 - d[sites])
+    want = np.array([_klein_cell(sx, sy, j)[0].area() for j in sites])
+    assert sites.size > 1
+    assert np.all(np.abs(area - want) <= 1e-13 * want)
+    if isinstance(packing, TightPacking):
+        exact = ball_area(packing.disk_radius) / tight_density_formula(packing.m)
+        assert np.all(np.abs(area - exact) <= 1e-13 * exact)
+
+
+def test_transport_builds_no_polygon(monkeypatch):
+    # every owner's cell of B(0, 7) certifies in the batch: no per-owner
+    # polygon is built, and the charge is the closed form to roundoff
+    polygons = []
+    init = GeodesicPolygon.__init__
+    monkeypatch.setattr(GeodesicPolygon, "__init__",
+                        lambda self, v: polygons.append(1) or init(self, v))
+    got = mass_transport_check(TightPacking(7), BallSpec(ORIGIN, 7.0), SamplePlan(SEED, 256))
+    assert polygons == []
+    assert abs(got - tight_density_formula(7)) <= 1e-15
+
+
+def test_transport_rejects_a_disk_past_its_cells(monkeypatch):
+    # tight disks touch their cells' edges: a radius 1e-9 larger leaves them
+    real = density._disk_radius
+    monkeypatch.setattr(density, "_disk_radius", lambda p: real(p) + 1e-9)
+    with pytest.raises(DomainError):
+        mass_transport_check(TightPacking(7), BallSpec(ORIGIN, 2.0), SamplePlan(SEED, 64))
+
+
+def test_site_cells_reject_a_repeated_center():
+    # the tree holds one center twice; the packing itself does not
+    p = TightPacking(7)
+    sx, sy = p._centers(BallSpec(ORIGIN, 4.0))
+    i = int(np.argmin(cosh_distance_xy(sx, sy, 0.0, 1.0)))
+    tree = cKDTree(np.column_stack([np.append(sx, sx[i]), np.append(sy, sy[i])]))
+    with pytest.raises(DomainError):
+        _site_cells(p, tree, np.array([i]), np.array([4.0]))
