@@ -13,8 +13,8 @@ Polygons are convex and live on the hyperboloid -X0^2 + X1^2 + X2^2 = -1,
 with (0, 1) at (1, 0, 0): each vertex is a hyperboloid vector relative to
 the first vertex, each edge a unit normal from the Minkowski cross
 product of its ends, so which side of an edge a point lies on is the
-sign of one Minkowski product, and the area comes from Gauss-Bonnet with
-the interior angles read off consecutive normals.
+sign of one Minkowski product, and the area is the sum of a fan of
+triangles about the first vertex, each read off in the Poincare disk.
 """
 
 from __future__ import annotations
@@ -417,9 +417,13 @@ class GeodesicPolygon:
     convex when every vertex off an edge lies strictly on the same side
     of it; anything else (a repeated vertex, a straight or reflex angle,
     crossing edges) raises DomainError.
+
+    The fan holds the points w of the Poincare disk about vertex 0 and,
+    for each triangle (0, k, k+1), cross = |w_k x w_k+1|, dot = w_k . w_k+1
+    and half its area, atan2(cross, 1 - dot).
     """
 
-    __slots__ = ("vertices", "lifted", "normals")
+    __slots__ = ("vertices", "lifted", "normals", "fan")
 
     def __init__(self, vertices):
         vertices = tuple(vertices)
@@ -442,20 +446,14 @@ class GeodesicPolygon:
         self.vertices = vertices
         self.lifted = p
         self.normals = side[0, 2] * cross * _MINKOWSKI / norm[:, None]
+        w = (x1 + 1j * x2) / (1.0 + p[:, 0])
+        bc = w[1:-1].conj() * w[2:]
+        cross, dot = np.abs(bc.imag), bc.real
+        self.fan = (w, cross, dot, np.arctan2(cross, 1.0 - dot))
 
     def area(self) -> float:
-        """Gauss-Bonnet area: (n - 2) pi - sum of interior angles.
-
-        Both normals at vertex k are Minkowski-orthogonal to P_k, and the
-        interior angle there has cosine -<n_k-1, n_k> and sine
-        |det(n_k-1, n_k, P_k)|; taking both keeps small angles exact.
-        """
-        n = self.normals
-        prev = np.roll(n, 1, axis=0)
-        cos = -np.sum(prev * n * _MINKOWSKI, axis=1)
-        sin = np.abs(np.sum(np.cross(prev, n) * self.lifted, axis=1))
-        angles = np.arctan2(sin, cos)
-        area = (len(self.vertices) - 2) * math.pi - sum(angles.tolist())
+        """Sum of the fan's triangle areas, 2 sum half."""
+        area = 2.0 * float(self.fan[3].sum())
         if area <= 0.0:
             raise DomainError(f"polygon area {area:.3e} is not positive")
         return area

@@ -20,9 +20,10 @@ a Euclidean disk. One quadrature, _box_area_in_ball, measures a box
 inside a ball for all three.
 
 A convex polygon region works on the hyperboloid: a point is inside when
-its Minkowski product with every edge normal is non-negative, the area
-is Gauss-Bonnet from the normals, and area-uniform points are placed
-exactly, triangle by triangle of a fan, with no rejection.
+its Minkowski product with every edge normal is non-negative, and the
+area and area-uniform points both come from the polygon's fan of
+triangles: points are placed exactly, triangle by triangle, with no
+rejection.
 """
 
 from __future__ import annotations
@@ -175,12 +176,8 @@ class PolygonRegion(Region):
         cosh t = 1 + v (cosh |bc'| - 1).
         """
         base = self.polygon.vertices[0]
-        x0, x1, x2 = self.polygon.lifted.T
-        w = (x1 + 1j * x2) / (1.0 + x0)
+        w, cross, dot, half = self.polygon.fan
         b, c = w[1:-1], w[2:]
-        bc = b.conj() * c
-        cross, dot = np.abs(bc.imag), bc.real
-        half = np.arctan2(cross, 1.0 - dot)
         start = np.concatenate([[0.0], np.cumsum(half)[:-1]])
 
         h = u * (start[-1] + half[-1])

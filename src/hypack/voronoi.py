@@ -20,9 +20,12 @@ Among sites that hold every center within r of the site, a cell is exact
 when |k|^2 <= tanh^2(r / 2) at each vertex k: a center that cut it at v
 lies within 2 d(site, v) = 2 atanh|k| of the site. packing_cell returns
 one cell as a polygon; _site_cells returns arrays of the areas and inscribed
-radius bounds of many. Neighbouring vertices k_i, k_j fan a triangle about
-the site of area 2 atan2(|k_i x k_j|, 1 + s_i + s_j + s_i s_j - k_i . k_j),
-s = sqrt(1 - |k|^2): the Poincare disk's 2 atan2(|p_i x p_j|, 1 - p_i . p_j) at p = k / (1 + s).
+radius bounds of many. Both build on _dual and _hulls, in coordinates
+relative to the site, and measure a cell by a fan: neighbouring vertices
+k_i, k_j fan a triangle about the site of area
+2 atan2(|k_i x k_j|, 1 + s_i + s_j + s_i s_j - k_i . k_j), s = sqrt(1 - |k|^2):
+the Poincare disk's 2 atan2(|p_i x p_j|, 1 - p_i . p_j) at p = k / (1 + s).
+A polygon fans about its first vertex instead.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .hgeom import (
     HPoint,
     ball_area,
     ball_hits,
-    cosh_distance_xy,
     hyperboloid_xy,
 )
 from .packings import _disk_radius
@@ -59,7 +61,47 @@ class VoronoiCell:
     def inscribed_radius_bound(self) -> float:
         """Half the distance to the nearest edge-sharing site."""
         xs, ys = np.array([(s.x, s.y) for s in self.neighbor_sites]).T
-        return 0.5 * math.acosh(cosh_distance_xy(xs, ys, self.site.x, self.site.y).min())
+        return 0.5 * math.acosh(1.0 + hyperboloid_xy(xs, ys, self.site.x, self.site.y)[0].min())
+
+
+def _dual(xs, ys, x0, y0):
+    """x0m1 = cosh d - 1 of the sites (xs, ys) about (x0, y0), and their
+    dual points D_q as rows; raises DomainError on a site at (x0, y0)."""
+    x0m1, x1, x2 = hyperboloid_xy(xs, ys, x0, y0)
+    if np.any(x0m1 == 0.0):
+        raise DomainError("sites must be pairwise distinct")
+    return x0m1, np.column_stack([x1, x2]) / x0m1[:, None]
+
+
+def _hulls(dual, counts):
+    """Hulls of consecutive runs of dual points, counts[t] in run t: the
+    runs t whose polar is closed, their hull vertices v as one flat array
+    of rows of dual (counterclockwise in each run), the start first of each
+    run in v, the successor nxt of each entry of v, and the Klein vertex
+    (k1, k2) dual to each hull edge v -> v[nxt]."""
+    hulls, closed = [], []
+    for t, lo in enumerate(np.cumsum(counts) - counts):
+        try:
+            hull = ConvexHull(dual[lo:lo + counts[t]])
+        except (QhullError, ValueError):
+            continue
+        # the hull edge on the line n . x = h (unit n, h = -offset) is dual
+        # to a cell vertex at Klein radius 1/h: h <= 0 leaves the polar open
+        # (the origin is not strictly inside the hull), and h < 1/2 puts the
+        # vertex far past the ideal boundary whatever Qhull's roundoff
+        if not np.any(hull.equations[:, 2] > -0.5):
+            hulls.append(hull.vertices + lo)
+            closed.append(t)
+    v = np.concatenate(hulls) if hulls else np.empty(0, np.intp)
+    size = np.fromiter(map(len, hulls), np.intp, len(hulls))
+    first = np.cumsum(size) - size
+    nxt = np.arange(1, v.size + 1)
+    nxt[first + size - 1] = first
+    # the hull edge a -> b is dual to the cell vertex k with D_a . k = D_b . k = 1
+    a, b = dual[v], dual[v[nxt]]
+    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    k1, k2 = (b[:, 1] - a[:, 1]) / det, (a[:, 0] - b[:, 0]) / det
+    return np.array(closed, dtype=np.intp), v, first, nxt, k1, k2
 
 
 def _klein_cell(xs, ys, i: int):
@@ -77,38 +119,13 @@ def _klein_cell(xs, ys, i: int):
         raise DomainError(f"site index {i} out of range for {n} sites")
     site = HPoint(xs[i], ys[i])
     ox, oy = np.delete(xs, i), np.delete(ys, i)
-    x0m1, x1, x2 = hyperboloid_xy(ox, oy, site.x, site.y)
-    if np.any(x0m1 == 0.0):
-        raise DomainError("sites must be pairwise distinct")
-    dual = np.column_stack([x1, x2]) / x0m1[:, None]
-    try:
-        hull = ConvexHull(dual)
-    except (QhullError, ValueError) as exc:
-        raise UnboundedCellError(
-            f"cell of site {i} is unbounded among {n} sites: no dual hull"
-        ) from exc
-    # the hull edge on the line n . x = h (unit n, h = -offset) is dual to
-    # a cell vertex at Klein radius 1/h: h <= 0 leaves the polar open
-    # (the origin is not strictly inside the hull), and h < 1/2 puts the
-    # vertex far past the ideal boundary whatever Qhull's roundoff
-    if np.any(hull.equations[:, 2] > -0.5):
+    _, dual = _dual(ox, oy, site.x, site.y)
+    closed, v, _, _, k1, k2 = _hulls(dual, np.array([n - 1]))
+    kk = k1 * k1 + k2 * k2
+    if not closed.size or np.any(kk >= 1.0):
         raise UnboundedCellError(
             f"cell of site {i} is unbounded among {n} sites: its bisectors "
             f"leave a way out to the ideal boundary"
-        )
-
-    # hull vertices come counterclockwise; the edge from a to b is dual
-    # to the cell vertex k with D_a . k = D_b . k = 1
-    a = dual[hull.vertices]
-    b = np.roll(a, -1, axis=0)
-    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    k1 = (b[:, 1] - a[:, 1]) / det
-    k2 = (a[:, 0] - b[:, 0]) / det
-    kk = k1 * k1 + k2 * k2
-    if np.any(kk >= 1.0):
-        raise UnboundedCellError(
-            f"cell of site {i} is unbounded among {n} sites: it reaches "
-            f"the ideal boundary"
         )
     # Klein -> half-plane about (0, 1), then back about the site
     vx = site.x + site.y * (k1 / (1.0 - k2))
@@ -118,7 +135,7 @@ def _klein_cell(xs, ys, i: int):
     ang = np.arctan2(-k1, k2)
     ang[ang > math.pi - 1e-12] -= 2.0 * math.pi
     vertices = [HPoint(vx[k], vy[k]) for k in np.argsort(ang)]
-    neighbors = tuple(HPoint(ox[j], oy[j]) for j in hull.vertices)
+    neighbors = tuple(HPoint(ox[j], oy[j]) for j in v)
     cell = VoronoiCell(site=site, polygon=GeodesicPolygon(vertices),
                        neighbor_sites=neighbors)
     return cell, kk
@@ -133,12 +150,12 @@ def packing_cell(packing, site: HPoint) -> VoronoiCell:
     radius = 4.0 * _disk_radius(packing)
     while True:
         sx, sy = packing._centers(BallSpec(site, radius))
-        # sinh^2(d / 2) = (cosh d - 1) / 2, formed without cancellation
-        half = ((sx - site.x) ** 2 + (sy - site.y) ** 2) / (4.0 * sy * site.y)
-        if not sx.size or 2.0 * math.asinh(math.sqrt(half.min())) > 1e-9:
+        # sinh^2(d / 2) = (cosh d - 1) / 2
+        x0m1 = hyperboloid_xy(sx, sy, site.x, site.y)[0]
+        if not sx.size or 2.0 * math.asinh(math.sqrt(0.5 * x0m1.min())) > 1e-9:
             raise DomainError(f"point ({site.x:g}, {site.y:g}) is not a center of the packing")
         try:
-            cell, kk = _klein_cell(sx, sy, int(np.argmin(half)))
+            cell, kk = _klein_cell(sx, sy, int(np.argmin(x0m1)))
             if kk.max() <= math.tanh(0.5 * radius) ** 2:
                 return cell
         except UnboundedCellError:
@@ -168,40 +185,19 @@ def _site_cells(packing, tree, sites, complete):
         # each ball holds its own site once
         own = np.repeat(j, counts)
         flat, own, counts = flat[flat != own], own[flat != own], counts - 1
-        x0m1, x1, x2 = hyperboloid_xy(sx[flat], sy[flat], sx[own], sy[own])
-        if np.any(x0m1 == 0.0):
-            raise DomainError("sites must be pairwise distinct")
-        dual = np.column_stack([x1, x2]) / x0m1[:, None]
-        hulls, closed = [], []
-        for t, lo in enumerate(np.cumsum(counts) - counts):
-            try:
-                hull = ConvexHull(dual[lo:lo + counts[t]])
-            except (QhullError, ValueError):
-                continue
-            if not np.any(hull.equations[:, 2] > -0.5):
-                hulls.append(hull.vertices + lo)
-                closed.append(t)
+        x0m1, dual = _dual(sx[flat], sy[flat], sx[own], sy[own])
+        closed, v, first, nxt, k1, k2 = _hulls(dual, counts)
+        kk = k1 * k1 + k2 * k2
+        ok = np.maximum.reduceat(kk, first) <= np.tanh(0.5 * radius[closed]) ** 2
+        # an uncertified cell may reach past the ideal boundary; its area is dropped
+        s = np.sqrt(np.maximum(1.0 - kk, 0.0))
+        l1, l2, sl = k1[nxt], k2[nxt], s[nxt]
+        half = np.arctan2(np.abs(k1 * l2 - k2 * l1),
+                          1.0 + s + sl + s * sl - (k1 * l1 + k2 * l2))
         done = np.zeros(todo.size, dtype=bool)
-        if hulls:
-            v = np.concatenate(hulls)
-            size = np.fromiter(map(len, hulls), np.intp, len(hulls))
-            first = np.cumsum(size) - size
-            nxt = np.arange(1, v.size + 1)
-            nxt[first + size - 1] = first
-            # the hull edge a -> b is dual to the cell vertex k with D_a . k = D_b . k = 1
-            a, b = dual[v], dual[v[nxt]]
-            det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-            k1, k2 = (b[:, 1] - a[:, 1]) / det, (a[:, 0] - b[:, 0]) / det
-            kk = k1 * k1 + k2 * k2
-            ok = np.maximum.reduceat(kk, first) <= np.tanh(0.5 * radius[closed]) ** 2
-            # an uncertified cell may reach past the ideal boundary; its area is dropped
-            s = np.sqrt(np.maximum(1.0 - kk, 0.0))
-            l1, l2, sl = k1[nxt], k2[nxt], s[nxt]
-            half = np.arctan2(np.abs(k1 * l2 - k2 * l1),
-                              1.0 + s + sl + s * sl - (k1 * l1 + k2 * l2))
-            done[np.array(closed)[ok]] = True
-            area[todo[done]] = 2.0 * np.add.reduceat(half, first)[ok]
-            bound[todo[done]] = 0.5 * np.arccosh(1.0 + np.minimum.reduceat(x0m1[v], first)[ok])
+        done[closed[ok]] = True
+        area[todo[done]] = 2.0 * np.add.reduceat(half, first)[ok]
+        bound[todo[done]] = 0.5 * np.arccosh(1.0 + np.minimum.reduceat(x0m1[v], first)[ok])
         again = ~done & (radius < complete[todo])
         for t in todo[~done & ~again]:
             cell = packing_cell(packing, HPoint(sx[sites[t]], sy[sites[t]]))

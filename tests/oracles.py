@@ -14,6 +14,8 @@ independent oracles:
   tangents, with ``ArcPolygonRegion``, whose membership test takes one
   signed distance per edge and whose sampler rejects area-uniform points
   of an enclosing ball;
+- ``gauss_bonnet_area``, a ``GeodesicPolygon``'s area from its interior
+  angles, read off consecutive edge normals;
 - ``partition_audit``, the fraction of window samples that lie in
   exactly one of a set of Dirichlet cells;
 - ``DedupTightPacking``, a tight packing whose neighbourhood of (0, 1)
@@ -64,6 +66,7 @@ from hypack.errors import DomainError, RangeError
 from hypack.hgeom import (
     ORIGIN,
     BallSpec,
+    GeodesicPolygon,
     HDisk,
     HPoint,
     Isometry,
@@ -308,6 +311,20 @@ class ArcPolygon:
         if area <= 0.0:
             raise DomainError(f"polygon area {area:.3e} is not positive")
         return area
+
+
+def gauss_bonnet_area(polygon: GeodesicPolygon) -> float:
+    """Gauss-Bonnet area of a GeodesicPolygon: (n - 2) pi - sum of interior angles.
+
+    Both normals at vertex k are Minkowski-orthogonal to P_k, and the
+    interior angle there has cosine -<n_k-1, n_k> and sine
+    |det(n_k-1, n_k, P_k)|; taking both keeps small angles exact.
+    """
+    n = polygon.normals
+    prev = np.roll(n, 1, axis=0)
+    cos = -np.sum(prev * n * np.array([-1.0, 1.0, 1.0]), axis=1)
+    sin = np.abs(np.sum(np.cross(prev, n) * polygon.lifted, axis=1))
+    return (len(polygon.vertices) - 2) * math.pi - sum(np.arctan2(sin, cos).tolist())
 
 
 class ArcPolygonRegion:

@@ -44,7 +44,14 @@ from hypack.regions import (
 )
 from hypack.packings import BrickTile, TightPacking, brick_region
 from hypack.voronoi import packing_cell
-from oracles import ArcGeodesic, ArcPolygon, ArcPolygonRegion, distance, signed_distance_xy
+from oracles import (
+    ArcGeodesic,
+    ArcPolygon,
+    ArcPolygonRegion,
+    distance,
+    gauss_bonnet_area,
+    signed_distance_xy,
+)
 
 SEED = 811
 
@@ -412,13 +419,15 @@ def _tight_polygons(m):
 def test_polygon_matches_arc_oracle(m, cell, log_height, shift, theta, seed):
     # isometric images of tight triangles and cells, far up and far down:
     # coverage agrees with one signed distance per edge wherever every
-    # edge is more than 1e-9 away, and the areas agree
+    # edge is more than 1e-9 away, and the areas agree, the fan's with
+    # the arc polygon's and, closely, with Gauss-Bonnet from the normals
     g = (Isometry.dilation(math.exp(log_height)) @ Isometry.translation(shift)
          @ Isometry.rotation(theta))
     verts = [apply(g, v) for v in _tight_polygons(m)[int(cell)].vertices]
     poly = GeodesicPolygon(verts)
     oracle = ArcPolygonRegion(ArcPolygon(verts))
     assert abs(poly.area() - oracle.polygon.area()) <= 1e-9
+    assert abs(poly.area() - gauss_bonnet_area(poly)) <= 1e-13 * poly.area()
 
     center = apply(g, ORIGIN)
     rng = np.random.default_rng(seed)

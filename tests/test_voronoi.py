@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from hypack.errors import DomainError, UnboundedCellError, UnsupportedOperationError
+from hypack.errors import DomainError, RangeError, UnboundedCellError, UnsupportedOperationError
 from hypack.hgeom import (
     ORIGIN,
     BallSpec,
@@ -19,6 +19,7 @@ from hypack.hgeom import (
     apply,
     ball_area,
     cosh_distance_xy,
+    hyperboloid_xy,
     polar_xy,
 )
 from hypack.packings import (
@@ -33,7 +34,14 @@ from hypack import density, voronoi
 from hypack.density import _owners, mass_transport_check
 from hypack.regions import HalfSpaceRegion, PolygonRegion, SamplePlan
 from hypack.voronoi import _klein_cell, _site_cells, cell_relative_density, packing_cell
-from oracles import ArcGeodesic, distance, geodesic_intersection, partition_audit, point_along
+from oracles import (
+    ArcGeodesic,
+    distance,
+    gauss_bonnet_area,
+    geodesic_intersection,
+    partition_audit,
+    point_along,
+)
 
 SEED = 60112
 
@@ -469,6 +477,28 @@ def test_boroczky_cell_agrees_with_nearest_site_ownership():
     assert np.array_equal(inside[clear], owned[clear] > 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("log_height", [0.0, 340.0, 400.0, 550.0, 690.0, 698.0])
+def test_deep_boroczky_cells_are_congruent(log_height):
+    # the centers are invariant under the e^2 dilation, and the mirror
+    # x -> -x swaps the columns k and -1 - k, so the cell of the center
+    # nearest (0, e^L) is congruent to the cell of center(0, 0) however
+    # high it sits, until its window runs past representable heights
+    bp = BoroczkyPacking()
+    want = packing_cell(bp, bp.center(0, 0))
+    p = HPoint.from_log(0.0, log_height)
+    sx, sy = bp._centers(BallSpec(p, 2.0))
+    i = int(np.argmin(hyperboloid_xy(sx, sy, p.x, p.y)[0]))
+    site = HPoint(sx[i], sy[i])
+    if log_height > 695.0:
+        with pytest.raises(RangeError):
+            packing_cell(bp, site)
+        return
+    cell = packing_cell(bp, site)
+    assert abs(cell.area() - want.area()) <= 1e-12
+    assert abs(cell.inscribed_radius_bound() - want.inscribed_radius_bound()) <= 1e-12
+
+
 @pytest.mark.parametrize("rho", [0.1, 0.25, 0.26, 0.27, 0.28, 0.3])
 def test_small_boroczky_cells_match_a_wide_window(rho):
     # a window of fixed disk spacings is too short for small disks: the
@@ -559,14 +589,14 @@ def test_site_cells_out_to_the_rim_of_the_array(monkeypatch, packing, window):
 ], ids=[*(f"tight{m}" for m in range(7, 13)), "boroczky", "boroczky 0.25"])
 def test_fan_area_matches_gauss_bonnet(monkeypatch, packing, center, radius):
     # the fan area of _site_cells against the Gauss-Bonnet area of the
-    # same _klein_cell cell, among the centers within 8 of the center;
-    # every cell near the center certifies well inside that array
+    # polygon of the same _klein_cell cell, among the centers within 8 of
+    # the center; every cell near the center certifies well inside that array
     sx, sy = packing._centers(BallSpec(center, 8.0))
     d = np.arccosh(np.maximum(cosh_distance_xy(sx, sy, center.x, center.y), 1.0))
     sites = np.flatnonzero(d <= radius)
     monkeypatch.setattr(voronoi, "packing_cell", None)  # no cell may fall back
     area, _ = _site_cells(packing, cKDTree(np.column_stack([sx, sy])), sites, 8.0 - d[sites])
-    want = np.array([_klein_cell(sx, sy, j)[0].area() for j in sites])
+    want = np.array([gauss_bonnet_area(_klein_cell(sx, sy, j)[0].polygon) for j in sites])
     assert sites.size > 1
     assert np.all(np.abs(area - want) <= 1e-13 * want)
     if isinstance(packing, TightPacking):
