@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, UnsupportedOperationError
 from .hgeom import (
@@ -280,6 +279,9 @@ def mass_transport_check(
     sx, sy = packing._centers(BallSpec(window.center, reach))
     if sx.size < 2:
         raise DomainError("window holds too few packing centers")
+    # imported here, so that importing the package does not load scipy.spatial
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(np.column_stack([sx, sy]))
     owner = _owners(tree, window, plan, boundary_tol)
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, RangeError, SaturationError, UnsupportedOperationError
 from .hgeom import (
@@ -100,6 +99,9 @@ def pairwise_min_gap(disks) -> float:
         raise DomainError("pairwise_min_gap needs disks of one radius")
     xs = np.array([d.center.x for d in disks])
     ys = np.exp(np.array([d.center.log_y for d in disks]))
+    # imported here, so that importing the package does not load scipy.spatial
+    from scipy.spatial import cKDTree
+
     _, cd = nearest_sites(cKDTree(np.column_stack([xs, ys])), xs, ys, 2)
     gap = np.arccosh(np.maximum(cd[:, 1], 1.0)) - 2.0 * rad[0]
     return float(gap.min())

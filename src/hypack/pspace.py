@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, RangeError
 from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, polar_xy
@@ -173,6 +172,9 @@ def _directed_cosh(a, c, floor):
     best known value; they are taken against all of c, largest upper
     bound first, in blocks of at most _BLOCK_PAIRS pairs (or one point).
     """
+    # imported here, so that importing the package does not load scipy.spatial
+    from scipy.spatial import cKDTree
+
     x, y = a[:, 0], a[:, 1]
     delta, j = cKDTree(c).query(a)
     ub = cosh_distance_xy(x, y, c[j, 0], c[j, 1])

@@ -174,25 +174,53 @@ class PolygonRegion(Region):
         Arvo's T_s = q / (T_c (sin a + q cos a)). The draw v places the
         point on the geodesic from b to c' at the distance t from b with
         cosh t = 1 + v (cosh |bc'| - 1).
+
+        The arithmetic runs in place on two real and three complex arrays
+        of the block, each operation with its operands in the order of the
+        formulas above, so the points do not depend on the buffers.
         """
         base = self.polygon.vertices[0]
         w, cross, dot, half = self.polygon.fan
-        b, c = w[1:-1], w[2:]
         start = np.concatenate([[0.0], np.cumsum(half)[:-1]])
 
-        h = u * (start[-1] + half[-1])
-        k = np.searchsorted(start, h, side="right") - 1
-        q = np.tan(h - start[k])
-        b, c = b[k], c[k]
-        c = q * c / (cross[k] + q * dot[k])
+        q = u * (start[-1] + half[-1])
+        k = np.searchsorted(start, q, side="right") - 1
+        q -= start[k]
+        np.tan(q, out=q)
+        b, c = w[1:-1][k], w[2:][k]
+        den = dot[k]
+        np.multiply(q, den, out=den)
+        np.add(cross[k], den, out=den)
+        del k
+        np.multiply(q, c, out=c)
+        c /= den
         # the disk isometry taking b to 0 carries the geodesic from b to c'
         # to a diameter, along which tanh(t / 2) is the distance from 0
-        phi = (c - b) / (1.0 - b.conj() * c)
-        rho2 = phi.real ** 2 + phi.imag ** 2
-        z = phi * np.sqrt(v / (1.0 - rho2 * (1.0 - v)))
-        z = (z + b) / (1.0 + b.conj() * z)
-        z = (z + 1j) / (1.0 + 1j * z)
-        return base.x + base.y * z.real, base.y * z.imag
+        t = np.conjugate(b)
+        np.multiply(t, c, out=t)
+        np.subtract(1.0, t, out=t)
+        c -= b
+        z = np.divide(c, t, out=c)
+        rho2 = np.square(z.real, out=q)
+        rho2 += np.square(z.imag, out=den)
+        s = np.subtract(1.0, v, out=den)
+        np.multiply(rho2, s, out=s)
+        np.subtract(1.0, s, out=s)
+        np.divide(v, s, out=s)
+        np.sqrt(s, out=s)
+        np.multiply(z, s, out=z)
+        np.conjugate(b, out=t)
+        np.multiply(t, z, out=t)
+        np.add(1.0, t, out=t)
+        z += b
+        z /= t
+        np.multiply(1j, z, out=t)
+        np.add(1.0, t, out=t)
+        z += 1j
+        z /= t
+        xs = np.multiply(base.y, z.real, out=s)
+        np.add(base.x, xs, out=xs)
+        return xs, np.multiply(base.y, z.imag, out=q)
 
 
 class StripeRegion(Region):

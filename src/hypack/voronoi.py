@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DomainError, UnboundedCellError
 from .hgeom import (
@@ -79,6 +78,9 @@ def _hulls(dual, counts):
     of rows of dual (counterclockwise in each run), the start first of each
     run in v, the successor nxt of each entry of v, and the Klein vertex
     (k1, k2) dual to each hull edge v -> v[nxt]."""
+    # imported here, so that importing the package does not load scipy.spatial
+    from scipy.spatial import ConvexHull, QhullError
+
     hulls, closed = [], []
     for t, lo in enumerate(np.cumsum(counts) - counts):
         try:

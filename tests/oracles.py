@@ -47,7 +47,8 @@ independent oracles:
   isometry, and the SVG element drawn from 64 of them;
 - the one-shot samplers ``ball_points``, ``ball_sample``,
   ``polygon_sample`` and ``brick_sample``, which draw all n points at
-  once from one generator, and the estimators ``mc_area_fraction`` and
+  once from one generator; ``fan_points``, the polygon sampler's block
+  map with a new array for every step; and the estimators ``mc_area_fraction`` and
   ``tile_density`` that average the verdicts of all n points with
   ``np.mean``.
 """
@@ -847,15 +848,24 @@ def polygon_sample(region: PolygonRegion, plan: SamplePlan):
     bc = b.conj() * c
     cross, dot = np.abs(bc.imag), bc.real
     half = np.arctan2(cross, 1.0 - dot)
+    rng = np.random.Generator(np.random.Philox(plan.seed))
+    u = rng.random(plan.n)
+    return fan_points(base, (w, cross, dot, half), u, rng.random(plan.n))
+
+
+def fan_points(base: HPoint, fan, u, v):
+    """The fan sampler's block map, PolygonRegion._points, with a new array
+    for every operation: the polygon's vertex 0 and its fan (w, cross,
+    dot, half), and two uniform blocks."""
+    w, cross, dot, half = fan
+    b, c = w[1:-1], w[2:]
     start = np.concatenate([[0.0], np.cumsum(half)[:-1]])
 
-    rng = np.random.Generator(np.random.Philox(plan.seed))
-    h = rng.random(plan.n) * (start[-1] + half[-1])
+    h = u * (start[-1] + half[-1])
     k = np.searchsorted(start, h, side="right") - 1
     q = np.tan(h - start[k])
     b, c = b[k], c[k]
     c = q * c / (cross[k] + q * dot[k])
-    v = rng.random(plan.n)
     phi = (c - b) / (1.0 - b.conj() * c)
     rho2 = phi.real ** 2 + phi.imag ** 2
     z = phi * np.sqrt(v / (1.0 - rho2 * (1.0 - v)))

@@ -139,3 +139,29 @@ def test_every_public_definition_has_a_caller():
     unused = {name: module for name, module in defined.items()
               if name not in used and name not in hypack.__all__}
     assert unused == {}
+
+
+def _import_time_nodes(node):
+    """The nodes below node that run when its module is imported: all but
+    the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_scipy_when_imported():
+    # scipy (0.44 s of a cold import) loads with the first KD-tree, hull or
+    # quadrature; an import inside a function stays allowed
+    found = []
+    for path in sorted((ROOT / "src" / "hypack").glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imported at module scope: {', '.join(found)}"

@@ -1,8 +1,10 @@
 import functools
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from hypack.regions import (
     annulus_fraction_euclid,
     annulus_fraction_euclid_brute,
     _QUAD_REL,
+    _uniform_blocks,
 )
 from hypack.packings import BrickTile, TightPacking, brick_region
 from hypack.voronoi import packing_cell
@@ -49,6 +52,7 @@ from oracles import (
     ArcPolygon,
     ArcPolygonRegion,
     distance,
+    fan_points,
     gauss_bonnet_area,
     signed_distance_xy,
 )
@@ -460,6 +464,41 @@ def test_polygon_sampler_a1_points_inside():
     assert ArcPolygonRegion(ArcPolygon(tri.vertices)).covers_xy(xs, ys).all()
 
 
+@pytest.mark.parametrize("m", range(7, 13))
+def test_polygon_block_map_matches_fan_oracle(m):
+    # the in-place block map gives the oracle's points bit for bit, on the
+    # face triangle, the cell of (0, 1) and a moved cell, full and short
+    # blocks, and leaves its draws as they were
+    g = Isometry.rotation(0.9, HPoint(0.4, 2.0)) @ Isometry.translation(-1.3)
+    tri, cell = _tight_polygons(m)
+    moved = GeodesicPolygon([apply(g, p) for p in cell.vertices])
+    for polygon in (tri, cell, moved):
+        region = PolygonRegion(polygon)
+        for seed in (101, SEED + m, 2**40 + m):
+            for u, v in _uniform_blocks(seed, 2**16 + 1000):
+                u0, v0 = u.copy(), v.copy()
+                got = region._points(u, v)
+                want = fan_points(polygon.vertices[0], polygon.fan, u, v)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+                assert u.tobytes() == u0.tobytes() and v.tobytes() == v0.tobytes()
+
+
+def test_polygon_block_map_memory():
+    # two real and three complex arrays of the block, 66 bytes a point:
+    # the measured 4.33 MB and a quarter more
+    region = PolygonRegion(TightPacking(7).fundamental_domain.polygon)
+    u, v = next(_uniform_blocks(101, 2**16))
+    region._points(u[:10], v[:10])
+    tracemalloc.start()
+    try:
+        region._points(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 4.33e6
+
+
 @pytest.fixture(scope="module")
 def deep_cell():
     """The {3,7} Dirichlet cell of the vertex nearest (0.3, 0.005)."""
@@ -530,12 +569,77 @@ def test_annulus_region_matches_formula_by_euclid_mc():
     assert abs(frac - want) <= 4 * sigma
 
 
+def _fresh(code, *args):
+    """Standard output of code run with args in a fresh interpreter."""
+    src = str(Path(hypack.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
 def test_import_leaves_quadrature_unloaded():
     # scipy.integrate loads with the first box-in-ball quadrature, not
     # with the package
-    src = str(Path(hypack.__file__).resolve().parent.parent)
-    code = "import sys, hypack; print('scipy.integrate' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+    out = _fresh("import sys, hypack; print('scipy.integrate' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # the package and its CLI need numpy alone until a KD-tree, a hull or
+    # a quadrature is built
+    out = _fresh("import sys, hypack, hypack.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+# Tree-free CLI commands, then the four functions that build a KD-tree or a
+# hull, each run before anything else has loaded scipy.spatial.
+COLD_PATH = """
+import json, os, sys
+from hypack import (BallSpec, Isometry, ORIGIN, SamplePlan, TightPacking, TransformedPacking,
+                    cli, mass_transport_check, packing_cell, packing_distance, truncate)
+from hypack.packings import pairwise_min_gap
+
+def run(out):
+    def spatial():
+        return "scipy.spatial" in sys.modules
+
+    def command(*argv):
+        path = os.path.join(out, argv[0])
+        assert cli.main([*argv, "--out", path]) == 0
+        with open(path, "rb") as f:
+            return f.read().decode()
+
+    rec = {"gen": command("gen", "--kind", "tight", "--m", "7", "--R", "3"),
+           "density": command("density", "--kind", "tight", "--m", "7", "--radii", "2,3",
+                              "--samples", "4000", "--seed", "7"),
+           "spatial_after_cli": spatial()}
+    tp = TightPacking(7)
+    rec["gap"] = pairwise_min_gap(tp.bodies_in_ball(BallSpec(ORIGIN, 3.0)))
+    rec["spatial_after_gap"] = spatial()
+    cell = packing_cell(tp, ORIGIN)
+    rec["cell"] = [[p.x, p.y] for p in cell.polygon.vertices] + [cell.area()]
+    rec["transport"] = mass_transport_check(tp, BallSpec(ORIGIN, 4.0), SamplePlan(seed=3, n=64))
+    moved = TransformedPacking(Isometry.translation(0.3), tp)
+    rec["distance"] = float(packing_distance(truncate(tp, k_max=1), truncate(moved, k_max=1)))
+    rec["voronoi"] = command("voronoi", "--kind", "tight", "--m", "7")
+    return rec
+
+if __name__ == "__main__":
+    print(json.dumps(run(sys.argv[1])))
+"""
+
+
+def test_cold_commands_leave_scipy_spatial_unloaded(tmp_path):
+    # the first KD-tree or hull loads scipy.spatial itself, and the values
+    # equal those of this warm process bit for bit
+    (tmp_path / "cold").mkdir()
+    (tmp_path / "warm").mkdir()
+    cold = json.loads(_fresh(COLD_PATH, str(tmp_path / "cold")))
+    assert cold.pop("spatial_after_cli") is False
+    assert cold.pop("spatial_after_gap") is True
+    module = {"__name__": "warm"}
+    exec(COLD_PATH, module)
+    warm = module["run"](str(tmp_path / "warm"))
+    del warm["spatial_after_cli"], warm["spatial_after_gap"]
+    assert json.dumps(cold) == json.dumps(warm)
