@@ -316,7 +316,18 @@ class FundamentalDomain:
 # the chamber; the cap guards against roundoff cycling a point.
 _MAX_SWEEPS = 10_000
 _FOLD_BLOCK = 1 << 14  # points per block of the fold, which bounds its temporaries
+_JUMP_REACH = 7.0  # the jump table holds whole shells of vertices out to about this
+_JUMP_BINS = 4096  # direction bins per shell of the jump table, a power of two
+_JUMP_PASSES = 6  # jumps a point takes at most before the sweeps
+# points with cosh d - 1 past this are left to the sweeps: the jumps' error
+# is measured out to d = 32 (see TightPacking)
+_JUMP_BOUND = math.cosh(32.0) - 1.0
 _MAX_REFOLDS = 4  # one refold settles every window center floats can carry
+
+
+def _direction(x, y):
+    """The angle of points about (0, 1) from straight up: arg (z - i) / (z + i)."""
+    return np.arctan2(-2.0 * x, x * x + y * y - 1.0)
 
 
 class TightPacking(Packing):
@@ -328,15 +339,31 @@ class TightPacking(Packing):
     sweep turns a point about (0, 1) by the multiple of 2 pi/m nearest
     straight up, mirrors it into x >= 0 and, if it lies outside that
     circle, inverts it, which starts another sweep. A point is covered
-    iff its folded image lies within r_m of (0, 1). Window queries carry
-    the window's center near (0, 1) by one isometry g (see _home), take
-    the vertices of a cached neighbourhood of (0, 1) in the moved window
-    and carry them back by g^-1.
+    iff its folded image lies within r_m of (0, 1).
+
+    A sweep gains about one edge, so coverage queries first jump points
+    farther than two edges from (0, 1) near it (see _jump): by the
+    symmetry g_v that carries a table vertex v of the point's shell and
+    direction to (0, 1), at most _JUMP_PASSES times. At R = 12 for m = 7 a
+    point then takes 1.34 sweeps instead of 12.5. Each g_v is exact up to
+    float: it misplaces v and its neighbour by at most 2.9e-13, about
+    1e-16 e^{d(v, (0, 1))} (m = 7..12). The jumped fold of a point at
+    distance d lands within 1.1e-15 e^d of the swept one for m <= 12 and
+    4.7e-15 e^d for m = 18 (measured out to d = 32), next to the sweeps'
+    own 1e-16 e^d; farther points are not jumped. The table is built at
+    the first far point, in a few milliseconds. A jump saves the most
+    sweeps where edges are short and points far: against the sweeps alone
+    the fold takes 0.47 of the time at R = 12 for m = 7, but up to 1.12
+    where points lie only two or three edges out for m = 9..16.
+
+    Window queries carry the window's center near (0, 1) by one isometry
+    g (see _home), take the vertices of a cached neighbourhood of (0, 1)
+    in the moved window and carry them back by g^-1.
 
     The neighbourhood is generated ring by ring from the layered structure
     of the {3,m} triangulation (Dunham, Lindgren and Witte, 1981), which
     names each vertex exactly once, so no vertex is ever deduplicated
-    (see _grow). A window that reaches past the cached radius regenerates
+    (see _rings). A window that reaches past the cached radius regenerates
     it with ln 2 of headroom, which about doubles the vertex count, so
     generation is amortized linear in the vertices finally held. A window
     whose neighbourhood would exceed two million vertices raises
@@ -361,6 +388,9 @@ class TightPacking(Packing):
         self._reach = 0.0
         # the radius about (0, 1) that holds _DISK_CAP vertices
         self._cap_radius = math.acosh(1.0 + _DISK_CAP * (self.m - 6) / 6.0)
+        # cosh d - 1 two edges out from (0, 1), past which points jump
+        self._two_edges = math.cosh(4.0 * self.disk_radius) - 1.0
+        self._jumps = None
         self._fd = None
 
     # -- the fold ------------------------------------------------------------
@@ -372,9 +402,7 @@ class TightPacking(Packing):
         Returns x, y, x^2 + y^2 before the inversion and the inverted mask;
         appends a single point's (k, mirrored, inverted) to steps.
         """
-        # the angle about (0, 1) from straight up is arg (z - i) / (z + i)
-        angle = np.arctan2(-2.0 * x, x * x + y * y - 1.0)
-        k = np.rint(angle * (self.m / (2.0 * math.pi))).astype(np.intp)
+        k = np.rint(_direction(x, y) * (self.m / (2.0 * math.pi))).astype(np.intp)
         # the turn by -2 pi k / m is z -> (c z - s) / (s z + c)
         s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
         x, y = mobius_xy(c, -s, s, c, x, y)
@@ -394,12 +422,15 @@ class TightPacking(Packing):
         """Sweep each point into the chamber until it is not inverted.
 
         Returns flat copies of the folded x and y and their x^2 + y^2. For
-        a single point, each sweep's (k, mirrored, inverted) goes to steps.
+        a single point, each sweep's (k, mirrored, inverted) goes to steps;
+        without steps, far points first jump near (0, 1) (see _jump).
         """
         x = np.array(xs, dtype=float).ravel()
         y = np.array(ys, dtype=float).ravel()
         if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
             raise DomainError("half-plane points need finite x and finite y > 0")
+        if steps is None:
+            self._jump(x, y)
         q = np.empty_like(x)
         live, lx, ly = np.arange(x.size), x, y
         for _ in range(_MAX_SWEEPS):
@@ -440,8 +471,9 @@ class TightPacking(Packing):
 
     # -- the neighbourhood of (0, 1) -------------------------------------------
 
-    def _grow(self, radius: float) -> None:
-        """Generate every vertex within radius of (0, 1), ring by ring.
+    def _rings(self, radius: float):
+        """Yield each ring of vertices within radius of (0, 1), with the
+        neighbour that emitted each vertex.
 
         Ring 1 is the m neighbours of (0, 1). Every later vertex v keeps
         its reference neighbour N0, the vertex that emitted it, and N_k is
@@ -457,8 +489,8 @@ class TightPacking(Packing):
         # turns of the vertex straight above it, none with two parents.
         ring, ref, first = np.array([1j]), np.array([1j * self._e2r]), np.array([-1])
         turns = np.arange(m)
-        found = [ring]
         while ring.size:
+            yield ring, ref
             rot = np.exp(2j * math.pi * turns / m)[:, None]
             tk = rot * ((ref - ring) / (ref - ring.conj()))
             cand = (ring - ring.conj() * tk) / (1.0 - tk)
@@ -468,12 +500,98 @@ class TightPacking(Packing):
             ring, ref = cand[keep], np.broadcast_to(ring, cand.shape)[keep]
             first = 2 + np.broadcast_to(turns[:, None] == first, cand.shape)[keep]
             turns = np.arange(2, m - 2)
-            found.append(ring)
-        z = np.concatenate(found)
+
+    def _grow(self, radius: float) -> None:
+        """Generate every vertex within radius of (0, 1); see _rings."""
+        z = np.concatenate([ring for ring, _ in self._rings(radius)])
         cd = cosh_distance_xy(z.real, z.imag, 0.0, 1.0)
         order = np.argsort(cd, kind="stable")
         self._z, self._cd = z[order], cd[order]
         self._reach = radius
+
+    # -- the jumps -----------------------------------------------------------
+
+    def _jump_table(self):
+        """The table of the jumps, built at the first call: the upper
+        cosh d - 1 of each shell but the last, the vertex of each (shell,
+        bin) and, per vertex v, the coefficients (a, b, c, d) of g_v.
+
+        Shell s holds the vertices v with 2 r_m s < d(v, (0, 1)) <=
+        2 r_m (s + 1), in the count of whole shells that comes nearest
+        _JUMP_REACH, so the outermost is as full as the others; bin b of a
+        shell the one whose direction about (0, 1) is nearest the bin's
+        centre. With n the neighbour that emitted v, T(z) = (z - v_x) / v_y
+        and R the turn about (0, 1) that carries T(n) straight up,
+        g_v = R T sends v to (0, 1) and n to (0, e^{2 r_m}): the rotations
+        of the packing act simply transitively on its directed edges, so
+        g_v is the one that carries (v, n) there.
+        """
+        if self._jumps is None:
+            edge = 2.0 * self.disk_radius
+            shells = max(1, round(_JUMP_REACH / edge))
+            # with the vertices on the outer boundary, which roundoff may put past it
+            rings = self._rings(edge * shells + 1e-9)
+            z, n = (np.concatenate(parts) for parts in zip(*rings))
+            x, y = z.real, z.imag
+            w = (n - x) / y
+            # R turns by minus the direction of T(n), as (c, -s; s, c) with half of it
+            half = 0.5 * _direction(w.real, w.imag)
+            c, s = np.cos(half), np.sin(half)
+            # (c, -s; s, c) (1, -v_x; 0, v_y), of determinant v_y
+            coef = np.stack([c, -c * x - s * y, s, c * y - s * x]) / np.sqrt(y)
+            bounds = np.cosh(edge * np.arange(1.0, shells)) - 1.0
+            t = cosh_distance_xy(x, y, 0.0, 1.0) - 1.0
+            shell, angle = np.searchsorted(bounds, t), _direction(x, y)
+            centres = (np.arange(_JUMP_BINS) + 0.5) * (2.0 * math.pi / _JUMP_BINS) - math.pi
+            index = np.empty((bounds.size + 1, _JUMP_BINS), dtype=np.intp)
+            for k in range(bounds.size + 1):
+                mine = np.flatnonzero(shell == k)
+                if not mine.size:
+                    # an empty shell copies the one below; shell 0 holds (0, 1)
+                    index[k] = index[k - 1]
+                    continue
+                mine = mine[np.argsort(angle[mine])]
+                pos = np.searchsorted(angle[mine], centres)
+                below, above = mine[pos - 1], mine[pos % mine.size]
+                nearer = (centres - angle[below]) % (2.0 * math.pi) <= (
+                    angle[above] - centres) % (2.0 * math.pi)
+                index[k] = np.where(nearer, below, above)
+            self._jumps = bounds, index, coef
+        return self._jumps
+
+    def _jump(self, x, y):
+        """Carry the points farther than two edges from (0, 1) near it, in
+        place: each takes the g_v of its shell and direction bin, pass by
+        pass, at most _JUMP_PASSES times.
+
+        Points with cosh d - 1 >= _JUMP_BOUND stay put, so the sweeps
+        alone fold them, and the first sweep reports those beyond float
+        reach.
+        """
+        live, lx, ly = None, x, y
+        for _ in range(_JUMP_PASSES):
+            with np.errstate(over="ignore"):
+                # x^2 + (y - 1)^2 is 2y (cosh d - 1); in place, as most
+                # points are near and this test is all they pay
+                t = lx * lx
+                t += (ly - 1.0) ** 2
+            far = t > (2.0 * self._two_edges) * ly
+            if not far.any():
+                return
+            live = np.flatnonzero(far) if live is None else live[far]
+            lx, ly = lx[far], ly[far]
+            t = t[far] / (2.0 * ly)
+            near = t < _JUMP_BOUND
+            if not near.all():
+                live, lx, ly, t = live[near], lx[near], ly[near], t[near]
+            bounds, index, coef = self._jump_table()
+            cell = np.searchsorted(bounds, t) * _JUMP_BINS
+            turn = (_direction(lx, ly) + math.pi) * (_JUMP_BINS / (2.0 * math.pi))
+            # the bin of angle pi is the bin of -pi
+            cell += turn.astype(np.intp) & (_JUMP_BINS - 1)
+            a, b, c, d = coef.take(index.take(cell), axis=1)
+            lx, ly = mobius_xy(a, b, c, d, lx, ly)
+            x[live], y[live] = lx, ly
 
     # -- queries -------------------------------------------------------------
 

@@ -589,6 +589,15 @@ class ReplayTightPacking(TightPacking):
         return x, y
 
 
+class SweepTightPacking(TightPacking):
+    """TightPacking whose covers_xy folds by sweeps alone, one per edge
+    between a point and (0, 1): no point is far enough to jump."""
+
+    def __init__(self, m: int):
+        super().__init__(m)
+        self._two_edges = math.inf
+
+
 # ---------------------------------------------------------------- mass transport
 
 def nearest_site(tree, sx, sy, x, y, rho0):

@@ -19,8 +19,10 @@ from hypack.hgeom import (
     ORIGIN,
     polar_xy,
 )
+from hypack.pspace import truncate
 from hypack.regions import SamplePlan, sample_ball_uniform, quad_black_fraction
 from hypack.packings import (
+    _JUMP_BOUND,
     BoroczkyPacking,
     BrickRegion,
     BrickTile,
@@ -36,6 +38,7 @@ from hypack.packings import (
 from oracles import (
     DedupTightPacking,
     ReplayTightPacking,
+    SweepTightPacking,
     WallFoldTightPacking,
     all_pairs_min_gap,
     distance,
@@ -765,6 +768,97 @@ def test_sector_fold_memory_is_blockwise():
         tracemalloc.stop()
     # the verdicts, plus under 3 MB
     assert peak < xs.size + 3e6
+
+
+# ---------------------------------------------------------------- jumps
+# covers_xy first carries far points near (0, 1) by symmetries of the
+# packing from a table, then sweeps them; the sweeps alone reach the same
+# chamber one edge at a time.
+
+
+@pytest.mark.parametrize("m", [7, 8, 12, 18])
+def test_jumped_fold_verdicts_match_sweeps(m):
+    tp, oracle = TightPacking(m), SweepTightPacking(m)
+    xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 12.0), SamplePlan(seed=SEED + m, n=100_000))
+    assert np.array_equal(tp.covers_xy(xs, ys), oracle.covers_xy(xs, ys))
+    assert tp._jumps is not None and oracle._jumps is None
+    g = Isometry.translation(0.7) @ Isometry.rotation(1.1, HPoint(0.2, 1.5))
+    c = apply(g, ORIGIN)
+    xs, ys = sample_ball_uniform(BallSpec(c, 12.0), SamplePlan(seed=SEED + 20 + m, n=100_000))
+    got = TransformedPacking(g, tp).covers_xy(xs, ys)
+    assert np.array_equal(got, TransformedPacking(g, oracle).covers_xy(xs, ys))
+
+
+@pytest.mark.parametrize("m", range(7, 13))
+def test_jump_table_sends_each_edge_to_the_chamber(m):
+    tp = TightPacking(m)
+    bounds, index, coef = tp._jump_table()
+    # the table holds whole shells, one edge wide each
+    rings = tp._rings(2.0 * tp.disk_radius * len(index) + 1e-9)
+    z, n = (np.concatenate(parts) for parts in zip(*rings))
+    assert coef.shape == (4, z.size)
+    assert np.allclose(coef[0] * coef[3] - coef[1] * coef[2], 1.0, rtol=0.0, atol=1e-12)
+    a, b, c, d = coef
+    top = 1j * math.exp(2.0 * tp.disk_radius)
+    for v, want in ((z, 1j), (n, top)):
+        got = (a * v + b) / (c * v + d)
+        assert _nearest_gap(got, np.array([want])).max() <= 1e-12
+    # every bin names a vertex of its own shell
+    t = cosh_distance_xy(z.real, z.imag, 0.0, 1.0) - 1.0
+    assert index.shape == (bounds.size + 1, 4096)
+    assert np.array_equal(np.searchsorted(bounds, t[index]), np.indices(index.shape)[0])
+
+
+@pytest.mark.parametrize("m", [7, 8, 12, 18])
+def test_jumped_fold_lands_within_its_error_bound(m):
+    # far out, the jumped and the swept fold part by roundoff: within
+    # 5e-15 e^d of each other (measured 1.1e-15 for m <= 12, 4.7e-15 for
+    # m = 18), and their verdicts differ only within that of a disk's edge
+    tp, oracle = TightPacking(m), SweepTightPacking(m)
+    xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 24.0), SamplePlan(seed=SEED + 30 + m, n=20_000))
+    bound = 5e-15 * np.exp(np.arccosh(cosh_distance_xy(xs, ys, 0.0, 1.0)))
+    ax, ay, _ = tp._fold(xs, ys)
+    bx, by, _ = oracle._fold(xs, ys)
+    gap = 2.0 * np.arcsinh(np.hypot(ax - bx, ay - by) / (2.0 * np.sqrt(ay * by)))
+    assert (gap <= bound).all()
+    edge = np.abs(np.arccosh(cosh_distance_xy(bx, by, 0.0, 1.0)) - tp.disk_radius)
+    clear = edge > bound
+    assert clear.mean() > 0.99
+    got, want = tp.covers_xy(xs, ys), oracle.covers_xy(xs, ys)
+    assert np.array_equal(got[clear], want[clear])
+
+
+def test_points_past_the_jump_bound_fold_by_sweeps_alone():
+    tp, oracle = TightPacking(7), SweepTightPacking(7)
+    xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 36.0), SamplePlan(seed=SEED + 40, n=5_000))
+    past = cosh_distance_xy(xs, ys, 0.0, 1.0) - 1.0 >= _JUMP_BOUND * (1.0 + 1e-9)
+    assert past.mean() > 0.9
+    for got, want in zip(tp._fold(xs[past], ys[past]), oracle._fold(xs[past], ys[past])):
+        assert np.array_equal(got, want)
+
+
+def test_jumps_cut_the_sweeps_per_point():
+    tp = TightPacking(7)
+    xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 12.0), SamplePlan(seed=SEED + 6, n=100_000))
+    swept = []
+    sweep = tp._sweep
+    tp._sweep = lambda *args: (swept.append(args[0].size), sweep(*args))[1]
+    tp.covers_xy(xs, ys)
+    # the sweeps alone take 12.5 a point here
+    assert sum(swept) / xs.size < 3.0
+
+
+def test_near_points_leave_the_jump_table_unbuilt():
+    tp = TightPacking(7)
+    two_edges = 4.0 * tp.disk_radius
+    xs, ys = sample_ball_uniform(BallSpec(ORIGIN, two_edges - 1e-6), SamplePlan(seed=SEED + 7, n=50_000))
+    tp.covers_xy(xs, ys)
+    tp.covers_xy(*polar_xy(0.0, 1.0, two_edges - 1e-6, np.linspace(0.0, 2.0 * math.pi, 1000)))
+    # the packing metric's level nets and boundary rings at k = 1
+    g = Isometry.translation(0.4) @ Isometry.rotation(1.0, HPoint(0.2, 1.1))
+    truncate(tp, k_max=1)
+    truncate(TransformedPacking(g, tp), k_max=1)
+    assert tp._jumps is None
 
 
 # ---------------------------------------------------------------- transformed
