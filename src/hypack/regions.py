@@ -338,15 +338,17 @@ def mc_area_fraction(target, ball: BallSpec, plan: SamplePlan) -> AreaEstimate:
 
 # ------------------------------------------------------------- quadrature
 
-_QUAD_REL = 1e-10  # relative tolerance of the box-in-ball quadrature
+_QUAD_REL = 1e-10  # relative accuracy the box-in-ball quadrature is held to
 
-
-def _chord_factor(u, R):
-    """sqrt((1 - e^{-(R-u)})(1 - e^{-(R+u)})), clamped at the endpoints."""
-    rad = (1.0 - math.exp(-(R - u))) * (1.0 - math.exp(-(R + u)))
-    if rad <= 0.0:
-        return 0.0
-    return math.sqrt(rad)
+# The tanh-sinh rule of Takahasi and Mori (1974) on [-1, 1]: nodes tanh s
+# at s = (pi/2) sinh t for t = -6 ... 6 in steps of 1/32, weights
+# (pi/2)(1/32) cosh t / cosh^2 s. A node is held as its distance from the
+# nearer end, 1 - |tanh s| = 1 / (e^|s| cosh s), so that none lands on an end.
+_TS_T = np.arange(-192, 193) / 32.0
+_TS_S = 0.5 * math.pi * np.sinh(_TS_T)
+_TS_LOW = _TS_S < 0.0
+_TS_END = 1.0 / (np.exp(np.abs(_TS_S)) * np.cosh(_TS_S))
+_TS_WEIGHT = (0.5 * math.pi / 32.0) * np.cosh(_TS_T) / np.cosh(_TS_S) ** 2
 
 
 def _box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
@@ -359,21 +361,17 @@ def _box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
     integrand is the clipped chord width over y:
     min(hw, (xb - x_c)/y) - max(-hw, (xa - x_c)/y). Without finite x edges
     (a stripe) that is hw + hw. The width has a kink where the ball's
-    circle crosses a finite x edge; those heights are passed to quad as
-    break points. A box with a finite x edge raises RangeError when the
-    ball's Euclidean form overflows, whether or not the two meet.
+    circle crosses a finite x edge; the range is split at those heights and
+    each piece takes the tanh-sinh rule, all pieces in one array. A box
+    with a finite x edge raises RangeError when the ball's Euclidean form
+    overflows, whether or not the two meet.
     """
     lo = max(la - center.log_y, -R)
     hi = min(lb - center.log_y, R)
     # x edges in units of the center's height; infinite edges stay infinite
     ea, eb = xa, xb
     points = []
-    # stripes keep quad's default absolute tolerance, under which their
-    # areas (and A2's fractions) were computed; a box with a finite x edge
-    # can hold a tiny area, so it asks for relative accuracy alone
-    epsabs = 1.49e-8
     if math.isfinite(xa) or math.isfinite(xb):
-        epsabs = 0.0
         circ = BallSpec(center, R).euclid_form()
         ea, eb = (xa - circ.h) / center.y, (xb - circ.h) / center.y
         for xe in (xa, xb):
@@ -385,29 +383,15 @@ def _box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
                 points += [bottom - center.log_y, top - center.log_y]
     if lo >= hi:
         return 0.0
-    # quad cannot split the piece between a break point and an end closer
-    # than this, and the kink there is too near the end to matter
-    gap = 1e-9 * R
-    points = [u for u in points if lo + gap < u < hi - gap]
-
-    def width(u):
-        hw = math.exp(0.5 * (R - u)) * _chord_factor(u, R)
-        s = math.exp(-u)
-        return max(min(hw, eb * s) - max(-hw, ea * s), 0.0)
-
-    # imported here, so that importing the package does not load scipy.integrate
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        width,
-        lo,
-        hi,
-        points=points or None,
-        epsabs=epsabs,
-        epsrel=_QUAD_REL,
-        limit=200,
-    )
-    return val
+    ends = np.array([lo, *sorted(u for u in points if lo < u < hi), hi])
+    a, b = ends[:-1, None], ends[1:, None]
+    half = 0.5 * (b - a)
+    u = np.where(_TS_LOW, a + half * _TS_END, b - half * _TS_END)
+    rad = (1.0 - np.exp(-(R - u))) * (1.0 - np.exp(-(R + u)))
+    hw = np.exp(0.5 * (R - u)) * np.sqrt(np.maximum(rad, 0.0))
+    s = np.exp(-u)
+    width = np.maximum(np.minimum(hw, eb * s) - np.maximum(-hw, ea * s), 0.0)
+    return float(np.sum(half * width * _TS_WEIGHT))
 
 
 def quad_stripe_area(W: float, R: float, j: int, center_log_y: float = 0.0) -> float:

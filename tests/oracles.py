@@ -50,7 +50,11 @@ independent oracles:
   once from one generator; ``fan_points``, the polygon sampler's block
   map with a new array for every step; and the estimators ``mc_area_fraction`` and
   ``tile_density`` that average the verdicts of all n points with
-  ``np.mean``.
+  ``np.mean``;
+- ``quad_box_area_in_ball``, the area of a box {xa <= x < xb,
+  la <= log y < lb} inside a ball by adaptive ``scipy.integrate.quad``
+  over the clipped chord width, with the circle's crossings of the x
+  edges as break points.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy import integrate
 from scipy.spatial import cKDTree
 
 from hypack import density
@@ -908,3 +913,74 @@ def tile_density(packing, region, plan: SamplePlan) -> AreaEstimate:
     """Monte Carlo tile density over a PolygonRegion or BrickRegion."""
     sample = polygon_sample if isinstance(region, PolygonRegion) else brick_sample
     return _mean_estimate(packing.covers_xy(*sample(region, plan)))
+
+
+# ---------------------------------------------------------------- quadrature
+
+_QUAD_REL = 1e-10  # relative tolerance of the box-in-ball quadrature
+
+
+def _chord_factor(u, R):
+    """sqrt((1 - e^{-(R-u)})(1 - e^{-(R+u)})), clamped at the endpoints."""
+    rad = (1.0 - math.exp(-(R - u))) * (1.0 - math.exp(-(R + u)))
+    if rad <= 0.0:
+        return 0.0
+    return math.sqrt(rad)
+
+
+def quad_box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
+    """Area of the box {xa <= x < xb, la <= log y < lb} inside B(center, R).
+
+    Edges may be infinite. In u = log y - log y_c the ball's chord at
+    height u spans x = x_c + y (-hw, hw) with
+    hw = e^{(R-u)/2} sqrt((1 - e^{-(R-u)})(1 - e^{-(R+u)})), a factored,
+    cancellation-free form, and the area element is dx du / y, so the
+    integrand is the clipped chord width over y:
+    min(hw, (xb - x_c)/y) - max(-hw, (xa - x_c)/y). Without finite x edges
+    (a stripe) that is hw + hw. The width has a kink where the ball's
+    circle crosses a finite x edge; those heights are passed to quad as
+    break points. A box with a finite x edge raises RangeError when the
+    ball's Euclidean form overflows, whether or not the two meet.
+    """
+    lo = max(la - center.log_y, -R)
+    hi = min(lb - center.log_y, R)
+    # x edges in units of the center's height; infinite edges stay infinite
+    ea, eb = xa, xb
+    points = []
+    # stripes keep quad's default absolute tolerance, under which their
+    # areas (and A2's fractions) were computed; a box with a finite x edge
+    # can hold a tiny area, so it asks for relative accuracy alone
+    epsabs = 1.49e-8
+    if math.isfinite(xa) or math.isfinite(xb):
+        epsabs = 0.0
+        circ = BallSpec(center, R).euclid_form()
+        ea, eb = (xa - circ.h) / center.y, (xb - circ.h) / center.y
+        for xe in (xa, xb):
+            dx = abs(xe - circ.h)
+            if dx < circ.r:
+                # the two crossing heights multiply to y_c^2 + dx^2
+                top = math.log(circ.k + math.sqrt((circ.r - dx) * (circ.r + dx)))
+                bottom = 2.0 * math.log(math.hypot(center.y, dx)) - top
+                points += [bottom - center.log_y, top - center.log_y]
+    if lo >= hi:
+        return 0.0
+    # quad cannot split the piece between a break point and an end closer
+    # than this, and the kink there is too near the end to matter
+    gap = 1e-9 * R
+    points = [u for u in points if lo + gap < u < hi - gap]
+
+    def width(u):
+        hw = math.exp(0.5 * (R - u)) * _chord_factor(u, R)
+        s = math.exp(-u)
+        return max(min(hw, eb * s) - max(-hw, ea * s), 0.0)
+
+    val, _ = integrate.quad(
+        width,
+        lo,
+        hi,
+        points=points or None,
+        epsabs=epsabs,
+        epsrel=_QUAD_REL,
+        limit=200,
+    )
+    return val

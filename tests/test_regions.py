@@ -43,6 +43,7 @@ from hypack.regions import (
     annulus_fraction_euclid,
     annulus_fraction_euclid_brute,
     _QUAD_REL,
+    _box_area_in_ball,
     _uniform_blocks,
 )
 from hypack.packings import BrickTile, TightPacking, brick_region
@@ -54,6 +55,7 @@ from oracles import (
     distance,
     fan_points,
     gauss_bonnet_area,
+    quad_box_area_in_ball,
     signed_distance_xy,
 )
 
@@ -326,11 +328,11 @@ def _box_area_oracle(R, cx, cy, xa, xb, ya, yb):
         return float(mpmath.quad(width, sorted(cuts)))
 
 
-def test_box_quadrature_matches_mpmath_oracle():
-    # half-planes and bricks against a 40-digit oracle, to the relative
-    # accuracy quad is asked for. The first two cases are fixed: an edge
-    # crossing the ball's circle 5e-14 below its top, and a small ball over
-    # a brick, whose area needs more than quad's default absolute tolerance
+def _box_cases():
+    """Half-planes (x0, sign, cx, cy, R) and bricks (tile, cx, cy, R) to
+    measure. The first two are fixed: an edge crossing the ball's circle
+    5e-14 below its top, and a small ball over a brick (area 0.09), which
+    needs relative accuracy: an absolute error of 1.5e-8 is 2e-7 of it."""
     halfplanes = [(-0.9296027817448582, 1, -0.16230218052711176, 9.796184017580677,
                    12.737823646214865)]
     bricks = [(BrickTile(0, 2, 1.746235255773355, 1.3876277543113298),
@@ -353,6 +355,18 @@ def test_box_quadrature_matches_mpmath_oracle():
         cy = math.exp(tile.log_s + float(rng.uniform(-1.0, 3.0)))
         cx = float(rng.uniform(2 * xa - xb, 2 * xb - xa))
         bricks.append((tile, cx, cy, float(rng.uniform(0.2, 6.0))))
+    return halfplanes, bricks
+
+
+def test_box_quadrature_matches_mpmath_oracle():
+    # half-planes and bricks against a 40-digit oracle, to _QUAD_REL; then
+    # the edge x = 0 crossing the circle of a ball about (sinh R sqrt(e), 1)
+    # about e R below its top, where the width has a square-root end
+    # (adaptive quad missed 1e-10 there by up to 1.7x)
+    halfplanes, bricks = _box_cases()
+    for R in (3.0, 5.0, 10.0, 20.0):
+        for e in np.logspace(-15.0, -4.0, 23):
+            halfplanes.append((0.0, 1, math.sinh(R) * math.sqrt(e), 1.0, R))
     rel = _QUAD_REL
     for x0, sign, cx, cy, R in halfplanes:
         got = HalfSpaceRegion(Geodesic.vertical(x0), sign).exact_area_in_ball(
@@ -365,6 +379,47 @@ def test_box_quadrature_matches_mpmath_oracle():
         got = brick_region(tile).exact_area_in_ball(BallSpec(HPoint(cx, cy), R))
         want = _box_area_oracle(R, cx, cy, *tile.x_bounds, *tile.y_bounds)
         assert abs(got - want) <= rel * want, (tile, cx, cy, R, got, want)
+
+
+def test_box_quadrature_matches_adaptive_quad():
+    # the fixed rule against the adaptive quad path it replaced, on the
+    # boxes above and on every stripe band of A2's balls
+    halfplanes, bricks = _box_cases()
+    cases = [
+        (R, HPoint(cx, cy), *((x0, math.inf) if sign > 0 else (-math.inf, x0)),
+         -math.inf, math.inf)
+        for x0, sign, cx, cy, R in halfplanes
+    ]
+    cases += [(R, HPoint(cx, cy), *tile.x_bounds, tile.log_s, tile.log_s + 2.0)
+              for tile, cx, cy, R in bricks]
+    for W, R in ((5.0, 32.5), (5.0, 37.5), (6.0, 51.0)):
+        j_lo, j_hi = stripe_index_range(W, R)
+        cases += [(R, ORIGIN, -math.inf, math.inf, (j + 0.5) * W, (j + 1.5) * W)
+                  for j in range(j_lo, j_hi + 1)]
+    for case in cases:
+        got, want = _box_area_in_ball(*case), quad_box_area_in_ball(*case)
+        assert abs(got - want) <= 1e-9 * want, (case, got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    R=st.floats(0.05, 50.0),
+    log_y=st.floats(-20.0, 20.0),
+    x0=st.floats(-5.0, 5.0),
+    t=st.floats(-1.2, 1.2),
+    W=st.floats(0.5, 10.0),
+)
+def test_box_quadrature_is_additive(R, log_y, x0, t, W):
+    # the half-planes on either side of x = x0 tile the ball, and so do
+    # the stripes meeting it
+    ball = BallSpec(HPoint.from_log(x0 + t * math.sinh(R) * math.exp(log_y), log_y), R)
+    area = ball_area(R)
+    halves = sum(HalfSpaceRegion(Geodesic.vertical(x0), sign).exact_area_in_ball(ball)
+                 for sign in (1, -1))
+    assert abs(halves - area) <= 1e-12 * area
+    j_lo, j_hi = stripe_index_range(W, R, log_y)
+    stripes = math.fsum(quad_stripe_area(W, R, j, log_y) for j in range(j_lo, j_hi + 1))
+    assert abs(stripes - area) <= 1e-12 * area
 
 
 # ---------------------------------------------------------------- polygons
@@ -577,16 +632,46 @@ def _fresh(code, *args):
                           env=env, check=True).stdout
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate loads with the first box-in-ball quadrature, not
-    # with the package
-    out = _fresh("import sys, hypack; print('scipy.integrate' in sys.modules)")
-    assert out.strip() == "False"
+# The CLI commands that measure a ball by quadrature, then the scipy
+# modules they have loaded.
+COLD_QUADRATURE = """
+import json, os, sys
+from hypack import cli
+
+def run(out):
+    rec = {}
+    for kind, *args in (("stripe", "--W", "5", "--radii", "2.5,7.5,12.5,17.5"),
+                        ("halfspace", "--center", "0.3,2", "--radii", "1,4,9"),
+                        ("bricks", "--radii", "0.5,2,4")):
+        path = os.path.join(out, kind)
+        assert cli.main(["density", "--kind", kind, *args, "--out", path]) == 0
+        with open(path, "rb") as f:
+            rec[kind] = f.read().decode()
+    rec["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return rec
+
+if __name__ == "__main__":
+    print(json.dumps(run(sys.argv[1])))
+"""
+
+
+def test_cold_quadrature_commands_load_no_scipy(tmp_path):
+    # the stripe, half-plane and brick quadrature needs numpy alone, and
+    # its CSVs equal those of this warm process bit for bit
+    (tmp_path / "cold").mkdir()
+    (tmp_path / "warm").mkdir()
+    cold = json.loads(_fresh(COLD_QUADRATURE, str(tmp_path / "cold")))
+    assert cold.pop("scipy") == []
+    module = {"__name__": "warm"}
+    exec(COLD_QUADRATURE, module)
+    warm = module["run"](str(tmp_path / "warm"))
+    del warm["scipy"]
+    assert json.dumps(cold) == json.dumps(warm)
 
 
 def test_import_loads_no_scipy():
-    # the package and its CLI need numpy alone until a KD-tree, a hull or
-    # a quadrature is built
+    # the package and its CLI need numpy alone until a KD-tree or a hull
+    # is built
     out = _fresh("import sys, hypack, hypack.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
