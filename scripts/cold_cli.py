@@ -7,7 +7,8 @@ checkout's `src` on PYTHONPATH and output to a scratch file, the way a
 user at a shell runs it. A round runs every command once per tree, the
 order of the trees rotating from round to round. Prints one JSON object:
 for each command and tree, the wall seconds and `ru_maxrss` (MB, from
-`os.wait4`) of every run and their medians.
+`os.wait4`) of every run and their medians, and the scipy subpackages
+(`scipy.spatial`, ...) that each run had loaded when the command returned.
 """
 
 from __future__ import annotations
@@ -31,12 +32,24 @@ COMMANDS = {
     "voronoi tight": ["voronoi", "--kind", "tight", "--m", "7", "--center", "0,1"],
     "density stripe": ["density", "--kind", "stripe", "--W", "5", "--radii", "2.5,7.5,12.5,17.5"],
 }
-MAIN = "import sys; from hypack.cli import main; sys.exit(main(sys.argv[1:]))"
+# runs the command, then writes the scipy subpackages it loaded to the file
+# named by COLD_CLI_SCIPY
+MAIN = """import json, os, sys
+from hypack.cli import main
+code = main(sys.argv[1:])
+with open(os.environ["COLD_CLI_SCIPY"], "w") as f:
+    json.dump(sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                      if m.split(".")[0] == "scipy"}), f)
+sys.exit(code)
+"""
 
 
 def run_once(tree, argv, out):
-    """Wall seconds and peak RSS in MB of one cold run of the CLI."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    """Wall seconds, peak RSS in MB and the scipy subpackages loaded of one
+    cold run of the CLI."""
+    loaded = out + ".scipy"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               COLD_CLI_SCIPY=loaded)
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv, "--out", out], env=env,
                             stdout=subprocess.DEVNULL)
@@ -45,7 +58,8 @@ def run_once(tree, argv, out):
     proc.returncode = code = os.waitstatus_to_exitcode(status)
     if code != 0:
         sys.exit(f"{' '.join(argv)} exited {code} in {tree}")
-    return wall, usage.ru_maxrss / 1024.0
+    with open(loaded) as f:
+        return wall, usage.ru_maxrss / 1024.0, json.load(f)
 
 
 def main() -> int:
@@ -55,16 +69,18 @@ def main() -> int:
     args = parser.parse_args()
     trees = [tuple(t.split("=", 1)) for t in args.tree]
 
-    rows = {cmd: {name: {"wall_s": [], "rss_mb": []} for name, _ in trees} for cmd in COMMANDS}
+    rows = {cmd: {name: {"wall_s": [], "rss_mb": [], "scipy": []} for name, _ in trees}
+            for cmd in COMMANDS}
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "out")
         for r in range(args.runs):
             order = trees[r % len(trees):] + trees[:r % len(trees)]
             for cmd, argv in COMMANDS.items():
                 for name, path in order:
-                    wall, rss = run_once(path, argv, out)
+                    wall, rss, loaded = run_once(path, argv, out)
                     rows[cmd][name]["wall_s"].append(wall)
                     rows[cmd][name]["rss_mb"].append(rss)
+                    rows[cmd][name]["scipy"].append(loaded)
     for sides in rows.values():
         for row in sides.values():
             row["median_wall_s"] = statistics.median(row["wall_s"])

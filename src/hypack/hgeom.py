@@ -123,19 +123,39 @@ def polar_xy(cx, cy, rho, theta):
     underflows to 0 (h = 0 and rho beyond about 372) the map is taken
     divided through by e, which holds up to rho = 709.
     """
-    e = np.exp(-np.asarray(rho, dtype=float))
-    h = np.sin(0.5 * np.asarray(theta, dtype=float))
-    den = 2.0 * h * h + e * e * (2.0 - 2.0 * h * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.asarray(-(1.0 - e * e) * np.sin(theta) / den)
-        y = np.asarray(2.0 * e / den)
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    # exp and sin run on the inputs' own shapes, as in the plain expression,
+    # so their values are its values; the arithmetic rounds the same in any
+    # shape and runs in place, in the expression's order
+    e = np.exp(-rho)
+    h = np.sin(0.5 * theta)
+    s = np.sin(theta)
+    ee = e * e
+    hh = np.multiply(h, 2.0, out=np.empty(shape))
+    hh *= h
+    den = np.subtract(2.0, hh, out=np.empty(shape))
+    den *= ee
+    den += hh
     low = den == 0.0
-    if np.any(low):
-        e, h, s = (np.broadcast_to(a, low.shape)[low] for a in (e, h, np.sin(theta)))
+    under = [np.broadcast_to(a, shape)[low] for a in (e, h, s)] if low.any() else None
+    x = np.subtract(1.0, ee, out=hh)
+    np.negative(x, out=x)
+    x *= s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x /= den
+        y = np.divide(2.0 * e, den, out=den)
+    if under:
+        e, h, s = under
         den_e = 2.0 * h * (h / e) + e * (2.0 - 2.0 * h * h)
         x[low] = -(1.0 - e * e) * (s / e) / den_e
         y[low] = 2.0 / den_e
-    return cx + cy * x, cy * y
+    x *= cy
+    x += cx
+    y *= cy
+    # scalar rho and theta give numpy scalars
+    return x[()], y[()]
 
 
 def ball_hits(tree, xs, ys, cosh_r, sinh_r):

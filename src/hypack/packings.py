@@ -32,7 +32,6 @@ from .hgeom import (
     ball_area,
     cosh_distance_xy,
     mobius_xy,
-    nearest_sites,
 )
 from .regions import (
     Region,
@@ -81,14 +80,22 @@ def _disk_radius(target) -> float:
     return r
 
 
+_GAP_PAIRS = 1 << 20  # candidate pairs pairwise_min_gap compares at once
+
+
 def pairwise_min_gap(disks) -> float:
     """Smallest (center distance - 2 radius) over pairs of disks of one
     radius; inf if < 2 disks.
 
     A packing window is admissible when this is >= -1e-9: interiors are
     pairwise disjoint up to roundoff, tangencies land at exactly zero.
-    The nearest other center of each center is the second of its two
-    nearest sites, the first being the center itself. Disks of different
+    Neighbours in log-height order and in x order bound the smallest cosh
+    distance by u. Two centers within D = acosh u have |log y1 - log y2| <= D
+    and |x1 - x2| <= 2 sqrt(y1 y2) sinh(D / 2) <= (e^D - 1) y1, so on a grid
+    of bands of log-height D sorted by x, each center is compared with the
+    centers after it in its own band and with those of the next band
+    within that x reach. The gap is that of the closest pair's
+    cosh_distance_xy, which is symmetric bit for bit. Disks of different
     radii raise DomainError.
     """
     n = len(disks)
@@ -98,13 +105,39 @@ def pairwise_min_gap(disks) -> float:
     if not (rad == rad[0]).all():
         raise DomainError("pairwise_min_gap needs disks of one radius")
     xs = np.array([d.center.x for d in disks])
-    ys = np.exp(np.array([d.center.log_y for d in disks]))
-    # imported here, so that importing the package does not load scipy.spatial
-    from scipy.spatial import cKDTree
-
-    _, cd = nearest_sites(cKDTree(np.column_stack([xs, ys])), xs, ys, 2)
-    gap = np.arccosh(np.maximum(cd[:, 1], 1.0)) - 2.0 * rad[0]
-    return float(gap.min())
+    ly = np.array([d.center.log_y for d in disks])
+    ys = np.exp(ly)
+    best = min(float(cosh_distance_xy(xs[o[:-1]], ys[o[:-1]], xs[o[1:]], ys[o[1:]]).min())
+               for o in (np.lexsort((xs, ly)), np.lexsort((ly, xs))))
+    # D, grown past the roundoff of best and of the coordinates
+    reach = 2.0 * math.asinh(math.sqrt(0.5 * ((best - 1.0) * (1.0 + 1e-12) + 1e-15 * best)))
+    band = np.floor((ly - ly.min()) / (reach * (1.0 + 1e-6) + 1e-9)).astype(np.int64)
+    reach_x = (math.expm1(reach) * (1.0 + 1e-6)) * ys + 1e-15 * np.abs(xs)
+    # the grid: centers in order of the key band * n + x rank, and the
+    # place of each center in that order (finite y has |log y| < 710 and
+    # D > 4e-8, so the key stays far below 2^63)
+    rank = np.empty(n, np.int64)
+    rank[np.argsort(xs)] = np.arange(n)
+    key = band * n + rank
+    order = np.argsort(key)
+    key = key[order]
+    at = np.empty(n, np.int64)
+    at[order] = np.arange(n)
+    sorted_x = np.sort(xs)
+    lo_x = np.searchsorted(sorted_x, xs - reach_x, side="left")
+    hi_x = np.searchsorted(sorted_x, xs + reach_x, side="right")
+    start = np.concatenate([at + 1, np.searchsorted(key, (band + 1) * n + lo_x)])
+    count = np.concatenate([np.searchsorted(key, band * n + hi_x),
+                            np.searchsorted(key, (band + 1) * n + hi_x)]) - start
+    count = np.maximum(count, 0)
+    cum = np.cumsum(count)
+    cuts = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], _GAP_PAIRS), side="right"))
+    for a, b in zip(cuts, np.append(cuts[1:], count.size)):
+        c = count[a:b]
+        i = np.repeat(np.arange(a, b) % n, c)
+        j = order[np.repeat(start[a:b] - (np.cumsum(c) - c), c) + np.arange(c.sum())]
+        best = min(best, float(cosh_distance_xy(xs[i], ys[i], xs[j], ys[j]).min()))
+    return float(np.arccosh(np.maximum(best, 1.0)) - 2.0 * rad[0])
 
 
 # --------------------------------------------------------------------------

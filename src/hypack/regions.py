@@ -323,7 +323,9 @@ def _ball_points(ball: BallSpec, u, v):
     """Area-uniform points of the ball from two uniform blocks: radius
     arccosh(1 + u (cosh R - 1)), independent direction 2 pi v."""
     theta = v * (2.0 * math.pi)
-    rho = np.arccosh(1.0 + u * (math.cosh(ball.radius) - 1.0))
+    rho = np.multiply(u, math.cosh(ball.radius) - 1.0)
+    rho += 1.0
+    np.arccosh(rho, out=rho)
     return polar_xy(ball.center.x, ball.center.y, rho, theta)
 
 

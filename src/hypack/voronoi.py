@@ -10,11 +10,12 @@ hull of the points D_q: the hull's vertices are the sites that share an
 edge with the cell, and each hull edge is dual to one cell vertex.
 
 The cell is unbounded among the given sites, and UnboundedCellError is
-raised, when the origin is not strictly inside the hull (the polar is
-then an unbounded polygon), when the hull cannot be built (fewer than
-three other sites, or all of them on one line in the dual plane), or
-when a cell vertex lies on or beyond the unit circle, the ideal
-boundary. Nothing is truncated to a search radius.
+raised, when the hull cannot be built (fewer than three other sites),
+when the origin is not strictly inside the hull (the polar is then an
+unbounded polygon; so it is when all the dual points lie on one line, up
+to the hull's collinear tolerance), or when a cell vertex lies on or
+beyond the unit circle, the ideal boundary. Nothing is truncated to a
+search radius.
 
 Among sites that hold every center within r of the site, a cell is exact
 when |k|^2 <= tanh^2(r / 2) at each vertex k: a center that cut it at v
@@ -72,38 +73,74 @@ def _dual(xs, ys, x0, y0):
     return x0m1, np.column_stack([x1, x2]) / x0m1[:, None]
 
 
+_FLAT = 1e-10  # relative cross product at and below which a hull vertex drops
+
+
+def _cycles(run):
+    """Entries grouped in runs of equal consecutive values of run: the
+    first entry and the size of each run, and each entry's successor and
+    predecessor in its run, cyclically."""
+    edge = np.ones(run.size + 1, dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    first, last = bounds[:-1], bounds[1:] - 1
+    nxt = np.arange(1, run.size + 1)
+    nxt[last] = first
+    prv = np.arange(-1, run.size - 1)
+    prv[first] = last
+    return first, last - first + 1, nxt, prv
+
+
 def _hulls(dual, counts):
     """Hulls of consecutive runs of dual points, counts[t] in run t: the
     runs t whose polar is closed, their hull vertices v as one flat array
     of rows of dual (counterclockwise in each run), the start first of each
     run in v, the successor nxt of each entry of v, and the Klein vertex
-    (k1, k2) dual to each hull edge v -> v[nxt]."""
-    # imported here, so that importing the package does not load scipy.spatial
-    from scipy.spatial import ConvexHull, QhullError
+    (k1, k2) dual to each hull edge v -> v[nxt].
 
-    hulls, closed = [], []
-    for t, lo in enumerate(np.cumsum(counts) - counts):
-        try:
-            hull = ConvexHull(dual[lo:lo + counts[t]])
-        except (QhullError, ValueError):
-            continue
-        # the hull edge on the line n . x = h (unit n, h = -offset) is dual
-        # to a cell vertex at Klein radius 1/h: h <= 0 leaves the polar open
-        # (the origin is not strictly inside the hull), and h < 1/2 puts the
-        # vertex far past the ideal boundary whatever Qhull's roundoff
-        if not np.any(hull.equations[:, 2] > -0.5):
-            hulls.append(hull.vertices + lo)
-            closed.append(t)
-    v = np.concatenate(hulls) if hulls else np.empty(0, np.intp)
-    size = np.fromiter(map(len, hulls), np.intp, len(hulls))
-    first = np.cumsum(size) - size
-    nxt = np.arange(1, v.size + 1)
-    nxt[first + size - 1] = first
+    All runs at once, by Graham's angular sort: a run sorted by angle about
+    the origin is a polygon star-shaped about it, and dropping its reflex
+    vertices round by round leaves its hull when the origin is strictly
+    inside. With a, b the alive neighbours of p, p drops when
+    (p - a) x (b - a) <= _FLAT |p - a| |b - a|: sites on one circle about a
+    cell vertex, where four or more cells meet, have dual points on one
+    line up to roundoff, and the hull keeps only the row's ends. No two
+    neighbours drop in one round, no run drops below three points, and a
+    run of fewer has no hull.
+    """
+    run = np.repeat(np.arange(counts.size), counts)
+    p = np.lexsort((np.arctan2(dual[:, 1], dual[:, 0]), run))
+    p = p[counts[run[p]] >= 3]
+    x, y, r = dual[p, 0], dual[p, 1], run[p]
+    while True:
+        first, size, nxt, prv = _cycles(r)
+        ax, ay = x[prv], y[prv]
+        px, py, bx, by = x - ax, y - ay, x[nxt] - ax, y[nxt] - ay
+        bad = px * by - py * bx <= _FLAT * np.hypot(px, py) * np.hypot(bx, by)
+        drop = bad & ~bad[prv]
+        # the first size - 3 drops of each run in angular order
+        seen = np.cumsum(drop)
+        seen -= np.repeat(seen[first] - drop[first], size)
+        drop &= seen <= np.repeat(size - 3, size)
+        if not drop.any():
+            break
+        p, x, y, r = p[~drop], x[~drop], y[~drop], r[~drop]
+    # the hull edge a -> b lies at distance h = (a x b) / |b - a| from the
+    # origin and is dual to a cell vertex at Klein radius 1/h: h <= 0 leaves
+    # the polar open (the origin is not strictly inside the hull), and
+    # h < 1/2 puts the vertex far past the ideal boundary; an edge between
+    # two equal points has h = nan, and its run stays open
+    with np.errstate(invalid="ignore"):
+        h = (x * y[nxt] - y * x[nxt]) / np.hypot(x[nxt] - x, y[nxt] - y)
+    ok = np.minimum.reduceat(h, first) >= 0.5
+    keep = np.repeat(ok, size)
+    closed, v = r[first[ok]], p[keep]
+    first, _, nxt, _ = _cycles(r[keep])
     # the hull edge a -> b is dual to the cell vertex k with D_a . k = D_b . k = 1
     a, b = dual[v], dual[v[nxt]]
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     k1, k2 = (b[:, 1] - a[:, 1]) / det, (a[:, 0] - b[:, 0]) / det
-    return np.array(closed, dtype=np.intp), v, first, nxt, k1, k2
+    return closed, v, first, nxt, k1, k2
 
 
 def _klein_cell(xs, ys, i: int):
@@ -171,9 +208,9 @@ def _site_cells(packing, tree, sites, complete):
 
     The tree must hold every center within complete[i] of sites[i]. One
     ball_hits query gathers each site's centers within two disk spacings,
-    capped at complete[i]. Only the hulls are built site by site; the
-    vertices, certificates, areas and bounds (half the distance to the
-    nearest hull vertex) are formed for all sites at once. A cell that is
+    capped at complete[i]. The hulls, vertices, certificates, areas and
+    bounds (half the distance to the nearest hull vertex) are formed for
+    all sites at once. A cell that is
     not certified is redone at twice the radius, again capped; one that
     fails at complete[i] is a packing_cell.
     """

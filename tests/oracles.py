@@ -41,7 +41,11 @@ independent oracles:
   Hausdorff distance from every point's hyperbolically nearest site in
   the other set (``nearest_sites`` with k = 1 on a KD-tree per pass);
 - ``all_pairs_min_gap``, the smallest gap between disks over every pair,
-  in chunks of the all-pairs distance matrix;
+  in chunks of the all-pairs distance matrix, and ``kdtree_min_gap``, the
+  smallest gap from each center's second ``nearest_sites`` hit on a
+  KD-tree of the centers;
+- ``qhull_hulls``, the hulls of runs of Dirichlet dual points by one
+  Qhull ``ConvexHull`` call per run;
 - ``boundary_point`` and ``outline_element``, a disk's outline point by
   point, each the disk's top turned about its center by one rotation
   isometry, and the SVG element drawn from 64 of them;
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scipy import integrate
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from hypack import density
 from hypack.errors import DomainError, RangeError
@@ -603,6 +607,39 @@ class SweepTightPacking(TightPacking):
         self._two_edges = math.inf
 
 
+# ---------------------------------------------------------------- Dirichlet hulls
+
+def qhull_hulls(dual, counts):
+    """Hulls of consecutive runs of dual points, counts[t] in run t: the
+    runs t whose polar is closed, their hull vertices v as one flat array
+    of rows of dual (counterclockwise in each run), the start first of each
+    run in v, the successor nxt of each entry of v, and the Klein vertex
+    (k1, k2) dual to each hull edge v -> v[nxt]."""
+    hulls, closed = [], []
+    for t, lo in enumerate(np.cumsum(counts) - counts):
+        try:
+            hull = ConvexHull(dual[lo:lo + counts[t]])
+        except (QhullError, ValueError):
+            continue
+        # the hull edge on the line n . x = h (unit n, h = -offset) is dual
+        # to a cell vertex at Klein radius 1/h: h <= 0 leaves the polar open
+        # (the origin is not strictly inside the hull), and h < 1/2 puts the
+        # vertex far past the ideal boundary whatever Qhull's roundoff
+        if not np.any(hull.equations[:, 2] > -0.5):
+            hulls.append(hull.vertices + lo)
+            closed.append(t)
+    v = np.concatenate(hulls) if hulls else np.empty(0, np.intp)
+    size = np.fromiter(map(len, hulls), np.intp, len(hulls))
+    first = np.cumsum(size) - size
+    nxt = np.arange(1, v.size + 1)
+    nxt[first + size - 1] = first
+    # the hull edge a -> b is dual to the cell vertex k with D_a . k = D_b . k = 1
+    a, b = dual[v], dual[v[nxt]]
+    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    k1, k2 = (b[:, 1] - a[:, 1]) / det, (a[:, 0] - b[:, 0]) / det
+    return np.array(closed, dtype=np.intp), v, first, nxt, k1, k2
+
+
 # ---------------------------------------------------------------- mass transport
 
 def nearest_site(tree, sx, sy, x, y, rho0):
@@ -809,6 +846,29 @@ def all_pairs_min_gap(disks) -> float:
         gap[rows - i0, rows] = np.inf
         best = min(best, float(gap.min()))
     return best
+
+
+def kdtree_min_gap(disks) -> float:
+    """Smallest (center distance - 2 radius) over pairs of disks of one
+    radius; inf if < 2 disks.
+
+    A packing window is admissible when this is >= -1e-9: interiors are
+    pairwise disjoint up to roundoff, tangencies land at exactly zero.
+    The nearest other center of each center is the second of its two
+    nearest sites, the first being the center itself. Disks of different
+    radii raise DomainError.
+    """
+    n = len(disks)
+    if n < 2:
+        return math.inf
+    rad = np.array([d.radius for d in disks])
+    if not (rad == rad[0]).all():
+        raise DomainError("pairwise_min_gap needs disks of one radius")
+    xs = np.array([d.center.x for d in disks])
+    ys = np.exp(np.array([d.center.log_y for d in disks]))
+    _, cd = nearest_sites(cKDTree(np.column_stack([xs, ys])), xs, ys, 2)
+    gap = np.arccosh(np.maximum(cd[:, 1], 1.0)) - 2.0 * rad[0]
+    return float(gap.min())
 
 
 def boundary_point(disk: HDisk, theta: float) -> HPoint:

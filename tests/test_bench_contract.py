@@ -151,8 +151,8 @@ def _import_time_nodes(node):
 
 
 def test_no_module_imports_scipy_when_imported():
-    # scipy (0.44 s of a cold import) loads with the first KD-tree or hull;
-    # an import inside a function stays allowed
+    # scipy (0.44 s of a cold import) loads with the first KD-tree; an
+    # import inside a function stays allowed
     found = []
     for path in sorted((ROOT / "src" / "hypack").glob("*.py")):
         for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):

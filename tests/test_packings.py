@@ -42,6 +42,7 @@ from oracles import (
     WallFoldTightPacking,
     all_pairs_min_gap,
     distance,
+    kdtree_min_gap,
     window_centers,
 )
 
@@ -308,6 +309,58 @@ def test_min_gap_of_few_disks():
     # two disks on one vertical geodesic, 3 apart
     pair = [HDisk(ORIGIN, 0.5), HDisk(HPoint.from_log(0.0, 3.0), 0.5)]
     assert abs(pairwise_min_gap(pair) - 2.0) < 1e-12
+
+
+def _off_axis(m, x, log_y):
+    """A tight window of radius 2 about (x y, y), |x| far past the axis."""
+    y = math.exp(log_y)
+    return TightPacking(m).bodies_in_ball(BallSpec(HPoint.from_log(x * y, log_y), 2.0))
+
+
+def _boroczky_a6():
+    """A6's window: the Boroczky disks meeting B((0, 1), 6)."""
+    return BoroczkyPacking().bodies_in_ball(BallSpec(ORIGIN, 6.0))
+
+
+_GAP_WINDOWS = {
+    "boroczky_a6": _boroczky_a6,
+    "tight7": lambda: TightPacking(7).bodies_in_ball(BallSpec(HPoint(0.3, 2.0), 4.5)),
+    "tight8": lambda: TightPacking(8).bodies_in_ball(BallSpec(ORIGIN, 4.0)),
+    "tight12": lambda: TightPacking(12).bodies_in_ball(BallSpec(HPoint(-1.0, 0.5), 4.0)),
+    "transformed": lambda: TransformedPacking(
+        Isometry.rotation(0.9, HPoint(0.4, 2.0)) @ Isometry.translation(-1.3),
+        TightPacking(7)).bodies_in_ball(BallSpec(ORIGIN, 4.0)),
+    "boroczky_up30": lambda: BoroczkyPacking().bodies_in_ball(
+        BallSpec(HPoint.from_log(0.2 * math.exp(30.0), 30.0), 4.0)),
+    "boroczky_down30": lambda: BoroczkyPacking().bodies_in_ball(
+        BallSpec(HPoint.from_log(-0.7 * math.exp(-30.0), -30.0), 4.0)),
+    "tight7_up30": lambda: _off_axis(7, 0.3, 30.0),
+    "tight7_down30": lambda: _off_axis(7, -0.3, -30.0),
+    "off_axis_1e5": lambda: _off_axis(7, 1e5, 0.0),
+    "off_axis_1e7": lambda: _off_axis(7, 1e7, 0.0),
+    "off_axis_1e9": lambda: _off_axis(7, 1e9, 0.0),
+    "off_axis_1e9_up30": lambda: _off_axis(8, -1e9, 30.0),
+    "two": lambda: _boroczky_a6()[:2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GAP_WINDOWS))
+def test_min_gap_matches_kdtree_oracle(name):
+    # the grid finds the closest pair the KD-tree's nearest sites found,
+    # and its gap bit for bit, the off-axis windows' loss of up to
+    # 1.2e-6 included
+    disks = _GAP_WINDOWS[name]()
+    assert len(disks) >= 2
+    if name == "boroczky_a6":
+        assert len(disks) == 1086
+    assert pairwise_min_gap(disks) == kdtree_min_gap(disks)
+
+
+def test_min_gap_of_repeated_centers():
+    # a disk listed twice overlaps itself: the gap is -2r exactly
+    disks = _boroczky_a6()
+    disks = disks + disks[100:103]
+    assert pairwise_min_gap(disks) == kdtree_min_gap(disks) == -2.0 * disks[0].radius
 
 
 # ---------------------------------------------------------------- tight radius / density

@@ -670,15 +670,15 @@ def test_cold_quadrature_commands_load_no_scipy(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # the package and its CLI need numpy alone until a KD-tree or a hull
-    # is built
+    # the package and its CLI need numpy alone until a KD-tree is built
     out = _fresh("import sys, hypack, hypack.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
 
 
-# Tree-free CLI commands, then the four functions that build a KD-tree or a
-# hull, each run before anything else has loaded scipy.spatial.
+# The CLI commands, disk gaps and Dirichlet cells, which build no KD-tree,
+# then the mass transport and the packing metric, which do; each records
+# whether scipy.spatial is loaded after it.
 COLD_PATH = """
 import json, os, sys
 from hypack import (BallSpec, Isometry, ORIGIN, SamplePlan, TightPacking, TransformedPacking,
@@ -704,10 +704,13 @@ def run(out):
     rec["spatial_after_gap"] = spatial()
     cell = packing_cell(tp, ORIGIN)
     rec["cell"] = [[p.x, p.y] for p in cell.polygon.vertices] + [cell.area()]
+    rec["spatial_after_cell"] = spatial()
+    rec["voronoi"] = command("voronoi", "--kind", "tight", "--m", "7")
+    rec["spatial_after_voronoi"] = spatial()
     rec["transport"] = mass_transport_check(tp, BallSpec(ORIGIN, 4.0), SamplePlan(seed=3, n=64))
+    rec["spatial_after_transport"] = spatial()
     moved = TransformedPacking(Isometry.translation(0.3), tp)
     rec["distance"] = float(packing_distance(truncate(tp, k_max=1), truncate(moved, k_max=1)))
-    rec["voronoi"] = command("voronoi", "--kind", "tight", "--m", "7")
     return rec
 
 if __name__ == "__main__":
@@ -716,15 +719,17 @@ if __name__ == "__main__":
 
 
 def test_cold_commands_leave_scipy_spatial_unloaded(tmp_path):
-    # the first KD-tree or hull loads scipy.spatial itself, and the values
-    # equal those of this warm process bit for bit
+    # scipy.spatial loads at the transport's KD-tree and not before, and
+    # the values equal those of this warm process bit for bit
     (tmp_path / "cold").mkdir()
     (tmp_path / "warm").mkdir()
     cold = json.loads(_fresh(COLD_PATH, str(tmp_path / "cold")))
-    assert cold.pop("spatial_after_cli") is False
-    assert cold.pop("spatial_after_gap") is True
+    loaded = {"cli": False, "gap": False, "cell": False, "voronoi": False, "transport": True}
+    flags = [f"spatial_after_{k}" for k in loaded]
+    assert [cold.pop(k) for k in flags] == list(loaded.values())
     module = {"__name__": "warm"}
     exec(COLD_PATH, module)
     warm = module["run"](str(tmp_path / "warm"))
-    del warm["spatial_after_cli"], warm["spatial_after_gap"]
+    for k in flags:
+        del warm[k]
     assert json.dumps(cold) == json.dumps(warm)

@@ -33,7 +33,14 @@ from hypack.packings import (
 from hypack import density, voronoi
 from hypack.density import _owners, mass_transport_check
 from hypack.regions import HalfSpaceRegion, PolygonRegion, SamplePlan
-from hypack.voronoi import _klein_cell, _site_cells, cell_relative_density, packing_cell
+from hypack.voronoi import (
+    _dual,
+    _hulls,
+    _klein_cell,
+    _site_cells,
+    cell_relative_density,
+    packing_cell,
+)
 from oracles import (
     ArcGeodesic,
     distance,
@@ -41,6 +48,7 @@ from oracles import (
     geodesic_intersection,
     partition_audit,
     point_along,
+    qhull_hulls,
 )
 
 SEED = 60112
@@ -514,6 +522,154 @@ def test_small_boroczky_cells_match_a_wide_window(rho):
         # twice its cell's farthest vertex and more
         assert 2.0 * max(distance(site, v) for v in want.polygon.vertices) <= 5.0
         assert abs(packing_cell(bp, site).area() - want.area()) <= 1e-12
+
+
+# ---------------------------------------------------------------- hulls
+# _hulls sorts each run of dual points by angle and drops reflex points;
+# qhull_hulls builds each run's hull with Qhull. Both must close the same
+# runs with the same counterclockwise vertex cycles, whatever the start.
+
+
+def _hull_cycles(hulls):
+    """Each closed run's vertex cycle, followed through nxt from its
+    first vertex and turned to start at its smallest index."""
+    closed, v, first, nxt, _, _ = hulls
+    assert np.all(np.diff(closed) > 0)
+    cycles = {}
+    for t, a in zip(closed.tolist(), first.tolist()):
+        cycle, j = [int(v[a])], int(nxt[a])
+        while j != a:
+            cycle.append(int(v[j]))
+            j = int(nxt[j])
+        k = cycle.index(min(cycle))
+        cycles[t] = cycle[k:] + cycle[:k]
+    assert sum(map(len, cycles.values())) == v.size
+    return cycles
+
+
+def _klein_vertices(hulls):
+    """The Klein vertex of each hull edge (a, b), by the edge."""
+    _, v, _, nxt, k1, k2 = hulls
+    return dict(zip(zip(v.tolist(), v[nxt].tolist()), zip(k1.tolist(), k2.tolist())))
+
+
+def _assert_hulls_match_qhull(dual, counts):
+    got, want = _hulls(dual, counts), qhull_hulls(dual, counts)
+    assert _hull_cycles(got) == _hull_cycles(want)
+    assert _klein_vertices(got) == _klein_vertices(want)
+
+
+# A run: points of an integer grid, where three points are collinear
+# exactly or turn by far more than either tolerance; a row of grid
+# points on one line; multiples of a point about the origin, which share
+# its angle; points on the segment between two of them formed in floats,
+# off the line by roundoff alone; then the origin moved, which can leave
+# it outside the hull or on it, and the run scaled by 2^k (1 + 2^-20),
+# which keeps the grid exact and puts no hull edge at distance 1/2.
+_grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+_run = st.tuples(
+    st.lists(_grid, max_size=12),
+    st.tuples(_grid, _grid.filter(lambda d: d != (0, 0)), st.integers(0, 6)),
+    st.lists(st.tuples(st.integers(0, 20), st.integers(2, 3)), max_size=3),
+    st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20), st.floats(0.01, 0.99)),
+             max_size=4),
+    _grid,
+    st.integers(-3, 1),
+)
+
+
+def _run_points(grid, row, rays, between, origin, scale):
+    (ax, ay), (dx, dy), n = row
+    pts = [(float(x), float(y)) for x, y in grid]
+    pts += [(float(ax + k * dx), float(ay + k * dy)) for k in range(n)]
+    pts = [(x - origin[0], y - origin[1]) for x, y in pts]
+    pts += [(k * pts[i][0], k * pts[i][1]) for i, k in rays if i < len(pts)]
+    for i, j, t in between:
+        if i < len(pts) and j < len(pts):
+            (px, py), (qx, qy) = pts[i], pts[j]
+            pts.append((px + t * (qx - px), py + t * (qy - py)))
+    # distinct points: Qhull may keep either of two equal ones
+    pts = list(dict.fromkeys(pts))
+    return np.array(pts, dtype=float).reshape(-1, 2) * (2.0**scale * (1.0 + 2.0**-20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(_run, max_size=6), order=st.randoms(use_true_random=False))
+def test_hulls_match_qhull_on_random_runs(runs, order):
+    blocks = []
+    for run in runs:
+        b = _run_points(*run)
+        perm = list(range(len(b)))
+        order.shuffle(perm)
+        blocks.append(b[perm])
+    dual = np.concatenate([np.empty((0, 2))] + blocks)
+    counts = np.array([len(b) for b in blocks], dtype=np.intp)
+    _assert_hulls_match_qhull(dual, counts)
+
+
+def test_hulls_of_degenerate_runs():
+    # runs of 0, 1 and 2 points, a collinear row, a row through the origin,
+    # the origin on an edge, at a vertex and outside, and a closed square
+    # with points on its edges and spikes of one angle inside
+    square = [(2.0, 2.0), (-2.0, 2.0), (-2.0, -2.0), (2.0, -2.0)]
+    runs = [
+        [],
+        [(1.0, 1.0)],
+        [(3.0, 0.0), (-3.0, 0.5)],
+        [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)],
+        [(-2.0, -2.0), (1.0, 1.0), (3.0, 3.0)],
+        [(2.0, 0.0), (-2.0, 0.0), (0.0, 3.0), (1.0, 0.0)],
+        [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)],
+        [(1.0, 1.0), (3.0, 1.0), (2.0, 3.0)],
+        square + [(2.0, 0.5), (1.0, 2.0), (0.5, 0.5), (1.0, 1.0), (1.5, 1.5), (0.0, -1.0)],
+    ]
+    dual = np.array([p for run in runs for p in run], dtype=float).reshape(-1, 2)
+    counts = np.array([len(run) for run in runs], dtype=np.intp)
+    _assert_hulls_match_qhull(dual, counts)
+    closed, v, *_ = _hulls(dual, counts)
+    assert closed.tolist() == [8]
+    assert sorted(map(tuple, dual[v].tolist())) == sorted(square)
+
+
+@pytest.mark.parametrize("r0", [0.3, 0.6, 1.0])
+def test_hulls_drop_a_row_off_by_roundoff(r0):
+    # sites on one circle about a cell vertex v with the centre on it too,
+    # as where four Boroczky cells meet: their dual points lie on the line
+    # D . k_v = 1, each off it by roundoff, and the hull keeps at most the
+    # row's two ends, as Qhull does (the tolerance makes it so: without it,
+    # 78 of these 108 runs keep a point of the row that Qhull drops)
+    for phi in np.linspace(0.0, 2.0 * math.pi, 37)[:-1]:
+        vx, vy = polar_xy(0.0, 1.0, r0, phi)
+        cx, cy = polar_xy(vx, vy, r0, phi + math.pi + np.linspace(0.6, 2.0, 6))
+        rx, ry = polar_xy(0.0, 1.0, 1.5, np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+        far = cosh_distance_xy(rx, ry, vx, vy) > math.cosh(r0 + 0.05)
+        _, dual = _dual(np.concatenate([cx, rx[far]]), np.concatenate([cy, ry[far]]), 0.0, 1.0)
+        counts = np.array([dual.shape[0]], dtype=np.intp)
+        _assert_hulls_match_qhull(dual, counts)
+        closed, v, *_ = _hulls(dual, counts)
+        assert closed.tolist() == [0]
+        assert np.count_nonzero(v < 6) <= 2
+
+
+@pytest.mark.parametrize("packing, window", [
+    (TightPacking(7), BallSpec(ORIGIN, 5.0)),
+    (TightPacking(9), BallSpec(HPoint(0.3, 2.0), 4.0)),
+    (BoroczkyPacking(), BallSpec(ORIGIN, 5.0)),
+    (BoroczkyPacking(0.27), BallSpec(HPoint(0.2, 0.7), 3.0)),
+])
+def test_transport_hulls_match_qhull(monkeypatch, packing, window):
+    # every _hulls call of a transport, its site cells and its packing_cell
+    # fallbacks, with near-collinear rows of dual points in Boroczky cells
+    calls = []
+
+    def both(dual, counts):
+        calls.append(len(counts))
+        _assert_hulls_match_qhull(dual, counts)
+        return qhull_hulls(dual, counts)
+
+    monkeypatch.setattr(voronoi, "_hulls", both)
+    mass_transport_check(packing, window, SamplePlan(seed=SEED + 9, n=128))
+    assert calls and max(calls) > 1
 
 
 # ---------------------------------------------------------------- cells from one site array
