@@ -20,6 +20,7 @@ from .hgeom import (
     ORIGIN,
     BallSpec,
     HPoint,
+    SiteGrid,
     angle_of_parallelism,
     ball_area,
     cosh_distance_xy,
@@ -267,41 +268,38 @@ def mass_transport_check(
     tile with one density this mean reproduces that density regardless
     of the window. Regions raise UnsupportedOperationError.
 
-    The owners' cells come from the one site array of the window, grown
-    by two disk spacings: about an owner at distance d from the window's
-    center it holds every center within window.radius + 4 rho - d, and a
-    cell is kept only where its certificate holds within that radius.
-    The cells are arrays of fan areas and inscribed radius bounds
-    (voronoi._site_cells).
+    The owners and their cells come from the one site array of the
+    window, grown by two disk spacings and held in a SiteGrid: about an
+    owner at distance d from the window's center it holds every center
+    within window.radius + 4 rho - d, and a cell is kept only where its
+    certificate holds within that radius. The cells are arrays of fan
+    areas and inscribed radius bounds (voronoi._site_cells).
     """
     rho = _disk_radius(packing)
     reach = window.radius + 4.0 * rho
     sx, sy = packing._centers(BallSpec(window.center, reach))
     if sx.size < 2:
         raise DomainError("window holds too few packing centers")
-    # imported here, so that importing the package does not load scipy.spatial
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(np.column_stack([sx, sy]))
-    owner = _owners(tree, window, plan, boundary_tol)
+    grid = SiteGrid(sx, sy)
+    owner = _owners(grid, window, plan, boundary_tol)
 
     # a disk lies in its own cell: d(p, q) >= d(s, q) - d(s, p) >= rho
     sites, inverse = np.unique(owner, return_inverse=True)
     cd = cosh_distance_xy(sx[sites], sy[sites], window.center.x, window.center.y)
-    cells = _site_cells(packing, tree, sites, reach - np.arccosh(np.maximum(cd, 1.0)))
+    cells = _site_cells(packing, grid, sites, reach - np.arccosh(np.maximum(cd, 1.0)))
     return float(np.mean(_cell_densities(rho, *cells)[inverse]))
 
 
-def _owners(tree, window: BallSpec, plan: SamplePlan, boundary_tol: float):
-    """Tree index of the nearest site of each area-uniform point of the
-    window; points within boundary_tol of a cell wall are redrawn from
-    the Philox(plan.seed + 977) stream, one batch per round."""
+def _owners(grid, window: BallSpec, plan: SamplePlan, boundary_tol: float):
+    """Index of the nearest site of a SiteGrid to each area-uniform point
+    of the window; points within boundary_tol of a cell wall are redrawn
+    from the Philox(plan.seed + 977) stream, one batch per round."""
     xs, ys = sample_ball_uniform(window, plan)
     rng = np.random.Generator(np.random.Philox(plan.seed + 977))
     owner = np.empty(plan.n, dtype=np.intp)
     todo = np.arange(plan.n)
     while todo.size:
-        idx, cd = nearest_sites(tree, xs[todo], ys[todo], 2)
+        idx, cd = nearest_sites(grid, xs[todo], ys[todo], 2)
         d = np.arccosh(np.maximum(cd, 1.0))
         clear = d[:, 1] - d[:, 0] >= boundary_tol
         owner[todo[clear]] = idx[clear, 0]

@@ -19,7 +19,6 @@ triangles about the first vertex, each read off in the Poincare disk.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,15 +27,18 @@ import numpy as np
 from .errors import DomainError, RangeError
 
 _SAFE_LOG = 600.0
-# Padding of a refine disk's Euclidean radius, relative to its centre
-# height y C. A float cosh distance C is within 7 units in the last place
+# Padding of the Euclidean radius of a nearest_sites ball, relative to its
+# centre height y C, so that it holds every site at a float cosh distance
+# of at most C. A float cosh distance is within 7 units in the last place
 # of its exact value; that moves the radius y sqrt(C^2 - 1) by at most
 # y C sqrt(14 * 2^-53) = 4e-8 y C (the square root is steep at C = 1),
-# and the centre, radius and KD-tree distances round at 1e-16 y C.
+# and cosh r, sinh r and the centre, radius and squared distances of
+# ball_hits round at 1e-16 y C.
 _BALL_PAD = 1e-7
 _MIN_IMAGE_Y = 1e-300  # the smallest image height an isometry may produce
 _LOG_MIN_IMAGE_Y = math.log(_MIN_IMAGE_Y)
 _MAX_BALL_RADIUS = 600.0  # beyond it cosh and sinh keep no useful precision
+_BAND_WIDTH = 0.5  # log-height of one band of a SiteGrid
 
 
 class HPoint:
@@ -158,60 +160,121 @@ def polar_xy(cx, cy, rho, theta):
     return x[()], y[()]
 
 
-def ball_hits(tree, xs, ys, cosh_r, sinh_r):
-    """Points of a KD-tree over half-plane coordinates inside hyperbolic balls.
+def _band_key(band, xs):
+    """Points on a grid of bands, each band sorted by x: the order of the
+    key band * n + (rank of x), the keys in that order, and the sorted xs.
+    A band's points within an x interval are one run of that order."""
+    n = xs.size
+    by_x = np.argsort(xs)
+    rank = np.empty(n, np.int64)
+    rank[by_x] = np.arange(n)
+    key = band * n + rank
+    order = np.argsort(key)
+    return order, key[order], xs[by_x]
+
+
+class SiteGrid:
+    """Sites of the half-plane on a grid of log-height bands, for the ball
+    queries of ball_hits and nearest_sites.
+
+    Site i lies in band floor(log y_i / _BAND_WIDTH); the sites are held in
+    the order of _band_key, so those of one band within an x interval are
+    found by two searchsorted calls. Building the grid is two argsorts.
+    """
+
+    __slots__ = ("xs", "ys", "order", "key", "sorted_x", "bands")
+
+    def __init__(self, xs, ys):
+        self.xs = np.asarray(xs, dtype=float)
+        self.ys = np.asarray(ys, dtype=float)
+        band = np.floor(np.log(self.ys) / _BAND_WIDTH).astype(np.int64)
+        self.order, self.key, self.sorted_x = _band_key(band, self.xs)
+        # the lowest and highest band that holds a site
+        self.bands = (int(band.min()), int(band.max())) if band.size else (0, -1)
+
+
+def ball_hits(grid, xs, ys, cosh_r, sinh_r):
+    """Sites of a SiteGrid inside hyperbolic balls.
 
     The closed ball of radius r about (x, y) is the Euclidean disk with
-    centre (x, y cosh r) and radius y sinh r, so one query_ball_point
-    call finds the points of every ball. cosh_r and sinh_r are scalars
-    or one value per ball. Returns the number of hits of each ball and
-    the tree indices of the hits, flattened ball by ball.
+    centre (x, y cosh r) and radius y sinh r. Each disk looks in the bands
+    it spans and, in each band, at the sites whose x lies within its
+    widest chord over the band; it keeps those whose squared Euclidean
+    distance from the centre is at most the radius squared. The bands and
+    chords are padded far past the roundoff of that test, so the test
+    alone decides. cosh_r and sinh_r are scalars or one value per ball.
+    Returns the number of hits of each ball and the site indices of the
+    hits, flattened ball by ball, each ball's in ascending order.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    hits = tree.query_ball_point(np.column_stack([xs, ys * cosh_r]), ys * sinh_r)
-    counts = np.fromiter(map(len, hits), np.intp, len(hits))
-    flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, int(counts.sum()))
-    return counts, flat
+    cx, cy, rad = np.broadcast_arrays(xs, ys * cosh_r, ys * sinh_r)
+    lo, hi = grid.bands
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a disk reaching down to y = 0 starts at the lowest band
+        b0 = np.fmax(np.floor(np.log(cy - rad - 1e-9 * cy) / _BAND_WIDTH), lo)
+        b1 = np.fmin(np.floor(np.log((cy + rad) * (1.0 + 1e-9)) / _BAND_WIDTH), hi)
+    nb = np.maximum(b1 - b0 + 1.0, 0.0).astype(np.intp)
+    # one (ball, band) pair per band each disk spans
+    ball = np.repeat(np.arange(cx.size), nb)
+    band = (np.repeat(b0, nb).astype(np.int64)
+            + np.arange(ball.size) - np.repeat(np.cumsum(nb) - nb, nb))
+    px, py, pr = cx[ball], cy[ball], rad[ball]
+    # the band holds heights [e^(b w), e^((b+1) w)] up to the roundoff of
+    # log, and the disk's widest chord over it is nearest the centre height
+    ya = np.exp(band * _BAND_WIDTH) * (1.0 - 1e-10)
+    yb = np.exp((band + 1) * _BAND_WIDTH) * (1.0 + 1e-10)
+    gap = np.maximum(np.maximum(ya - py, py - yb), 0.0)
+    chord = pr * pr * (1.0 + 1e-10) - gap * gap * (1.0 - 1e-10)
+    half = np.sqrt(np.maximum(chord, 0.0)) * (1.0 + 1e-10) + 1e-12 * np.abs(px)
+    n = grid.xs.size
+    band *= n
+    start = np.searchsorted(grid.key, band + np.searchsorted(grid.sorted_x, px - half, "left"))
+    stop = np.searchsorted(grid.key, band + np.searchsorted(grid.sorted_x, px + half, "right"))
+    count = stop - start
+    pos = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    site, owner = grid.order[pos], np.repeat(ball, count)
+    dx, dy, r = grid.xs[site] - cx[owner], grid.ys[site] - cy[owner], rad[owner]
+    inside = dx * dx + dy * dy <= r * r
+    site, owner = site[inside], owner[inside]
+    flat = site[np.argsort(owner * n + site)]
+    return np.bincount(owner, minlength=cx.size), flat
 
 
-def nearest_sites(tree, xs, ys, k: int):
-    """The k hyperbolically nearest points of a KD-tree over half-plane
-    coordinates, for each query point (x, y): (idx, cd) of shape (n, k),
-    tree indices and cosh distances, nearest first.
+def nearest_sites(grid, xs, ys, k: int):
+    """The k hyperbolically nearest sites of a SiteGrid to each query point
+    (x, y): (idx, cd) of shape (n, k), site indices and cosh distances,
+    nearest first.
 
-    The largest cosh distance C of the k Euclidean nearest neighbours
-    bounds the k-th hyperbolic one, and the ball {cosh d <= C} is the
-    Euclidean disk about (x, y C) of radius y sqrt(C^2 - 1), padded by
-    _BALL_PAD y C, so one ball_hits refine finds every candidate. The disk
-    reaches no farther than y (C - 1 + sqrt(C^2 - 1)) from (x, y): where
-    the (k+1)-th Euclidean neighbour lies beyond that, the refine is
-    skipped. Each pair's cosh distance is cosh_distance_xy(x, y, site).
+    Each point draws balls of radius 1, 2, 4, ... until one holds k sites
+    at cosh distance at most cosh r: then it holds the k nearest. The
+    ball's disk is padded by _BALL_PAD y cosh r, so it holds every site at
+    a float cosh distance of at most cosh r. Each pair's cosh distance is
+    cosh_distance_xy(x, y, site). A point with fewer than k sites within
+    _MAX_BALL_RADIUS raises RangeError.
     """
-    if tree.n < k:
-        raise DomainError(f"{k} nearest sites need at least {k} sites, got {tree.n}")
+    if grid.xs.size < k:
+        raise DomainError(f"{k} nearest sites need at least {k} sites, got {grid.xs.size}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    pts = tree.data
-    dist, j = tree.query(np.column_stack([xs, ys]), k=k + 1)
-    j = j[:, :k]
-    cd = cosh_distance_xy(xs[:, None], ys[:, None], pts[j, 0], pts[j, 1])
-    order = np.argsort(cd, axis=1, kind="stable")
-    idx = np.take_along_axis(j, order, axis=1)
-    cd = np.take_along_axis(cd, order, axis=1)
-    ub = cd[:, -1]
-    sinh_r = np.sqrt((ub - 1.0) * (ub + 1.0)) + _BALL_PAD * ub
-    # (ub - 1) and the KD-tree distance round far below the padding
-    refine = np.flatnonzero(dist[:, k] <= ys * (ub - 1.0 + sinh_r))
-    if refine.size:
-        rx, ry = xs[refine], ys[refine]
-        counts, hits = ball_hits(tree, rx, ry, ub[refine], sinh_r[refine])
-        hcd = cosh_distance_xy(np.repeat(rx, counts), np.repeat(ry, counts),
-                               pts[hits, 0], pts[hits, 1])
+    idx = np.empty((xs.size, k), dtype=np.intp)
+    cd = np.empty((xs.size, k))
+    todo, r = np.arange(xs.size), 1.0
+    while todo.size:
+        if r > _MAX_BALL_RADIUS:
+            raise RangeError(f"{todo.size} points have fewer than {k} sites within "
+                             f"{_MAX_BALL_RADIUS:g}")
+        c = math.cosh(r)
+        qx, qy = xs[todo], ys[todo]
+        counts, hits = ball_hits(grid, qx, qy, c, math.sinh(r) + _BALL_PAD * c)
+        ball = np.repeat(np.arange(todo.size), counts)
+        hcd = cosh_distance_xy(qx[ball], qy[ball], grid.xs[hits], grid.ys[hits])
+        done = np.bincount(ball[hcd <= c], minlength=todo.size) >= k
         # sort each point's hits by cosh distance and take the first k
-        rank = np.lexsort((hcd, np.repeat(np.arange(refine.size), counts)))
-        take = rank[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        idx[refine], cd[refine] = hits[take], hcd[take]
+        rank = np.lexsort((hcd, ball))
+        take = rank[(np.cumsum(counts) - counts)[done, None] + np.arange(k)]
+        idx[todo[done]], cd[todo[done]] = hits[take], hcd[take]
+        todo, r = todo[~done], 2.0 * r
     return idx, cd
 
 

@@ -28,6 +28,7 @@ from .hgeom import (
     HPoint,
     Isometry,
     _MIN_IMAGE_Y,
+    _band_key,
     apply,
     ball_area,
     cosh_distance_xy,
@@ -113,17 +114,11 @@ def pairwise_min_gap(disks) -> float:
     reach = 2.0 * math.asinh(math.sqrt(0.5 * ((best - 1.0) * (1.0 + 1e-12) + 1e-15 * best)))
     band = np.floor((ly - ly.min()) / (reach * (1.0 + 1e-6) + 1e-9)).astype(np.int64)
     reach_x = (math.expm1(reach) * (1.0 + 1e-6)) * ys + 1e-15 * np.abs(xs)
-    # the grid: centers in order of the key band * n + x rank, and the
-    # place of each center in that order (finite y has |log y| < 710 and
-    # D > 4e-8, so the key stays far below 2^63)
-    rank = np.empty(n, np.int64)
-    rank[np.argsort(xs)] = np.arange(n)
-    key = band * n + rank
-    order = np.argsort(key)
-    key = key[order]
+    # the grid, and the place of each center in its order (finite y has
+    # |log y| < 710 and D > 4e-8, so the key stays far below 2^63)
+    order, key, sorted_x = _band_key(band, xs)
     at = np.empty(n, np.int64)
     at[order] = np.arange(n)
-    sorted_x = np.sort(xs)
     lo_x = np.searchsorted(sorted_x, xs - reach_x, side="left")
     hi_x = np.searchsorted(sorted_x, xs + reach_x, side="right")
     start = np.concatenate([at + 1, np.searchsorted(key, (band + 1) * n + lo_x)])

@@ -11,6 +11,7 @@ criterion's result or time depends on which criteria ran before it.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -57,6 +58,7 @@ class CriterionResult:
     detail: str
     measured: dict = field(default_factory=dict)
     seconds: float = 0.0
+    scipy_modules: tuple = ()
 
 
 def _a1(bias):
@@ -314,8 +316,15 @@ _CRITERIA = {
 }
 
 
+def _scipy_loaded():
+    """The scipy subpackages in sys.modules: scipy, scipy.spatial, ..."""
+    return {".".join(m.split(".")[:2]) for m in list(sys.modules) if m.split(".")[0] == "scipy"}
+
+
 def run_criteria(ids=None, negative_control: bool = False):
-    """Run the requested criteria (all by default), in order."""
+    """Run the requested criteria (all by default), in order. Each result
+    names the scipy subpackages first loaded while it ran, whose import
+    its seconds include."""
     if ids is None:
         ids = list(_CRITERIA)
     results = []
@@ -326,6 +335,7 @@ def run_criteria(ids=None, negative_control: bool = False):
             )
         runner, tamper = _CRITERIA[cid]
         bias = tamper if negative_control else 0.0
+        loaded = _scipy_loaded()
         t0 = time.perf_counter()
         passed, detail, measured = runner(bias)
         results.append(
@@ -335,6 +345,7 @@ def run_criteria(ids=None, negative_control: bool = False):
                 detail=detail,
                 measured=measured,
                 seconds=time.perf_counter() - t0,
+                scipy_modules=tuple(sorted(_scipy_loaded() - loaded)),
             )
         )
     return results
@@ -357,6 +368,7 @@ def format_report(results):
                 "detail": r.detail,
                 "measured": r.measured,
                 "seconds": round(r.seconds, 3),
+                "scipy_modules": list(r.scipy_modules),
             }
             for r in results
         ],

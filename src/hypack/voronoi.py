@@ -202,25 +202,26 @@ def packing_cell(packing, site: HPoint) -> VoronoiCell:
         radius *= 2.0
 
 
-def _site_cells(packing, tree, sites, complete):
+def _site_cells(packing, grid, sites, complete):
     """Fan areas and inscribed radius bounds, as two arrays, of the
-    Dirichlet cells of the sites tree.data[sites] of a disk packing.
+    Dirichlet cells of the sites grid.xs[sites], grid.ys[sites] of a disk
+    packing, from a SiteGrid of its centers.
 
-    The tree must hold every center within complete[i] of sites[i]. One
+    The grid must hold every center within complete[i] of sites[i]. One
     ball_hits query gathers each site's centers within two disk spacings,
     capped at complete[i]. The hulls, vertices, certificates, areas and
     bounds (half the distance to the nearest hull vertex) are formed for
-    all sites at once. A cell that is
-    not certified is redone at twice the radius, again capped; one that
-    fails at complete[i] is a packing_cell.
+    all sites at once. A cell that is not certified is redone at twice
+    the radius, again capped; one that fails at complete[i] is a
+    packing_cell.
     """
-    sx, sy = tree.data[:, 0], tree.data[:, 1]
+    sx, sy = grid.xs, grid.ys
     area, bound = np.empty(len(sites)), np.empty(len(sites))
     todo, trial = np.arange(len(sites)), 4.0 * _disk_radius(packing)
     while todo.size:
         j = sites[todo]
         radius = np.minimum(trial, complete[todo])
-        counts, flat = ball_hits(tree, sx[j], sy[j], np.cosh(radius), np.sinh(radius))
+        counts, flat = ball_hits(grid, sx[j], sy[j], np.cosh(radius), np.sinh(radius))
         # each ball holds its own site once
         own = np.repeat(j, counts)
         flat, own, counts = flat[flat != own], own[flat != own], counts - 1

@@ -18,6 +18,10 @@ independent oracles:
   angles, read off consecutive edge normals;
 - ``partition_audit``, the fraction of window samples that lie in
   exactly one of a set of Dirichlet cells;
+- ``kdtree_ball_hits``, the points of a KD-tree in hyperbolic balls by
+  one ``query_ball_point`` call, and ``kdtree_nearest_sites``, each
+  point's k hyperbolically nearest by the KD-tree's k + 1 Euclidean
+  nearest and one ball refine;
 - ``DedupTightPacking``, a tight packing whose neighbourhood of (0, 1)
   grows by turning every rim vertex's known neighbour through all its
   turns and merging the candidates that a KD-tree ball query finds
@@ -39,11 +43,11 @@ independent oracles:
   disk, about the disk's own center, over the disks meeting the level
   ball grown by one disk diameter, and ``nearest_site_hausdorff``, the
   Hausdorff distance from every point's hyperbolically nearest site in
-  the other set (``nearest_sites`` with k = 1 on a KD-tree per pass);
+  the other set (``kdtree_nearest_sites`` with k = 1 per pass);
 - ``all_pairs_min_gap``, the smallest gap between disks over every pair,
   in chunks of the all-pairs distance matrix, and ``kdtree_min_gap``, the
-  smallest gap from each center's second ``nearest_sites`` hit on a
-  KD-tree of the centers;
+  smallest gap from each center's second ``kdtree_nearest_sites`` hit on
+  a KD-tree of the centers;
 - ``qhull_hulls``, the hulls of runs of Dirichlet dual points by one
   Qhull ``ConvexHull`` call per run;
 - ``boundary_point`` and ``outline_element``, a disk's outline point by
@@ -63,6 +67,7 @@ independent oracles:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,10 +86,9 @@ from hypack.hgeom import (
     HPoint,
     Isometry,
     apply,
-    ball_hits,
+    _BALL_PAD,
     _SAFE_LOG,
     cosh_distance_xy,
-    nearest_sites,
     polar_xy,
 )
 from hypack.packings import (
@@ -410,6 +414,65 @@ def partition_audit(cells, window: BallSpec, plan: SamplePlan) -> float:
     return float(np.mean(counts == 1))
 
 
+# ---------------------------------------------------------------- KD-tree queries
+
+def kdtree_ball_hits(tree, xs, ys, cosh_r, sinh_r):
+    """Points of a KD-tree over half-plane coordinates inside hyperbolic balls.
+
+    The closed ball of radius r about (x, y) is the Euclidean disk with
+    centre (x, y cosh r) and radius y sinh r, so one query_ball_point
+    call finds the points of every ball. cosh_r and sinh_r are scalars
+    or one value per ball. Returns the number of hits of each ball and
+    the tree indices of the hits, flattened ball by ball.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    hits = tree.query_ball_point(np.column_stack([xs, ys * cosh_r]), ys * sinh_r)
+    counts = np.fromiter(map(len, hits), np.intp, len(hits))
+    flat = np.fromiter(itertools.chain.from_iterable(hits), np.intp, int(counts.sum()))
+    return counts, flat
+
+
+def kdtree_nearest_sites(tree, xs, ys, k: int):
+    """The k hyperbolically nearest points of a KD-tree over half-plane
+    coordinates, for each query point (x, y): (idx, cd) of shape (n, k),
+    tree indices and cosh distances, nearest first.
+
+    The largest cosh distance C of the k Euclidean nearest neighbours
+    bounds the k-th hyperbolic one, and the ball {cosh d <= C} is the
+    Euclidean disk about (x, y C) of radius y sqrt(C^2 - 1), padded by
+    _BALL_PAD y C, so one kdtree_ball_hits refine finds every candidate.
+    The disk reaches no farther than y (C - 1 + sqrt(C^2 - 1)) from (x, y): where
+    the (k+1)-th Euclidean neighbour lies beyond that, the refine is
+    skipped. Each pair's cosh distance is cosh_distance_xy(x, y, site).
+    """
+    if tree.n < k:
+        raise DomainError(f"{k} nearest sites need at least {k} sites, got {tree.n}")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    pts = tree.data
+    dist, j = tree.query(np.column_stack([xs, ys]), k=k + 1)
+    j = j[:, :k]
+    cd = cosh_distance_xy(xs[:, None], ys[:, None], pts[j, 0], pts[j, 1])
+    order = np.argsort(cd, axis=1, kind="stable")
+    idx = np.take_along_axis(j, order, axis=1)
+    cd = np.take_along_axis(cd, order, axis=1)
+    ub = cd[:, -1]
+    sinh_r = np.sqrt((ub - 1.0) * (ub + 1.0)) + _BALL_PAD * ub
+    # (ub - 1) and the KD-tree distance round far below the padding
+    refine = np.flatnonzero(dist[:, k] <= ys * (ub - 1.0 + sinh_r))
+    if refine.size:
+        rx, ry = xs[refine], ys[refine]
+        counts, hits = kdtree_ball_hits(tree, rx, ry, ub[refine], sinh_r[refine])
+        hcd = cosh_distance_xy(np.repeat(rx, counts), np.repeat(ry, counts),
+                               pts[hits, 0], pts[hits, 1])
+        # sort each point's hits by cosh distance and take the first k
+        rank = np.lexsort((hcd, np.repeat(np.arange(refine.size), counts)))
+        take = rank[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        idx[refine], cd[refine] = hits[take], hcd[take]
+    return idx, cd
+
+
 # ---------------------------------------------------------------- tight vertices
 
 # generated vertices closer than this are the same vertex
@@ -465,7 +528,7 @@ class DedupTightPacking(TightPacking):
         pts = np.concatenate([ref, cand])
         tree = cKDTree(np.column_stack([pts.real, pts.imag]))
         r = self.disk_radius
-        counts, flat = ball_hits(tree, cand.real, cand.imag, math.cosh(r), math.sinh(r))
+        counts, flat = kdtree_ball_hits(tree, cand.real, cand.imag, math.cosh(r), math.sinh(r))
         a, b = np.repeat(cand, counts), pts[flat]
         gap = 2.0 * np.arcsinh(np.abs(a - b) / (2.0 * np.sqrt(a.imag * b.imag)))
         assert (gap <= DEDUP_RADIUS).all(), "vertex candidates in the ambiguity zone"
@@ -647,7 +710,7 @@ def nearest_site(tree, sx, sy, x, y, rho0):
     second nearest, via Euclidean disk queries of growing radius."""
     rho = rho0
     while True:
-        _, idx = ball_hits(tree, x, y, math.cosh(rho), math.sinh(rho))
+        _, idx = kdtree_ball_hits(tree, x, y, math.cosh(rho), math.sinh(rho))
         if len(idx) >= 2:
             break
         rho *= 1.5
@@ -810,7 +873,7 @@ def level_net(packing, k, spacing):
 
 
 def _nearest_site_directed(a, c):
-    _, cd = nearest_sites(cKDTree(c), a[:, 0], a[:, 1], 1)
+    _, cd = kdtree_nearest_sites(cKDTree(c), a[:, 0], a[:, 1], 1)
     return float(np.arccosh(np.maximum(cd[:, 0], 1.0)).max())
 
 
@@ -866,7 +929,7 @@ def kdtree_min_gap(disks) -> float:
         raise DomainError("pairwise_min_gap needs disks of one radius")
     xs = np.array([d.center.x for d in disks])
     ys = np.exp(np.array([d.center.log_y for d in disks]))
-    _, cd = nearest_sites(cKDTree(np.column_stack([xs, ys])), xs, ys, 2)
+    _, cd = kdtree_nearest_sites(cKDTree(np.column_stack([xs, ys])), xs, ys, 2)
     gap = np.arccosh(np.maximum(cd[:, 1], 1.0)) - 2.0 * rad[0]
     return float(gap.min())
 

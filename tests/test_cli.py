@@ -1,11 +1,16 @@
 """End-to-end checks of the command line entry point."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import hypack
 from hypack import svg
 from hypack.cli import main
 from hypack.hgeom import ORIGIN, BallSpec, Geodesic
@@ -329,6 +334,21 @@ def test_verify_subset_report_and_json(tmp_path, capsys):
     assert doc["all_passed"] is True
     assert [c["id"] for c in doc["criteria"]] == ["A3", "A4"]
     assert all(c["passed"] for c in doc["criteria"])
+
+
+def test_verify_json_names_the_scipy_modules_each_criterion_loads(tmp_path):
+    # in a fresh interpreter the transport (A9) loads no scipy module and
+    # the packing metric (A10) loads scipy.spatial for its KD-tree
+    report = tmp_path / "report.json"
+    src = str(Path(hypack.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", "import sys; from hypack.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))", "verify", "--criteria", "A9,A10",
+                    "--json", str(report)], env=env, check=True, capture_output=True)
+    a9, a10 = json.loads(report.read_text())["criteria"]
+    assert a9["scipy_modules"] == []
+    assert "scipy.spatial" in a10["scipy_modules"]
+    assert all(m.split(".")[0] == "scipy" for m in a10["scipy_modules"])
 
 
 def test_verify_negative_control_is_caught(capsys):

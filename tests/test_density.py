@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from hypack.density import (
     CSV_HEADER,
@@ -23,7 +22,16 @@ from hypack.density import (
     tile_density,
 )
 from hypack.errors import DomainError, UnsupportedOperationError
-from hypack.hgeom import ORIGIN, BallSpec, Geodesic, HPoint, Isometry, apply, ball_area
+from hypack.hgeom import (
+    ORIGIN,
+    BallSpec,
+    Geodesic,
+    HPoint,
+    Isometry,
+    SiteGrid,
+    apply,
+    ball_area,
+)
 from hypack.packings import (
     BoroczkyPacking,
     BrickTile,
@@ -239,7 +247,7 @@ def test_mass_transport_matches_sample_loop(center, radius, seed):
     window, plan = BallSpec(center, radius), SamplePlan(seed=seed, n=256)
     want, want_owner = transport_loop(packing, window, plan)
     sx, sy = packing._centers(BallSpec(center, radius + 4.0 * packing.disk_radius))
-    owner = _owners(cKDTree(np.column_stack([sx, sy])), window, plan, 1e-9)
+    owner = _owners(SiteGrid(sx, sy), window, plan, 1e-9)
     assert np.array_equal(owner, want_owner)
     assert abs(mass_transport_check(packing, window, plan) - want) <= 1e-14
 

@@ -10,6 +10,7 @@ from hypack.hgeom import (
     angle_of_parallelism,
     apply,
     ball_area,
+    ball_hits,
     BallSpec,
     cosh_distance_xy,
     GeodesicPolygon,
@@ -19,8 +20,17 @@ from hypack.hgeom import (
     nearest_sites,
     ORIGIN,
     polar_xy,
+    SiteGrid,
 )
-from oracles import ArcGeodesic, boundary_point, distance, midpoint, signed_distance_xy
+from oracles import (
+    ArcGeodesic,
+    boundary_point,
+    distance,
+    kdtree_ball_hits,
+    kdtree_nearest_sites,
+    midpoint,
+    signed_distance_xy,
+)
 
 RNG_SEED = 20260816
 
@@ -261,33 +271,140 @@ def test_polar_xy_unchanged_where_den_is_normal():
     assert np.isfinite(x).all() and np.isfinite(y).all()
 
 
-@settings(max_examples=150, deadline=None)
+# SiteGrid queries. Each layout is a set of sites about (slope h, h): spread
+# over heights e^-3 .. e^3 about h, all in one log-height band of the
+# grid, or one site. Ball centres spread over heights e^-6 .. e^6 about h
+# and twice as wide in x, so many balls reach past the grid.
+
+
+def _sites(layout, rng, n, h, x0):
+    if layout == "one site":
+        n = 1
+    sx = x0 + rng.uniform(-3.0, 3.0, n) * h
+    if layout == "one band":
+        # floor(2 log y) is the same for every site
+        b = math.floor(2.0 * math.log(h))
+        sy = np.exp(0.5 * b + rng.uniform(0.01, 0.49, n))
+    else:
+        sy = np.exp(rng.uniform(-3.0, 3.0, n)) * h
+    return sx, sy
+
+
+def _queries(rng, sx, sy, h, x0, m):
+    qx = x0 + rng.uniform(-6.0, 6.0, m) * h
+    qy = np.exp(rng.uniform(-6.0, 6.0, m)) * h
+    # some balls sit on a site, or next to one
+    j = min(sx.size, m // 4)
+    qx[:j], qy[:j] = sx[:j] * (1.0 + 1e-12), sy[:j]
+    return qx, qy
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    k=st.sampled_from([1, 2]),
+    layout=st.sampled_from(["spread", "one band", "one site"]),
     log_h=st.floats(-30.0, 30.0),
-    n=st.integers(2, 60),
+    slope=st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+    n=st.integers(2, 80),
+    r=st.floats(0.05, 8.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_nearest_sites_matches_brute_force(k, log_h, n, seed):
-    # sites spread over heights e^-2 .. e^2 about h, where the Euclidean
-    # and the hyperbolic nearest sites often differ, at scales e^-30 .. e^30
+def test_ball_hits_are_the_sites_within_r(layout, log_h, slope, n, r, seed):
+    # the hits of each ball are the sites at cosh distance at most cosh r,
+    # outside a shell of relative width 1e-12 about the ball's boundary,
+    # and each ball's hits come in ascending order
     rng = np.random.default_rng(seed)
     h = math.exp(log_h)
-    sx, sy = rng.uniform(-3.0, 3.0, n) * h, np.exp(rng.uniform(-2.0, 2.0, n)) * h
-    qx, qy = rng.uniform(-4.0, 4.0, 300) * h, np.exp(rng.uniform(-3.0, 3.0, 300)) * h
-    # some queries sit on a site, or next to one
-    j = min(n, 10)
-    qx[:j], qy[:j] = sx[:j] * (1.0 + 1e-12), sy[:j]
-    idx, cd = nearest_sites(cKDTree(np.column_stack([sx, sy])), qx, qy, k)
+    sx, sy = _sites(layout, rng, n, h, slope * h)
+    qx, qy = _queries(rng, sx, sy, h, slope * h, 60)
+    grid = SiteGrid(sx, sy)
+    counts, flat = ball_hits(grid, qx, qy, math.cosh(r), math.sinh(r))
+    assert counts.shape == qx.shape and counts.sum() == flat.size
+    hit = np.zeros((qx.size, sx.size), dtype=bool)
+    hit[np.repeat(np.arange(qx.size), counts), flat] = True
+    assert hit.sum() == flat.size  # no site twice in one ball
+    runs = np.split(flat, np.cumsum(counts)[:-1])
+    assert all(np.all(np.diff(run) > 0) for run in runs)
+    cd = cosh_distance_xy(qx[:, None], qy[:, None], sx[None, :], sy[None, :])
+    c = math.cosh(r)
+    assert hit[cd <= c * (1.0 - 1e-12)].all()
+    assert not hit[cd > c * (1.0 + 1e-12)].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_h=st.floats(-30.0, 30.0),
+    slope=st.sampled_from([0.0, 1e6]),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ball_hits_match_the_kdtree_oracle(log_h, slope, n, seed):
+    # the KD-tree's query_ball_point applies the same squared-distance
+    # test, so the hits are equal, one radius per ball
+    rng = np.random.default_rng(seed)
+    h = math.exp(log_h)
+    sx, sy = _sites("spread", rng, n, h, slope * h)
+    qx, qy = _queries(rng, sx, sy, h, slope * h, 40)
+    r = rng.uniform(0.05, 8.0, qx.size)
+    got = ball_hits(SiteGrid(sx, sy), qx, qy, np.cosh(r), np.sinh(r))
+    want = kdtree_ball_hits(cKDTree(np.column_stack([sx, sy])), qx, qy, np.cosh(r), np.sinh(r))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_ball_hits_of_no_ball_and_of_a_ball_past_every_site():
+    grid = SiteGrid([0.0, 1.0], [1.0, 2.0])
+    counts, flat = ball_hits(grid, np.empty(0), np.empty(0), 2.0, math.sqrt(3.0))
+    assert counts.size == flat.size == 0
+    counts, flat = ball_hits(grid, [0.0, 50.0, 0.0], [1e6, 1.0, 1e-6], 1.5, math.sqrt(1.25))
+    assert counts.tolist() == [0, 0, 0] and flat.size == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    layout=st.sampled_from(["spread", "one band"]),
+    log_h=st.floats(-30.0, 30.0),
+    slope=st.sampled_from([0.0, 1.0, 1e6]),
+    n=st.integers(3, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_sites_matches_brute_force(k, layout, log_h, slope, n, seed):
+    # sites spread over heights e^-3 .. e^3 about h, where the Euclidean
+    # and the hyperbolic nearest sites often differ, at scales e^-30 .. e^30;
+    # queries up to e^6 above or below them and 3 h beside them need balls
+    # of radius up to 16. The KD-tree oracle finds the same sites.
+    rng = np.random.default_rng(seed)
+    h = math.exp(log_h)
+    sx, sy = _sites(layout, rng, n, h, slope * h)
+    qx, qy = _queries(rng, sx, sy, h, slope * h, 200)
+    idx, cd = nearest_sites(SiteGrid(sx, sy), qx, qy, k)
     brute = cosh_distance_xy(qx[:, None], qy[:, None], sx[None, :], sy[None, :])
     assert np.array_equal(cd, np.sort(brute, axis=1)[:, :k])
     assert np.array_equal(np.take_along_axis(brute, idx, axis=1), cd)
+    want_idx, want_cd = kdtree_nearest_sites(cKDTree(np.column_stack([sx, sy])), qx, qy, k)
+    assert np.array_equal(idx, want_idx) and np.array_equal(cd, want_cd)
+
+
+def test_nearest_sites_look_past_the_padding_of_a_ball():
+    # the radius-1 ball's padded disk reaches 1 + 4.2e-7 below (0, 1) and
+    # 1 + 5.7e-8 above: it holds the site 1 + 1e-7 below and misses the
+    # nearer one, 1 + 8e-8 above, which only the radius-2 ball finds
+    grid = SiteGrid([0.0, 0.0], [math.exp(-1.0 - 1e-7), math.exp(1.0 + 8e-8)])
+    idx, cd = nearest_sites(grid, [0.0], [1.0], 1)
+    assert idx.tolist() == [[1]]
+    assert cd[0, 0] == cosh_distance_xy(0.0, 1.0, 0.0, math.exp(1.0 + 8e-8))
 
 
 def test_nearest_sites_needs_k_sites():
-    tree = cKDTree(np.array([[0.0, 1.0]]))
     with pytest.raises(DomainError):
-        nearest_sites(tree, [0.5], [1.0], 2)
+        nearest_sites(SiteGrid([0.0], [1.0]), [0.5], [1.0], 2)
+
+
+def test_nearest_sites_stop_at_the_largest_ball_radius():
+    # the second site is 700 from (0, 1), past any ball radius allowed
+    grid = SiteGrid([0.0, 0.0], [1.0, math.exp(-700.0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RangeError):
+            nearest_sites(grid, [0.0], [1.0], 2)
 
 
 def test_disk_boundary_points_at_radius():

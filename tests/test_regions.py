@@ -676,9 +676,9 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-# The CLI commands, disk gaps and Dirichlet cells, which build no KD-tree,
-# then the mass transport and the packing metric, which do; each records
-# whether scipy.spatial is loaded after it.
+# The CLI commands, disk gaps, Dirichlet cells and the mass transport,
+# which build no KD-tree, then the packing metric, which does; each
+# records whether scipy.spatial is loaded after it.
 COLD_PATH = """
 import json, os, sys
 from hypack import (BallSpec, Isometry, ORIGIN, SamplePlan, TightPacking, TransformedPacking,
@@ -711,6 +711,7 @@ def run(out):
     rec["spatial_after_transport"] = spatial()
     moved = TransformedPacking(Isometry.translation(0.3), tp)
     rec["distance"] = float(packing_distance(truncate(tp, k_max=1), truncate(moved, k_max=1)))
+    rec["spatial_after_distance"] = spatial()
     return rec
 
 if __name__ == "__main__":
@@ -719,12 +720,13 @@ if __name__ == "__main__":
 
 
 def test_cold_commands_leave_scipy_spatial_unloaded(tmp_path):
-    # scipy.spatial loads at the transport's KD-tree and not before, and
-    # the values equal those of this warm process bit for bit
+    # scipy.spatial loads at the packing metric's KD-tree and not before,
+    # and the values equal those of this warm process bit for bit
     (tmp_path / "cold").mkdir()
     (tmp_path / "warm").mkdir()
     cold = json.loads(_fresh(COLD_PATH, str(tmp_path / "cold")))
-    loaded = {"cli": False, "gap": False, "cell": False, "voronoi": False, "transport": True}
+    loaded = {"cli": False, "gap": False, "cell": False, "voronoi": False, "transport": False,
+              "distance": True}
     flags = [f"spatial_after_{k}" for k in loaded]
     assert [cold.pop(k) for k in flags] == list(loaded.values())
     module = {"__name__": "warm"}

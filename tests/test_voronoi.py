@@ -16,8 +16,10 @@ from hypack.hgeom import (
     GeodesicPolygon,
     HPoint,
     Isometry,
+    SiteGrid,
     apply,
     ball_area,
+    ball_hits,
     cosh_distance_xy,
     hyperboloid_xy,
     polar_xy,
@@ -46,6 +48,7 @@ from oracles import (
     distance,
     gauss_bonnet_area,
     geodesic_intersection,
+    kdtree_ball_hits,
     partition_audit,
     point_along,
     qhull_hulls,
@@ -679,24 +682,24 @@ def test_transport_hulls_match_qhull(monkeypatch, packing, window):
 
 
 def _site_array(packing, window):
-    """The transport's site array of a window as a KD-tree, and the radius
+    """The transport's site array of a window as a SiteGrid, and the radius
     it is complete to about each site."""
     reach = window.radius + 4.0 * packing.disk_radius
     sx, sy = packing._centers(BallSpec(window.center, reach))
     cd = cosh_distance_xy(sx, sy, window.center.x, window.center.y)
-    return cKDTree(np.column_stack([sx, sy])), reach - np.arccosh(np.maximum(cd, 1.0))
+    return SiteGrid(sx, sy), reach - np.arccosh(np.maximum(cd, 1.0))
 
 
-def _assert_cells_match(monkeypatch, packing, tree, sites, complete):
+def _assert_cells_match(monkeypatch, packing, grid, sites, complete):
     """Each cell of _site_cells has packing_cell's area and inscribed
     radius bound to 1e-12. Returns how many cells fell back to packing_cell."""
     fallbacks = []
     monkeypatch.setattr(voronoi, "packing_cell",
                         lambda p, s: fallbacks.append(s) or packing_cell(p, s))
-    area, bound = _site_cells(packing, tree, sites, complete)
+    area, bound = _site_cells(packing, grid, sites, complete)
     assert area.shape == bound.shape == sites.shape
     for j, got_area, got_bound in zip(sites, area, bound):
-        want = packing_cell(packing, HPoint(*tree.data[j]))
+        want = packing_cell(packing, HPoint(grid.xs[j], grid.ys[j]))
         assert abs(got_area - want.area()) <= 1e-12
         assert abs(got_bound - want.inscribed_radius_bound()) <= 1e-12
     return len(fallbacks)
@@ -713,9 +716,9 @@ def _assert_cells_match(monkeypatch, packing, tree, sites, complete):
 ], ids=["tight7", "tight7 off (0, 1)", "tight8 off (0, 1)", "moved tight7",
         "boroczky", "boroczky 0.25"])
 def test_transport_cells_match_packing_cell(monkeypatch, packing, window):
-    tree, complete = _site_array(packing, window)
-    sites = np.unique(_owners(tree, window, SamplePlan(SEED, 256), 1e-9))
-    fallbacks = _assert_cells_match(monkeypatch, packing, tree, sites, complete[sites])
+    grid, complete = _site_array(packing, window)
+    sites = np.unique(_owners(grid, window, SamplePlan(SEED, 256), 1e-9))
+    fallbacks = _assert_cells_match(monkeypatch, packing, grid, sites, complete[sites])
     if isinstance(packing, BoroczkyPacking):
         # two disk spacings (1.93 or less) never certify a Boroczky cell
         # (2 rho_c is about 2.27): the cells that did not fall back were
@@ -723,6 +726,25 @@ def test_transport_cells_match_packing_cell(monkeypatch, packing, window):
         assert 0 < fallbacks < sites.size
     else:
         assert fallbacks == 0
+
+
+@pytest.mark.parametrize("m, on_rim", [(7, False), (8, True), (9, False)])
+def test_first_cell_balls_match_the_kdtree(m, on_rim):
+    # _site_cells' first query, the balls of radius 4 rho about the sites:
+    # for m = 8 hundreds of centers lie on a ball's rim to 1e-12, and the
+    # grid keeps the same ones as the KD-tree's squared-distance test
+    packing = TightPacking(m)
+    sx, sy = packing._centers(BallSpec(ORIGIN, 6.0))
+    r = 4.0 * packing.disk_radius
+    q = np.arange(min(sx.size, 3000))
+    counts, flat = ball_hits(SiteGrid(sx, sy), sx[q], sy[q], math.cosh(r), math.sinh(r))
+    want = kdtree_ball_hits(cKDTree(np.column_stack([sx, sy])), sx[q], sy[q],
+                            math.cosh(r), math.sinh(r))
+    assert np.array_equal(counts, want[0]) and np.array_equal(flat, want[1])
+    own = np.repeat(q, counts)
+    dx, dy, rad = sx[flat] - sx[own], sy[flat] - sy[own] * math.cosh(r), sy[own] * math.sinh(r)
+    rim = np.abs((dx * dx + dy * dy) / (rad * rad) - 1.0) < 1e-12
+    assert (rim.sum() > 100) == on_rim
 
 
 @pytest.mark.parametrize("packing, window", [
@@ -733,9 +755,9 @@ def test_site_cells_out_to_the_rim_of_the_array(monkeypatch, packing, window):
     # every site of the array, down to those it holds no neighbour beyond:
     # near the rim a cell among the array's sites is bounded and wrong, so
     # only the radius the array is complete to may certify it
-    tree, complete = _site_array(packing, window)
+    grid, complete = _site_array(packing, window)
     assert complete.min() < 2.0 * packing.disk_radius
-    _assert_cells_match(monkeypatch, packing, tree, np.arange(tree.n), complete)
+    _assert_cells_match(monkeypatch, packing, grid, np.arange(grid.xs.size), complete)
 
 
 @pytest.mark.parametrize("packing, center, radius", [
@@ -751,7 +773,7 @@ def test_fan_area_matches_gauss_bonnet(monkeypatch, packing, center, radius):
     d = np.arccosh(np.maximum(cosh_distance_xy(sx, sy, center.x, center.y), 1.0))
     sites = np.flatnonzero(d <= radius)
     monkeypatch.setattr(voronoi, "packing_cell", None)  # no cell may fall back
-    area, _ = _site_cells(packing, cKDTree(np.column_stack([sx, sy])), sites, 8.0 - d[sites])
+    area, _ = _site_cells(packing, SiteGrid(sx, sy), sites, 8.0 - d[sites])
     want = np.array([gauss_bonnet_area(_klein_cell(sx, sy, j)[0].polygon) for j in sites])
     assert sites.size > 1
     assert np.all(np.abs(area - want) <= 1e-13 * want)
@@ -781,10 +803,10 @@ def test_transport_rejects_a_disk_past_its_cells(monkeypatch):
 
 
 def test_site_cells_reject_a_repeated_center():
-    # the tree holds one center twice; the packing itself does not
+    # the grid holds one center twice; the packing itself does not
     p = TightPacking(7)
     sx, sy = p._centers(BallSpec(ORIGIN, 4.0))
     i = int(np.argmin(cosh_distance_xy(sx, sy, 0.0, 1.0)))
-    tree = cKDTree(np.column_stack([np.append(sx, sx[i]), np.append(sy, sy[i])]))
+    grid = SiteGrid(np.append(sx, sx[i]), np.append(sy, sy[i]))
     with pytest.raises(DomainError):
-        _site_cells(p, tree, np.array([i]), np.array([4.0]))
+        _site_cells(p, grid, np.array([i]), np.array([4.0]))
