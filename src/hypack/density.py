@@ -20,13 +20,15 @@ from .hgeom import (
     ORIGIN,
     BallSpec,
     HPoint,
+    Isometry,
     SiteGrid,
     angle_of_parallelism,
+    apply,
     ball_area,
     cosh_distance_xy,
     nearest_sites,
 )
-from .packings import BrickTile, _disk_radius, brick_region
+from .packings import BrickTile, TransformedPacking, _disk_radius, brick_region
 from .regions import (
     AreaEstimate,
     SamplePlan,
@@ -39,6 +41,8 @@ from .regions import (
 from .voronoi import _cell_densities, _site_cells
 
 CSV_HEADER = "radius,fraction,std_error,samples,method"
+# a transport sample nearer a cell wall than this is redrawn
+_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -253,20 +257,17 @@ def annulus_density_curve(exponents) -> DensityCurve:
     return DensityCurve(center=ORIGIN, points=tuple(pts), method="closed-form")
 
 
-def mass_transport_check(
-    packing,
-    window: BallSpec,
-    plan: SamplePlan,
-    boundary_tol: float = 1e-9,
-) -> float:
+def mass_transport_check(packing, window: BallSpec, plan: SamplePlan) -> float:
     """Mean Dirichlet-cell density over area-uniform points of the window.
 
     Each sampled point is charged the covered fraction of the cell it
-    lands in. Points within boundary_tol of a cell wall (equidistant
+    lands in. Points within _BOUNDARY_TOL of a cell wall (equidistant
     from their two nearest sites) are resampled, all of them in one batch
     per round, so the charge is well defined. For packings whose cells
     tile with one density this mean reproduces that density regardless
-    of the window. Regions raise UnsupportedOperationError.
+    of the window. Regions raise UnsupportedOperationError. Packing and
+    window are first dilated by the power of 4 that brings the window
+    nearest height 1: exact in float, it keeps squared distances finite.
 
     The owners and their cells come from the one site array of the
     window, grown by two disk spacings and held in a SiteGrid: about an
@@ -276,12 +277,18 @@ def mass_transport_check(
     areas and inscribed radius bounds (voronoi._site_cells).
     """
     rho = _disk_radius(packing)
+    # 4^k and 4^-k are normal floats for |k| <= 511
+    k = max(-511, min(511, round(window.center.log_y / math.log(4.0))))
+    if k:
+        g = Isometry.dilation(4.0**-k)
+        packing = TransformedPacking(g, packing)
+        window = BallSpec(apply(g, window.center), window.radius)
     reach = window.radius + 4.0 * rho
     sx, sy = packing._centers(BallSpec(window.center, reach))
     if sx.size < 2:
         raise DomainError("window holds too few packing centers")
     grid = SiteGrid(sx, sy)
-    owner = _owners(grid, window, plan, boundary_tol)
+    owner = _owners(grid, window, plan)
 
     # a disk lies in its own cell: d(p, q) >= d(s, q) - d(s, p) >= rho
     sites, inverse = np.unique(owner, return_inverse=True)
@@ -290,9 +297,9 @@ def mass_transport_check(
     return float(np.mean(_cell_densities(rho, *cells)[inverse]))
 
 
-def _owners(grid, window: BallSpec, plan: SamplePlan, boundary_tol: float):
+def _owners(grid, window: BallSpec, plan: SamplePlan):
     """Index of the nearest site of a SiteGrid to each area-uniform point
-    of the window; points within boundary_tol of a cell wall are redrawn
+    of the window; points within _BOUNDARY_TOL of a cell wall are redrawn
     from the Philox(plan.seed + 977) stream, one batch per round."""
     xs, ys = sample_ball_uniform(window, plan)
     rng = np.random.Generator(np.random.Philox(plan.seed + 977))
@@ -301,7 +308,7 @@ def _owners(grid, window: BallSpec, plan: SamplePlan, boundary_tol: float):
     while todo.size:
         idx, cd = nearest_sites(grid, xs[todo], ys[todo], 2)
         d = np.arccosh(np.maximum(cd, 1.0))
-        clear = d[:, 1] - d[:, 0] >= boundary_tol
+        clear = d[:, 1] - d[:, 0] >= _BOUNDARY_TOL
         owner[todo[clear]] = idx[clear, 0]
         todo = todo[~clear]
         if todo.size:

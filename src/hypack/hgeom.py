@@ -27,9 +27,9 @@ import numpy as np
 from .errors import DomainError, RangeError
 
 _SAFE_LOG = 600.0
-# Padding of the Euclidean radius of a nearest_sites ball, relative to its
-# centre height y C, so that it holds every site at a float cosh distance
-# of at most C. A float cosh distance is within 7 units in the last place
+# Padding of the Euclidean radius of a nearest_sites or pairwise_min_gap
+# ball, relative to its centre height y C, so that it holds every site at
+# a float cosh distance of at most C. A float cosh distance is within 7 units in the last place
 # of its exact value; that moves the radius y sqrt(C^2 - 1) by at most
 # y C sqrt(14 * 2^-53) = 4e-8 y C (the square root is steep at C = 1),
 # and cosh r, sinh r and the centre, radius and squared distances of
@@ -160,26 +160,14 @@ def polar_xy(cx, cy, rho, theta):
     return x[()], y[()]
 
 
-def _band_key(band, xs):
-    """Points on a grid of bands, each band sorted by x: the order of the
-    key band * n + (rank of x), the keys in that order, and the sorted xs.
-    A band's points within an x interval are one run of that order."""
-    n = xs.size
-    by_x = np.argsort(xs)
-    rank = np.empty(n, np.int64)
-    rank[by_x] = np.arange(n)
-    key = band * n + rank
-    order = np.argsort(key)
-    return order, key[order], xs[by_x]
-
-
 class SiteGrid:
     """Sites of the half-plane on a grid of log-height bands, for the ball
     queries of ball_hits and nearest_sites.
 
     Site i lies in band floor(log y_i / _BAND_WIDTH); the sites are held in
-    the order of _band_key, so those of one band within an x interval are
-    found by two searchsorted calls. Building the grid is two argsorts.
+    the order of the key band * n + (rank of x), so those of one band
+    within an x interval are one run of that order, found by two
+    searchsorted calls. Building the grid is two argsorts.
     """
 
     __slots__ = ("xs", "ys", "order", "key", "sorted_x", "bands")
@@ -188,7 +176,13 @@ class SiteGrid:
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         band = np.floor(np.log(self.ys) / _BAND_WIDTH).astype(np.int64)
-        self.order, self.key, self.sorted_x = _band_key(band, self.xs)
+        n = self.xs.size
+        by_x = np.argsort(self.xs)
+        rank = np.empty(n, np.int64)
+        rank[by_x] = np.arange(n)
+        key = band * n + rank
+        self.order = np.argsort(key)
+        self.key, self.sorted_x = key[self.order], self.xs[by_x]
         # the lowest and highest band that holds a site
         self.bands = (int(band.min()), int(band.max())) if band.size else (0, -1)
 

@@ -27,10 +27,12 @@ from .hgeom import (
     HDisk,
     HPoint,
     Isometry,
+    SiteGrid,
+    _BALL_PAD,
     _MIN_IMAGE_Y,
-    _band_key,
     apply,
     ball_area,
+    ball_hits,
     cosh_distance_xy,
     mobius_xy,
 )
@@ -81,7 +83,7 @@ def _disk_radius(target) -> float:
     return r
 
 
-_GAP_PAIRS = 1 << 20  # candidate pairs pairwise_min_gap compares at once
+_GAP_BALLS = 2**14  # centers whose balls pairwise_min_gap searches at once
 
 
 def pairwise_min_gap(disks) -> float:
@@ -90,14 +92,15 @@ def pairwise_min_gap(disks) -> float:
 
     A packing window is admissible when this is >= -1e-9: interiors are
     pairwise disjoint up to roundoff, tangencies land at exactly zero.
-    Neighbours in log-height order and in x order bound the smallest cosh
-    distance by u. Two centers within D = acosh u have |log y1 - log y2| <= D
-    and |x1 - x2| <= 2 sqrt(y1 y2) sinh(D / 2) <= (e^D - 1) y1, so on a grid
-    of bands of log-height D sorted by x, each center is compared with the
-    centers after it in its own band and with those of the next band
-    within that x reach. The gap is that of the closest pair's
+    The coordinates are scaled by the power of two that brings the median
+    height near 1, which is exact and keeps the squares finite at any
+    height. Neighbours in log-height order and in x order bound the
+    smallest cosh distance by u; each center's ball of cosh radius u,
+    padded by _BALL_PAD as nearest_sites pads its balls, holds every
+    center at a float cosh distance of at most u, and ball_hits finds
+    them on a SiteGrid. The gap is that of the closest pair's
     cosh_distance_xy, which is symmetric bit for bit. Disks of different
-    radii raise DomainError.
+    radii raise DomainError, centers with |log y| > 709 RangeError.
     """
     n = len(disks)
     if n < 2:
@@ -105,33 +108,22 @@ def pairwise_min_gap(disks) -> float:
     rad = np.array([d.radius for d in disks])
     if not (rad == rad[0]).all():
         raise DomainError("pairwise_min_gap needs disks of one radius")
-    xs = np.array([d.center.x for d in disks])
     ly = np.array([d.center.log_y for d in disks])
-    ys = np.exp(ly)
+    if np.abs(ly).max() > 709.0:  # exp(log y) overflows from 709.78
+        raise RangeError("pairwise_min_gap needs centers with |log y| <= 709")
+    e = -round(float(np.median(ly)) / math.log(2.0))
+    xs = np.ldexp(np.array([d.center.x for d in disks]), e)
+    ys = np.ldexp(np.exp(ly), e)
     best = min(float(cosh_distance_xy(xs[o[:-1]], ys[o[:-1]], xs[o[1:]], ys[o[1:]]).min())
                for o in (np.lexsort((xs, ly)), np.lexsort((ly, xs))))
-    # D, grown past the roundoff of best and of the coordinates
-    reach = 2.0 * math.asinh(math.sqrt(0.5 * ((best - 1.0) * (1.0 + 1e-12) + 1e-15 * best)))
-    band = np.floor((ly - ly.min()) / (reach * (1.0 + 1e-6) + 1e-9)).astype(np.int64)
-    reach_x = (math.expm1(reach) * (1.0 + 1e-6)) * ys + 1e-15 * np.abs(xs)
-    # the grid, and the place of each center in its order (finite y has
-    # |log y| < 710 and D > 4e-8, so the key stays far below 2^63)
-    order, key, sorted_x = _band_key(band, xs)
-    at = np.empty(n, np.int64)
-    at[order] = np.arange(n)
-    lo_x = np.searchsorted(sorted_x, xs - reach_x, side="left")
-    hi_x = np.searchsorted(sorted_x, xs + reach_x, side="right")
-    start = np.concatenate([at + 1, np.searchsorted(key, (band + 1) * n + lo_x)])
-    count = np.concatenate([np.searchsorted(key, band * n + hi_x),
-                            np.searchsorted(key, (band + 1) * n + hi_x)]) - start
-    count = np.maximum(count, 0)
-    cum = np.cumsum(count)
-    cuts = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], _GAP_PAIRS), side="right"))
-    for a, b in zip(cuts, np.append(cuts[1:], count.size)):
-        c = count[a:b]
-        i = np.repeat(np.arange(a, b) % n, c)
-        j = order[np.repeat(start[a:b] - (np.cumsum(c) - c), c) + np.arange(c.sum())]
-        best = min(best, float(cosh_distance_xy(xs[i], ys[i], xs[j], ys[j]).min()))
+    grid, u = SiteGrid(xs, ys), best
+    sinh_u = math.sqrt((u - 1.0) * (u + 1.0)) + _BALL_PAD * u
+    for a in range(0, n, _GAP_BALLS):
+        s = slice(a, a + _GAP_BALLS)
+        counts, j = ball_hits(grid, xs[s], ys[s], u, sinh_u)
+        i = a + np.repeat(np.arange(counts.size), counts)
+        i, j = i[j > i], j[j > i]
+        best = float(cosh_distance_xy(xs[i], ys[i], xs[j], ys[j]).min(initial=best))
     return float(np.arccosh(np.maximum(best, 1.0)) - 2.0 * rad[0])
 
 

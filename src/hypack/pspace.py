@@ -34,7 +34,7 @@ from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, polar_xy
 # interiors and at worst about 1.25 h where bodies meet the level
 # boundary, so h <= 0.04 keeps every covered point within 0.05 of a net
 # point.
-MAX_NET_SPACING = 0.04
+_NET_SPACING = 0.03
 MIN_LEVEL_POINTS = 64
 # With |x|, y and 1/y at most 1e30, cosh distances stay below 3e120, and
 # the KD-tree's squared distances and the lower bounds' delta^2 and
@@ -120,25 +120,21 @@ def _level_net(target, k, spacing):
                             np.concatenate([ys[keep], by[bkeep]])])
 
 
-def truncate(target, k_max: int = 8, spacing: float = 0.03) -> TruncatedPacking:
+def truncate(target, k_max: int = 8) -> TruncatedPacking:
     """Deterministic truncation of a packing or region to k_max levels.
 
     Disk packings net each disk meeting a level ball from one polar net;
     regions get a polar net of each level ball filtered by coverage.
     Level boundaries carry their own covered arcs so clipped bodies stay
-    within the net bound. A
-    nonempty level too thin to reach its minimum point count is refined
-    at halved spacing.
+    within the net bound. Nets have spacing _NET_SPACING; a nonempty
+    level too thin to reach its minimum point count is refined at halved
+    spacing.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if not (0.0 < spacing <= MAX_NET_SPACING):
-        raise DomainError(
-            f"net spacing must lie in (0, {MAX_NET_SPACING}], got {spacing}"
-        )
     levels = []
     for k in range(1, k_max + 1):
-        h = spacing
+        h = _NET_SPACING
         pts = _level_net(target, k, h)
         refinements = 0
         while 0 < len(pts) < MIN_LEVEL_POINTS * k:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypack import density
 from hypack.density import (
     CSV_HEADER,
     _owners,
@@ -21,7 +22,7 @@ from hypack.density import (
     oscillation_report,
     tile_density,
 )
-from hypack.errors import DomainError, UnsupportedOperationError
+from hypack.errors import DomainError, RangeError, UnsupportedOperationError
 from hypack.hgeom import (
     ORIGIN,
     BallSpec,
@@ -247,7 +248,7 @@ def test_mass_transport_matches_sample_loop(center, radius, seed):
     window, plan = BallSpec(center, radius), SamplePlan(seed=seed, n=256)
     want, want_owner = transport_loop(packing, window, plan)
     sx, sy = packing._centers(BallSpec(center, radius + 4.0 * packing.disk_radius))
-    owner = _owners(SiteGrid(sx, sy), window, plan, 1e-9)
+    owner = _owners(SiteGrid(sx, sy), window, plan)
     assert np.array_equal(owner, want_owner)
     assert abs(mass_transport_check(packing, window, plan) - want) <= 1e-14
 
@@ -270,6 +271,42 @@ def test_mass_transport_on_a_moved_packing(tight7):
     assert abs(got - fundamental_domain_density(tight7)) <= 1e-12
 
 
+@pytest.mark.parametrize("j", [180, 345, -200])
+def test_mass_transport_at_every_height(j):
+    # the dilation by e^(2j) maps the Boroczky packing to itself; at these
+    # heights the squared distances of the ball queries over- or underflow
+    def window(log_y):
+        return BallSpec(HPoint.from_log(0.2 * math.exp(log_y), log_y), 3.0)
+
+    plan = SamplePlan(3, 64)
+    want = mass_transport_check(BoroczkyPacking(), window(0.5), plan)
+    assert abs(mass_transport_check(BoroczkyPacking(), window(0.5 + 2.0 * j), plan) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("log_y", [750.0, -750.0])
+def test_mass_transport_past_float_heights(log_y):
+    # 4^k overflows past k = 511: the dilation stops there, and the
+    # packing refuses the window
+    with pytest.raises(RangeError):
+        mass_transport_check(BoroczkyPacking(), BallSpec(HPoint.from_log(0.0, log_y), 3.0),
+                             SamplePlan(3, 64))
+
+
+@pytest.mark.parametrize("packing, window", [
+    (BoroczkyPacking(), BallSpec(HPoint.from_log(0.2 * math.exp(1.3), 1.3), 3.0)),
+    (TightPacking(7), BallSpec(HPoint(0.4, 1.3), 2.5)),
+], ids=["boroczky", "tight7"])
+@pytest.mark.parametrize("j", [300, -300])
+def test_mass_transport_is_invariant_under_dilations_by_powers_of_4(packing, window, j):
+    # z -> 4^j z is exact in float, so the check on the dilated packing
+    # and window is the same computation bit for bit
+    g = Isometry.dilation(4.0**j)
+    plan = SamplePlan(SEED, 128)
+    moved = mass_transport_check(TransformedPacking(g, packing),
+                                 BallSpec(apply(g, window.center), window.radius), plan)
+    assert moved == mass_transport_check(packing, window, plan)
+
+
 @pytest.mark.parametrize("region", [
     StripeModel(5.0),
     HalfSpaceRegion(Geodesic.vertical(0.0)),
@@ -280,12 +317,11 @@ def test_mass_transport_on_a_region_is_unsupported(region):
         mass_transport_check(region, BallSpec(ORIGIN, 2.0), SamplePlan(seed=SEED, n=64))
 
 
-def test_mass_transport_boundary_resampling(tight7):
+def test_mass_transport_boundary_resampling(monkeypatch, tight7):
     # a large boundary margin forces the resampling path; congruent cells
     # keep the answer pinned regardless
-    got = mass_transport_check(
-        tight7, BallSpec(ORIGIN, 2.0), SamplePlan(seed=SEED, n=64), boundary_tol=0.2
-    )
+    monkeypatch.setattr(density, "_BOUNDARY_TOL", 0.2)
+    got = mass_transport_check(tight7, BallSpec(ORIGIN, 2.0), SamplePlan(seed=SEED, n=64))
     assert abs(got - tight_density_formula(7)) <= 1e-9
 
 

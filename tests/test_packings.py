@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from hypack import packings
 from hypack.errors import DomainError, RangeError, SaturationError, UnsupportedOperationError
 from hypack.hgeom import (
     apply,
@@ -361,6 +362,37 @@ def test_min_gap_of_repeated_centers():
     disks = _boroczky_a6()
     disks = disks + disks[100:103]
     assert pairwise_min_gap(disks) == kdtree_min_gap(disks) == -2.0 * disks[0].radius
+
+
+@pytest.mark.parametrize("name", sorted(_GAP_WINDOWS))
+def test_min_gap_in_small_blocks_of_balls(monkeypatch, name):
+    # no test window fills one block of _GAP_BALLS centers: blocks of 5
+    # run the loop over blocks, their last one short
+    disks = _GAP_WINDOWS[name]()
+    want = pairwise_min_gap(disks)
+    monkeypatch.setattr(packings, "_GAP_BALLS", 5)
+    assert pairwise_min_gap(disks) == want
+
+
+@pytest.mark.parametrize("log_y", [360.5, -360.5, 500.5, -500.5, 690.5, -690.5])
+def test_min_gap_at_every_height(log_y):
+    # the squares of these heights over- or underflow; the window scaled
+    # by a power of two to height about 1 keeps them in range
+    disks = BoroczkyPacking().bodies_in_ball(
+        BallSpec(HPoint.from_log(-0.7 * math.exp(log_y), log_y), 5.0))
+    e = round(log_y / math.log(2.0))
+    scaled = [HDisk(HPoint(math.ldexp(d.center.x, -e), math.ldexp(math.exp(d.center.log_y), -e)),
+                    d.radius) for d in disks]
+    gap = pairwise_min_gap(disks)
+    assert math.isfinite(gap)
+    assert abs(gap - all_pairs_min_gap(scaled)) <= 1e-14
+
+
+def test_min_gap_past_float_heights():
+    # exp(log y) overflows past 709.78
+    pair = [HDisk(HPoint.from_log(0.0, 710.0), 0.5), HDisk(HPoint.from_log(0.0, 712.0), 0.5)]
+    with pytest.raises(RangeError):
+        pairwise_min_gap(pair)
 
 
 # ---------------------------------------------------------------- tight radius / density

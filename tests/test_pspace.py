@@ -118,10 +118,6 @@ def test_truncation_net_density(tight7):
 def test_truncate_validation(tight7):
     with pytest.raises(DomainError):
         truncate(tight7, k_max=0)
-    with pytest.raises(DomainError):
-        truncate(tight7, k_max=1, spacing=0.1)
-    with pytest.raises(DomainError):
-        truncate(tight7, k_max=1, spacing=-0.01)
 
 
 def test_truncated_packing_validation():

@@ -717,7 +717,7 @@ def _assert_cells_match(monkeypatch, packing, grid, sites, complete):
         "boroczky", "boroczky 0.25"])
 def test_transport_cells_match_packing_cell(monkeypatch, packing, window):
     grid, complete = _site_array(packing, window)
-    sites = np.unique(_owners(grid, window, SamplePlan(SEED, 256), 1e-9))
+    sites = np.unique(_owners(grid, window, SamplePlan(SEED, 256)))
     fallbacks = _assert_cells_match(monkeypatch, packing, grid, sites, complete[sites])
     if isinstance(packing, BoroczkyPacking):
         # two disk spacings (1.93 or less) never certify a Boroczky cell
