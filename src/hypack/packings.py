@@ -40,6 +40,7 @@ from .regions import (
     Region,
     SamplePlan,
     StripeRegion,
+    _BLOCK,
     _box_area_in_ball,
     _fill,
 )
@@ -335,7 +336,6 @@ class FundamentalDomain:
 # Each inversion brings a point closer to (0, 1), so every point reaches
 # the chamber; the cap guards against roundoff cycling a point.
 _MAX_SWEEPS = 10_000
-_FOLD_BLOCK = 1 << 14  # points per block of the fold, which bounds its temporaries
 _JUMP_REACH = 7.0  # the jump table holds whole shells of vertices out to about this
 _JUMP_BINS = 4096  # direction bins per shell of the jump table, a power of two
 _JUMP_PASSES = 6  # jumps a point takes at most before the sweeps
@@ -633,17 +633,15 @@ class TightPacking(Packing):
 
     def covers_xy(self, xs, ys):
         """Whether each point's folded image lies within r_m of (0, 1),
-        folded and compared one _FOLD_BLOCK of points at a time."""
+        folded and compared one regions._BLOCK of points at a time."""
         xs = np.asarray(xs, dtype=float)
         x, y = xs.ravel(), np.asarray(ys, dtype=float).ravel()
         out = np.empty(x.size, dtype=bool)
         scale = 2.0 * math.cosh(self.disk_radius)
-        for lo in range(0, x.size, _FOLD_BLOCK):
-            _, fy, q = self._fold(x[lo : lo + _FOLD_BLOCK], y[lo : lo + _FOLD_BLOCK])
-            # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y), compared in place
-            q += 1.0
-            fy *= scale
-            np.less_equal(q, fy, out=out[lo : lo + q.size])
+        for lo in range(0, x.size, _BLOCK):
+            _, fy, q = self._fold(x[lo : lo + _BLOCK], y[lo : lo + _BLOCK])
+            # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y)
+            out[lo : lo + q.size] = q + 1.0 <= fy * scale
         return out.reshape(xs.shape)
 
     @property

@@ -6,13 +6,14 @@ annulus fractions. Every sampler is driven by a counter-based generator
 keyed on the plan seed, so identical plans give identical output
 regardless of platform or call order.
 
-Monte Carlo works in blocks of at most _BLOCK points, so its memory is
-bounded by the block, not by the sample count. A plan has two uniform
-streams, u and v: u is the first n draws of Philox(seed) and v the next
-n, as two rng.random(n) calls would give them. Each sampler is a block
-map from a (u, v) block to points; the public samplers fill their
-outputs block by block, and estimates count the covered points of each
-block.
+Monte Carlo works in blocks of at most _BLOCK = 2^14 points, so its
+memory is bounded by the block, not by the sample count. A plan has two
+uniform streams, u and v: u is the first n draws of Philox(seed) and v
+the next n, as two rng.random(n) calls would give them. Each sampler is
+a block map from a (u, v) block to points, written as its plain formula;
+the public samplers fill their outputs block by block, and estimates
+count the covered points of each block. TightPacking.covers_xy folds its
+points in blocks of the same size.
 
 Stripes, half-planes and bricks are all boxes {xa <= x < xb,
 la <= log y < lb}, with some edges at infinity, and a hyperbolic ball is
@@ -174,53 +175,24 @@ class PolygonRegion(Region):
         Arvo's T_s = q / (T_c (sin a + q cos a)). The draw v places the
         point on the geodesic from b to c' at the distance t from b with
         cosh t = 1 + v (cosh |bc'| - 1).
-
-        The arithmetic runs in place on two real and three complex arrays
-        of the block, each operation with its operands in the order of the
-        formulas above, so the points do not depend on the buffers.
         """
         base = self.polygon.vertices[0]
         w, cross, dot, half = self.polygon.fan
         start = np.concatenate([[0.0], np.cumsum(half)[:-1]])
 
-        q = u * (start[-1] + half[-1])
-        k = np.searchsorted(start, q, side="right") - 1
-        q -= start[k]
-        np.tan(q, out=q)
+        area = u * (start[-1] + half[-1])
+        k = np.searchsorted(start, area, side="right") - 1
+        q = np.tan(area - start[k])
         b, c = w[1:-1][k], w[2:][k]
-        den = dot[k]
-        np.multiply(q, den, out=den)
-        np.add(cross[k], den, out=den)
-        del k
-        np.multiply(q, c, out=c)
-        c /= den
+        c = q * c / (cross[k] + q * dot[k])
         # the disk isometry taking b to 0 carries the geodesic from b to c'
         # to a diameter, along which tanh(t / 2) is the distance from 0
-        t = np.conjugate(b)
-        np.multiply(t, c, out=t)
-        np.subtract(1.0, t, out=t)
-        c -= b
-        z = np.divide(c, t, out=c)
-        rho2 = np.square(z.real, out=q)
-        rho2 += np.square(z.imag, out=den)
-        s = np.subtract(1.0, v, out=den)
-        np.multiply(rho2, s, out=s)
-        np.subtract(1.0, s, out=s)
-        np.divide(v, s, out=s)
-        np.sqrt(s, out=s)
-        np.multiply(z, s, out=z)
-        np.conjugate(b, out=t)
-        np.multiply(t, z, out=t)
-        np.add(1.0, t, out=t)
-        z += b
-        z /= t
-        np.multiply(1j, z, out=t)
-        np.add(1.0, t, out=t)
-        z += 1j
-        z /= t
-        xs = np.multiply(base.y, z.real, out=s)
-        np.add(base.x, xs, out=xs)
-        return xs, np.multiply(base.y, z.imag, out=q)
+        z = (c - b) / (1.0 - b.conj() * c)
+        rho2 = z.real ** 2 + z.imag ** 2
+        z = z * np.sqrt(v / (1.0 - rho2 * (1.0 - v)))
+        z = (z + b) / (1.0 + b.conj() * z)
+        z = (z + 1j) / (1.0 + 1j * z)
+        return base.x + base.y * z.real, base.y * z.imag
 
 
 class StripeRegion(Region):
@@ -268,7 +240,7 @@ class AnnulusRegionEuclid:
 
 # ------------------------------------------------------------- sampling
 
-_BLOCK = 1 << 16  # points per Monte Carlo block, which bounds its temporaries
+_BLOCK = 1 << 14  # points per block of every sampler, estimate and fold
 
 
 def _uniform_blocks(seed: int, n: int):
@@ -322,11 +294,8 @@ def sample_ball_uniform(ball: BallSpec, plan: SamplePlan):
 def _ball_points(ball: BallSpec, u, v):
     """Area-uniform points of the ball from two uniform blocks: radius
     arccosh(1 + u (cosh R - 1)), independent direction 2 pi v."""
-    theta = v * (2.0 * math.pi)
-    rho = np.multiply(u, math.cosh(ball.radius) - 1.0)
-    rho += 1.0
-    np.arccosh(rho, out=rho)
-    return polar_xy(ball.center.x, ball.center.y, rho, theta)
+    rho = np.arccosh(1.0 + u * (math.cosh(ball.radius) - 1.0))
+    return polar_xy(ball.center.x, ball.center.y, rho, v * (2.0 * math.pi))
 
 
 def mc_area_fraction(target, ball: BallSpec, plan: SamplePlan) -> AreaEstimate:

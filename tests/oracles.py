@@ -53,6 +53,8 @@ independent oracles:
 - ``boundary_point`` and ``outline_element``, a disk's outline point by
   point, each the disk's top turned about its center by one rotation
   isometry, and the SVG element drawn from 64 of them;
+- ``inplace_polar_xy``, the ball sampler's polar map run in place on
+  buffers of the broadcast shape;
 - the one-shot samplers ``ball_points``, ``ball_sample``,
   ``polygon_sample`` and ``brick_sample``, which draw all n points at
   once from one generator; ``fan_points``, the polygon sampler's block
@@ -62,7 +64,11 @@ independent oracles:
 - ``quad_box_area_in_ball``, the area of a box {xa <= x < xb,
   la <= log y < lb} inside a ball by adaptive ``scipy.integrate.quad``
   over the clipped chord width, with the circle's crossings of the x
-  edges as break points.
+  edges as break points;
+- ``covered_fraction_in_ball``, the exact covered fraction of a ball
+  under a disk packing, a sum of whole disks and lenses over the disks
+  near the ball, which checks the Monte Carlo layer without the ball
+  sampler.
 """
 
 from __future__ import annotations
@@ -958,6 +964,45 @@ def outline_element(canvas, disk: HDisk, y_log: bool) -> str:
     )
 
 
+def inplace_polar_xy(cx, cy, rho, theta):
+    """hgeom.polar_xy's e = e^-rho, h = sin(theta/2) map written on two
+    buffers of the broadcast shape, updated in place in the formula's
+    order, with numpy scalars for scalar rho and theta."""
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    # exp and sin run on the inputs' own shapes, as in the plain expression,
+    # so their values are its values; the arithmetic rounds the same in any
+    # shape and runs in place, in the expression's order
+    e = np.exp(-rho)
+    h = np.sin(0.5 * theta)
+    s = np.sin(theta)
+    ee = e * e
+    hh = np.multiply(h, 2.0, out=np.empty(shape))
+    hh *= h
+    den = np.subtract(2.0, hh, out=np.empty(shape))
+    den *= ee
+    den += hh
+    low = den == 0.0
+    under = [np.broadcast_to(a, shape)[low] for a in (e, h, s)] if low.any() else None
+    x = np.subtract(1.0, ee, out=hh)
+    np.negative(x, out=x)
+    x *= s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x /= den
+        y = np.divide(2.0 * e, den, out=den)
+    if under:
+        e, h, s = under
+        den_e = 2.0 * h * (h / e) + e * (2.0 - 2.0 * h * h)
+        x[low] = -(1.0 - e * e) * (s / e) / den_e
+        y[low] = 2.0 / den_e
+    x *= cy
+    x += cx
+    y *= cy
+    # scalar rho and theta give numpy scalars
+    return x[()], y[()]
+
+
 # ---------------------------------------------------------------- one-shot Monte Carlo
 # Each sampler draws its first stream with one rng.random(n) call and its
 # second with another, and each estimator holds all n points and verdicts.
@@ -1107,3 +1152,45 @@ def quad_box_area_in_ball(R: float, center: HPoint, xa, xb, la, lb) -> float:
         limit=200,
     )
     return val
+
+
+# ---------------------------------------------------------------- exact covered area
+
+
+def _triangle_angle(a, b, c, lib=math):
+    """The angle opposite side a of the triangle with sides a, b, c, by the
+    half-angle rule tan^2(A/2) = sinh(s - b) sinh(s - c) / (sinh s sinh(s - a)),
+    s = (a + b + c)/2, which does not cancel as the arccos form does."""
+    s = (a + b + c) / 2
+    t = lib.sinh(s - b) * lib.sinh(s - c) / (lib.sinh(s) * lib.sinh(s - a))
+    return 2 * lib.atan(lib.sqrt(t))
+
+
+def covered_fraction_in_ball(packing, ball: BallSpec, lib=math) -> float:
+    """The exact fraction of the ball that the packing's disjoint disks
+    cover, summed over the disks with centres within R + r of the ball's.
+
+    A whole disk counts 2 pi (cosh r - 1) and a disk holding the whole ball
+    counts the ball. A lens counts 2a (cosh r - 1) + 2b (cosh R - 1)
+    - 2 (pi - a - b - g), by Gauss-Bonnet, with a the angle at the disk's
+    centre, b at the ball's and g at a crossing point in the triangle with
+    sides r, R and d. The terms are summed by lib.fsum; lib = mpmath
+    evaluates every step in mpmath's working precision.
+    """
+    num = float if lib is math else lib.mpf
+    r, R = num(packing.disk_radius), num(ball.radius)
+    cx, cy = num(ball.center.x), num(ball.center.y)
+    xs, ys = packing._centers(BallSpec(ball.center, ball.radius + packing.disk_radius))
+    disk, cap = 2 * lib.pi * (lib.cosh(r) - 1), 2 * lib.pi * (lib.cosh(R) - 1)
+    terms = []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        x, y = num(x), num(y)
+        d = 2 * lib.asinh(lib.hypot(x - cx, y - cy) / (2 * lib.sqrt(y * cy)))
+        if d + r <= R:
+            terms.append(disk)
+        elif d + R <= r:
+            terms.append(cap)
+        elif d < R + r:
+            a, b, g = (_triangle_angle(*sides, lib=lib) for sides in ((R, r, d), (r, R, d), (d, r, R)))
+            terms += [2 * a * (lib.cosh(r) - 1), 2 * b * (lib.cosh(R) - 1), -2 * (lib.pi - a - b - g)]
+    return float(lib.fsum(terms) / cap)

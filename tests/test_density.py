@@ -48,6 +48,7 @@ from hypack.regions import (
     PolygonRegion,
     SamplePlan,
     mc_area_fraction,
+    _BLOCK,
     quad_black_fraction,
     sample_ball_uniform,
 )
@@ -153,6 +154,24 @@ def test_f_R_average_tight_near_formula(tight7):
     est = f_R_average(tight7, 6.0, SamplePlan(seed=SEED, n=20000))
     assert est.method == "mc"
     assert abs(est.fraction - tight_density_formula(7)) <= 0.03
+
+
+@pytest.mark.parametrize("R", [2.0, 3.0, 4.0, 5.0, 6.0])
+@pytest.mark.parametrize("family", ["tight7", "boroczky", "moved_tight7"])
+def test_mc_area_fraction_matches_exact_covered_fraction(family, R, tight7):
+    # the ball sampler and each family's covers_xy against the lens sum,
+    # which uses neither, about a seeded centre
+    packing = {
+        "tight7": tight7,
+        "boroczky": BoroczkyPacking(),
+        "moved_tight7": TransformedPacking(
+            Isometry.rotation(0.9, HPoint(0.4, 2.0)) @ Isometry.translation(-1.3), tight7),
+    }[family]
+    rng = np.random.default_rng([SEED, int(R)])
+    ball = BallSpec(HPoint(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(-1.0, 1.0))), R)
+    est = mc_area_fraction(packing, ball, SamplePlan(seed=SEED, n=50_000))
+    exact = oracles.covered_fraction_in_ball(packing, ball)
+    assert abs(est.fraction - exact) <= 5.0 * est.std_error
 
 
 def test_halfspace_limits():
@@ -354,13 +373,16 @@ def test_csv_output_shape():
 
 
 # ---------------------------------------------------------------- streaming Monte Carlo
-# Samplers and estimators work in blocks of 2^16 points; the one-shot
-# oracles draw each stream with one rng.random(n) call. The second stream
-# starts n draws in, which is where a block source can go wrong: around
-# multiples of 4 (Philox makes four doubles per counter step) and around
-# the block edges.
+# Samplers and estimators work in blocks of _BLOCK = 2^14 points; the
+# one-shot oracles draw each stream with one rng.random(n) call. The second
+# stream starts n draws in, which is where a block source can go wrong:
+# around multiples of 4 (Philox makes four doubles per counter step) and
+# around the block edges. The sizes about 2^16 span several blocks.
 
-_STREAM_NS = [*range(1, 10), 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3]
+_STREAM_NS = [
+    *range(1, 10), _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3,
+    2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3,
+]
 
 
 @settings(max_examples=30, deadline=None)
@@ -415,5 +437,5 @@ def test_monte_carlo_memory_is_bounded_by_the_block(tight7):
     for run in runs:
         run(10)
         small, large = _traced_peak(run, 2**18), _traced_peak(run, 2**20)
-        assert large < 12e6
+        assert large < 4e6
         assert large <= small + 1e6

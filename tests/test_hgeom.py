@@ -26,6 +26,7 @@ from oracles import (
     ArcGeodesic,
     boundary_point,
     distance,
+    inplace_polar_xy,
     kdtree_ball_hits,
     kdtree_nearest_sites,
     midpoint,
@@ -269,6 +270,49 @@ def test_polar_xy_unchanged_where_den_is_normal():
     assert np.array_equal(x[normal], want_x[normal])
     assert np.array_equal(y[normal], want_y[normal])
     assert np.isfinite(x).all() and np.isfinite(y).all()
+
+
+# shapes of (rho, theta): scalars, 1-D and broadcast 2-D and 3-D
+_POLAR_SHAPES = [
+    ((), ()), ((), (5,)), ((5,), ()), ((5,), (5,)),
+    ((4, 1), (3,)), ((3,), (4, 1)), ((2, 1, 3), (4, 1)),
+]
+
+
+@st.composite
+def _polar_args(draw):
+    """Inputs of polar_xy, some with theta = 0 at rho past 372, where den
+    underflows."""
+    rho_shape, theta_shape = draw(st.sampled_from(_POLAR_SHAPES))
+
+    def values(elements, shape):
+        n = math.prod(shape)
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n))).reshape(shape)
+
+    rho = values(st.floats(0.0, 30.0) | st.floats(0.0, 709.0), rho_shape)
+    theta = values(st.floats(0.0, 2.0 * math.pi) | st.just(0.0), theta_shape)
+    if draw(st.booleans()):
+        rho.flat[0], theta.flat[0] = draw(st.floats(372.0, 709.0)), 0.0
+    if draw(st.booleans()) and not rho_shape:
+        rho = float(rho)
+    if draw(st.booleans()) and not theta_shape:
+        theta = float(theta)
+    log_cy = draw(st.floats(-30.0, 30.0))
+    return draw(st.floats(-5.0, 5.0)) * math.exp(log_cy), math.exp(log_cy), rho, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_polar_args())
+def test_polar_xy_matches_inplace_oracle(args):
+    # the plain formula gives the in-place form's points bit for bit, and
+    # its result types: numpy scalars for scalar rho and theta. Points past
+    # float range overflow to inf in both.
+    with np.errstate(over="ignore"):
+        got, want = polar_xy(*args), inplace_polar_xy(*args)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 # SiteGrid queries. Each layout is a set of sites about (slope h, h): spread

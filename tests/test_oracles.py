@@ -3,9 +3,18 @@
 import math
 
 import numpy as np
+import pytest
 
-from hypack.hgeom import HPoint
-from oracles import arc_coordinate, distance, geodesic_through, midpoint, point_along
+from hypack.hgeom import ORIGIN, BallSpec, HPoint
+from hypack.packings import TightPacking, tight_density_formula
+from oracles import (
+    arc_coordinate,
+    covered_fraction_in_ball,
+    distance,
+    geodesic_through,
+    midpoint,
+    point_along,
+)
 
 RNG_SEED = 20260816
 
@@ -38,3 +47,20 @@ def test_midpoint_bisects():
         assert abs(distance(q, m) - half) < 1e-9
     m = midpoint(HPoint(0, 1), HPoint(0, math.exp(4)))
     assert m.x == 0.0 and abs(m.log_y - 2.0) < 1e-15
+
+
+@pytest.mark.parametrize("R, excess", [(6.0, 3.688e-4), (8.0, -4.503e-6), (10.0, 7.010e-5)])
+def test_covered_fraction_of_tight7_about_the_origin(R, excess):
+    # f_R - D(7) about (0, 1), to the four digits of the lens sum's first
+    # record; R = 8 lies below R = 10, so the exact curve is not monotone
+    got = covered_fraction_in_ball(TightPacking(7), BallSpec(ORIGIN, R)) - tight_density_formula(7)
+    assert abs(got - excess) <= 5e-4 * abs(excess)
+
+
+def test_covered_fraction_matches_mpmath_lens_sum():
+    # the same disks summed with every step in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    packing, ball = TightPacking(7), BallSpec(ORIGIN, 8.0)
+    with mpmath.workdps(40):
+        want = covered_fraction_in_ball(packing, ball, lib=mpmath)
+    assert abs(covered_fraction_in_ball(packing, ball) - want) <= 1e-14

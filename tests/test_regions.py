@@ -42,7 +42,9 @@ from hypack.regions import (
     stripe_index_range,
     annulus_fraction_euclid,
     annulus_fraction_euclid_brute,
+    _BLOCK,
     _QUAD_REL,
+    _ball_points,
     _box_area_in_ball,
     _uniform_blocks,
 )
@@ -521,7 +523,7 @@ def test_polygon_sampler_a1_points_inside():
 
 @pytest.mark.parametrize("m", range(7, 13))
 def test_polygon_block_map_matches_fan_oracle(m):
-    # the in-place block map gives the oracle's points bit for bit, on the
+    # the block map gives the oracle's points bit for bit, on the
     # face triangle, the cell of (0, 1) and a moved cell, full and short
     # blocks, and leaves its draws as they were
     g = Isometry.rotation(0.9, HPoint(0.4, 2.0)) @ Isometry.translation(-1.3)
@@ -539,19 +541,30 @@ def test_polygon_block_map_matches_fan_oracle(m):
                 assert u.tobytes() == u0.tobytes() and v.tobytes() == v0.tobytes()
 
 
-def test_polygon_block_map_memory():
-    # two real and three complex arrays of the block, 66 bytes a point:
-    # the measured 4.33 MB and a quarter more
-    region = PolygonRegion(TightPacking(7).fundamental_domain.polygon)
-    u, v = next(_uniform_blocks(101, 2**16))
-    region._points(u[:10], v[:10])
+def _block_map_peak(points):
+    """tracemalloc peak of the block map points(u, v) on one _BLOCK block."""
+    u, v = next(_uniform_blocks(101, _BLOCK))
+    points(u[:10], v[:10])
     tracemalloc.start()
     try:
-        region._points(u, v)
-        peak = tracemalloc.get_traced_memory()[1]
+        points(u, v)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 4.33e6
+
+
+def test_polygon_block_map_memory():
+    # the plain formulas' temporaries of one block, about 112 bytes a
+    # point: the measured 1.84 MB and a quarter more
+    region = PolygonRegion(TightPacking(7).fundamental_domain.polygon)
+    assert _block_map_peak(region._points) <= 1.25 * 1.84e6
+
+
+def test_ball_block_map_memory():
+    # radius, direction and polar_xy's temporaries of one block, about 73
+    # bytes a point: the measured 1.20 MB and a quarter more
+    ball = BallSpec(HPoint(0.3, 2.0), 6.0)
+    assert _block_map_peak(functools.partial(_ball_points, ball)) <= 1.25 * 1.20e6
 
 
 @pytest.fixture(scope="module")
