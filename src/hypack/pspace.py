@@ -8,16 +8,19 @@ levels of the Hausdorff distance between same-level nets, scaled by
 which is the topology in which density results are stable.
 
 A directed Hausdorff distance needs only its maximum, not every point's
-nearest neighbour (the early break of Taha and Hanbury, 2015). One k = 1
-KD-tree query gives each point its Euclidean nearest site at Euclidean
-distance delta; that site's cosh distance is an upper bound ub on the
-point's nearest cosh distance, and 1 + delta^2 / (2 y (y + delta)) a
-lower bound, since every site q has |p - q| >= delta and y_q <= y + |p -
-q|. Only points whose ub reaches the largest value known so far can
-attain the maximum: they are taken against every site, largest ub first,
-and the rest are dropped as the maximum rises. The result equals the
-all-pairs minimum bit for bit: each pair's cosh distance is the same
-float expression, and the point attaining the maximum is never dropped.
+nearest neighbour (the early break of Taha and Hanbury, 2015). Each
+point first gets an upper bound ub on its nearest cosh distance: the
+least cosh distance to the sites next to it along three shifted Z-order
+(Morton) curves. In d dimensions, a point's neighbour along one of d + 1
+such curves is a constant-factor approximate nearest neighbour (Chan,
+"Approximate nearest neighbor queries revisited", 1998). Only points
+whose ub exceeds the largest value known so far can raise the maximum:
+they are taken against every site, largest ub first, and the rest are
+dropped as the maximum rises. The result equals the all-pairs minimum
+bit for bit, whatever the bounds' quality: a bound is the cosh distance
+of one pair, the same float expression as the exact pass takes, so no
+point's nearest value exceeds it, and the point attaining the maximum
+is never dropped.
 """
 
 from __future__ import annotations
@@ -37,11 +40,14 @@ from .hgeom import ORIGIN, BallSpec, cosh_distance_xy, polar_xy
 _NET_SPACING = 0.03
 MIN_LEVEL_POINTS = 64
 # With |x|, y and 1/y at most 1e30, cosh distances stay below 3e120, and
-# the KD-tree's squared distances and the lower bounds' delta^2 and
-# y (y + delta) stay finite and normal.
+# the coordinate differences that frame the Z-order curves stay finite.
 _COORD_LIMIT = 1e30
-# (point, site) pairs taken against each other at once in the exact pass
+# (point, site) pairs taken against each other at once in the exact pass,
+# and points given their window bounds at once
 _BLOCK_PAIRS = 2**16
+# shifted Z-order curves: with d + 1 of them in d dimensions, a point's
+# neighbour along some curve is a constant-factor approximate nearest one
+_CURVES = 3
 
 
 @dataclass(frozen=True)
@@ -150,43 +156,86 @@ def truncate(target, k_max: int = 8) -> TruncatedPacking:
     return TruncatedPacking(k_max=k_max, levels=tuple(levels))
 
 
-def _cut(best):
-    """Smallest upper bound that may still reach the cosh distance best.
+def _spread(q):
+    """uint64 q below 2^32 with its bit i moved to bit 2i."""
+    q = (q | (q << 16)) & 0x0000FFFF0000FFFF
+    q = (q | (q << 8)) & 0x00FF00FF00FF00FF
+    q = (q | (q << 4)) & 0x0F0F0F0F0F0F0F0F
+    q = (q | (q << 2)) & 0x3333333333333333
+    return (q | (q << 1)) & 0x5555555555555555
 
-    The lower bounds that raise best round a few ulps high; the relative
-    pad on best - 1 covers that, and the absolute ulps of best cover the
-    cosh - 1 lost below one ulp in 1 + q.
+
+def _curve_keys(p, lo, span, j):
+    """Keys of the points p along Z-order curve j of the frame (lo, span).
+
+    The frame's square is quantized to 2^30 steps a side and shifted by
+    j/3 of its side along both axes. Dividing by span before scaling keeps
+    a subnormal span finite.
     """
-    return best - ((best - 1.0) * 1e-9 + 4.0 * np.finfo(float).eps * best)
+    keys = np.zeros(len(p), dtype=np.uint64)
+    for axis in (0, 1):
+        q = ((p[:, axis] - lo[axis]) / span * 2.0**30 + j / _CURVES * 2.0**30).astype(np.uint64)
+        keys |= _spread(q) << axis
+    return keys
 
 
-def _directed_cosh(a, c, floor):
+def _window_cosh(p, p_order, kp, s, s_order, ks, ub):
+    """Lower ub[i] to the cosh distance from p[i] to the sites of s just
+    before and just after it in key order.
+
+    p_order and s_order sort p and s by their keys; kp and ks are the
+    sorted keys. The queries go in their own key order, so that
+    searchsorted walks ks forward.
+    """
+    last = len(s) - 1
+    for i in range(0, len(p), _BLOCK_PAIRS):
+        rows = p_order[i : i + _BLOCK_PAIRS]
+        pos = np.searchsorted(ks, kp[i : i + _BLOCK_PAIRS])
+        x, y = p[rows, 0], p[rows, 1]
+        for near in (s_order[np.maximum(pos - 1, 0)], s_order[np.minimum(pos, last)]):
+            ub[rows] = np.minimum(ub[rows], cosh_distance_xy(x, y, s[near, 0], s[near, 1]))
+
+
+def _upper_bounds(a, c):
+    """For each point of a, and of c, the cosh distance to some site of
+    the other set: the least over its neighbours along _CURVES shifted
+    Z-order curves (Chan, 1998), one curve at a time.
+    """
+    lo = np.minimum(a.min(axis=0), c.min(axis=0))
+    span = float((np.maximum(a.max(axis=0), c.max(axis=0)) - lo).max()) or 1.0
+    ub_a, ub_c = np.full(len(a), np.inf), np.full(len(c), np.inf)
+    for j in range(_CURVES):
+        ka, kc = _curve_keys(a, lo, span, j), _curve_keys(c, lo, span, j)
+        oa, oc = np.argsort(ka), np.argsort(kc)
+        ka, kc = ka[oa], kc[oc]
+        _window_cosh(a, oa, ka, c, oc, kc, ub_a)
+        _window_cosh(c, oc, kc, a, oa, ka, ub_c)
+        del ka, kc, oa, oc  # one curve's keys at a time
+    return ub_a, ub_c
+
+
+def _directed_cosh(a, c, ub, floor):
     """Largest cosh distance from a point of a to its nearest point of c,
     or floor if that is larger.
 
-    Candidates are the points whose upper bound reaches the cut of the
-    best known value; they are taken against all of c, largest upper
-    bound first, in blocks of at most _BLOCK_PAIRS pairs (or one point).
+    ub bounds each point's nearest cosh distance from above. Candidates
+    are the points whose bound exceeds the largest value known so far;
+    they are taken against all of c, largest bound first, in blocks that
+    start at one point and double up to _BLOCK_PAIRS pairs (or one
+    point).
     """
-    # imported here, so that importing the package does not load scipy.spatial
-    from scipy.spatial import cKDTree
-
     x, y = a[:, 0], a[:, 1]
-    delta, j = cKDTree(c).query(a)
-    ub = cosh_distance_xy(x, y, c[j, 0], c[j, 1])
-    lb = 1.0 + delta * delta / (2.0 * y * (y + delta))
-    top = floor
-    best = max(float(lb.max()), floor)
-    cand = np.flatnonzero((ub > 1.0) & (ub >= _cut(best)))
-    cand = cand[np.argsort(-ub[cand], kind="stable")]
     cx, cy = c[:, 0], c[:, 1]
-    rows = max(1, _BLOCK_PAIRS // len(c))
+    top = floor
+    cand = np.flatnonzero(ub > top)
+    cand = cand[np.argsort(-ub[cand], kind="stable")]
+    rows, most = 1, max(1, _BLOCK_PAIRS // len(c))
     while cand.size:
         blk, cand = cand[:rows], cand[rows:]
         m = cosh_distance_xy(x[blk, None], y[blk, None], cx, cy).min(axis=1)
         top = max(top, float(m.max()))
-        best = max(best, top)
-        cand = cand[ub[cand] >= _cut(best)]
+        cand = cand[ub[cand] > top]
+        rows = min(2 * rows, most)
     return top
 
 
@@ -215,9 +264,10 @@ def hausdorff_distance(a, c) -> float:
     (RangeError otherwise).
     """
     a, c = _point_set(a), _point_set(c)
+    ub_a, ub_c = _upper_bounds(a, c)
     # the pass from a sets the floor below which the pass from c drops points
-    worst = _directed_cosh(a, c, 1.0)
-    return float(np.arccosh(_directed_cosh(c, a, worst)))
+    worst = _directed_cosh(a, c, ub_a, 1.0)
+    return float(np.arccosh(_directed_cosh(c, a, ub_c, worst)))
 
 
 @dataclass(frozen=True)

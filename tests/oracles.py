@@ -43,7 +43,11 @@ independent oracles:
   disk, about the disk's own center, over the disks meeting the level
   ball grown by one disk diameter, and ``nearest_site_hausdorff``, the
   Hausdorff distance from every point's hyperbolically nearest site in
-  the other set (``kdtree_nearest_sites`` with k = 1 per pass);
+  the other set (``kdtree_nearest_sites`` with k = 1 per pass), and
+  ``kdtree_hausdorff``, the Hausdorff distance by the pruned pass as it
+  was with a KD-tree (``kdtree_directed_cosh``): each point's Euclidean
+  nearest site gives an upper bound and the Euclidean distance a lower
+  one;
 - ``all_pairs_min_gap``, the smallest gap between disks over every pair,
   in chunks of the all-pairs distance matrix, and ``kdtree_min_gap``, the
   smallest gap from each center's second ``kdtree_nearest_sites`` hit on
@@ -105,7 +109,7 @@ from hypack.packings import (
     TransformedPacking,
     _too_many_disks,
 )
-from hypack.pspace import _boundary_ring
+from hypack.pspace import _BLOCK_PAIRS, _boundary_ring
 from hypack.svg import _disk_element, _path
 from hypack.regions import AreaEstimate, PolygonRegion, SamplePlan, sample_ball_uniform
 from hypack.voronoi import cell_relative_density, packing_cell
@@ -889,6 +893,52 @@ def nearest_site_hausdorff(a, c) -> float:
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     return max(_nearest_site_directed(a, c), _nearest_site_directed(c, a))
+
+
+def _cut(best):
+    """Smallest upper bound that may still reach the cosh distance best.
+
+    The lower bounds that raise best round a few ulps high; the relative
+    pad on best - 1 covers that, and the absolute ulps of best cover the
+    cosh - 1 lost below one ulp in 1 + q.
+    """
+    return best - ((best - 1.0) * 1e-9 + 4.0 * np.finfo(float).eps * best)
+
+
+def kdtree_directed_cosh(a, c, floor):
+    """Largest cosh distance from a point of a to its nearest point of c,
+    or floor if that is larger.
+
+    Candidates are the points whose upper bound reaches the cut of the
+    best known value; they are taken against all of c, largest upper
+    bound first, in blocks of at most _BLOCK_PAIRS pairs (or one point).
+    """
+    x, y = a[:, 0], a[:, 1]
+    delta, j = cKDTree(c).query(a)
+    ub = cosh_distance_xy(x, y, c[j, 0], c[j, 1])
+    lb = 1.0 + delta * delta / (2.0 * y * (y + delta))
+    top = floor
+    best = max(float(lb.max()), floor)
+    cand = np.flatnonzero((ub > 1.0) & (ub >= _cut(best)))
+    cand = cand[np.argsort(-ub[cand], kind="stable")]
+    cx, cy = c[:, 0], c[:, 1]
+    rows = max(1, _BLOCK_PAIRS // len(c))
+    while cand.size:
+        blk, cand = cand[:rows], cand[rows:]
+        m = cosh_distance_xy(x[blk, None], y[blk, None], cx, cy).min(axis=1)
+        top = max(top, float(m.max()))
+        best = max(best, top)
+        cand = cand[ub[cand] >= _cut(best)]
+    return top
+
+
+def kdtree_hausdorff(a, c) -> float:
+    """Hausdorff distance between two half-plane point sets, each directed
+    pass bounded by every point's Euclidean nearest site of the other."""
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    worst = kdtree_directed_cosh(a, c, 1.0)
+    return float(np.arccosh(kdtree_directed_cosh(c, a, worst)))
 
 
 # ---------------------------------------------------------------- disks

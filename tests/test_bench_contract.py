@@ -150,12 +150,12 @@ def _import_time_nodes(node):
             yield from _import_time_nodes(child)
 
 
-def test_no_module_imports_scipy_when_imported():
-    # scipy (0.44 s of a cold import) loads with the first KD-tree; an
-    # import inside a function stays allowed
+def _scipy_imports(nodes_of):
+    """module:line of every scipy import among nodes_of(tree) of each
+    module under src/hypack."""
     found = []
     for path in sorted((ROOT / "src" / "hypack").glob("*.py")):
-        for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in nodes_of(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -164,4 +164,17 @@ def test_no_module_imports_scipy_when_imported():
                 continue
             if any(name.split(".")[0] == "scipy" for name in modules):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_scipy_when_imported():
+    # scipy (0.44 s of a cold import) stays out of `import hypack`
+    found = _scipy_imports(_import_time_nodes)
     assert not found, f"scipy imported at module scope: {', '.join(found)}"
+
+
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone: scipy is a test dependency, for the
+    # oracles, and no function under src/hypack imports it either
+    found = _scipy_imports(ast.walk)
+    assert not found, f"scipy imported: {', '.join(found)}"

@@ -22,7 +22,7 @@ from hypack.pspace import (
 )
 from hypack.regions import EmptyRegion, SamplePlan, sample_ball_uniform
 
-from oracles import level_net, nearest_site_hausdorff
+from oracles import kdtree_hausdorff, level_net, nearest_site_hausdorff
 
 SEED = 88417
 
@@ -235,6 +235,11 @@ def _point_sets(draw):
        relation=st.sampled_from(["apart", "same", "offset", "mirrored"]))
 @example(a=np.array([[0.0, 1.0]]), c=np.array([[0.0, 1.0 + 1e-9]]), relation="apart")
 @example(a=np.array([[0.0, 1.0]]), c=np.array([[-1.0, 1.0], [1.0, 1.0]]), relation="apart")
+# spans that are subnormal or reach the coordinate limits, where the
+# Z-order frame must stay finite
+@example(a=np.array([[0.0, 1.0]]), c=np.array([[5e-324, 1.0]]), relation="apart")
+@example(a=np.array([[0.0, 1.0], [1e-310, 1.0]]), c=np.array([[5e-324, 1.0]]), relation="apart")
+@example(a=np.array([[1e30, 1e30]]), c=np.array([[-1e30, 1e-30]]), relation="apart")
 def test_hausdorff_equals_all_pairs_on_random_sets(a, c, relation):
     # same: c is a reordered. offset: c is a with heights scaled by
     # 1 + 1e-9, so each cosh - 1 to the partner is below one ulp of 1.
@@ -253,6 +258,35 @@ def test_hausdorff_equals_all_pairs_on_random_sets(a, c, relation):
     assert d == hausdorff_distance(c, a)
     if relation in ("same", "offset"):
         assert d == 0.0
+
+
+@st.composite
+def _degenerate_sets(draw):
+    """Point sets whose Z-order keys tie or share a line: points on one
+    horizontal or vertical line about (u e^L, e^L), one point, or n
+    copies of one point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["horizontal", "vertical", "one", "equal"]))
+    n = 1 if kind == "one" else draw(st.integers(2, 40))
+    log_y0 = draw(st.floats(-30.0, 30.0))
+    x0 = draw(st.floats(-3.0, 3.0)) * math.exp(log_y0)
+    spread = draw(st.sampled_from([1e-12, 1e-7, 0.1, 2.0]))
+    x = np.full(n, x0)
+    log_y = np.full(n, log_y0)
+    if kind == "horizontal":
+        x = x + spread * rng.standard_normal(n) * math.exp(log_y0)
+    elif kind == "vertical":
+        log_y = np.clip(log_y + spread * rng.standard_normal(n), -30.0, 30.0)
+    return np.column_stack([x, np.exp(log_y)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(_point_sets(), _degenerate_sets()),
+       c=st.one_of(_point_sets(), _degenerate_sets()))
+def test_hausdorff_equals_kdtree_oracle(a, c):
+    # the Z-order window bounds and the KD-tree's nearest-site bounds give
+    # the same distance bit for bit, whatever their quality
+    assert hausdorff_distance(a, c) == kdtree_hausdorff(a, c)
 
 
 def test_identity_and_symmetry(pool):

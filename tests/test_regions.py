@@ -683,15 +683,15 @@ def test_cold_quadrature_commands_load_no_scipy(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # the package and its CLI need numpy alone until a KD-tree is built
+    # the package and its CLI need numpy alone
     out = _fresh("import sys, hypack, hypack.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
 
 
-# The CLI commands, disk gaps, Dirichlet cells and the mass transport,
-# which build no KD-tree, then the packing metric, which does; each
-# records whether scipy.spatial is loaded after it.
+# The CLI commands, disk gaps, Dirichlet cells, the mass transport and
+# the packing metric; each records whether scipy.spatial is loaded after
+# it.
 COLD_PATH = """
 import json, os, sys
 from hypack import (BallSpec, Isometry, ORIGIN, SamplePlan, TightPacking, TransformedPacking,
@@ -733,13 +733,13 @@ if __name__ == "__main__":
 
 
 def test_cold_commands_leave_scipy_spatial_unloaded(tmp_path):
-    # scipy.spatial loads at the packing metric's KD-tree and not before,
-    # and the values equal those of this warm process bit for bit
+    # no step loads scipy.spatial, and the values equal those of this warm
+    # process bit for bit
     (tmp_path / "cold").mkdir()
     (tmp_path / "warm").mkdir()
     cold = json.loads(_fresh(COLD_PATH, str(tmp_path / "cold")))
     loaded = {"cli": False, "gap": False, "cell": False, "voronoi": False, "transport": False,
-              "distance": True}
+              "distance": False}
     flags = [f"spatial_after_{k}" for k in loaded]
     assert [cold.pop(k) for k in flags] == list(loaded.values())
     module = {"__name__": "warm"}
