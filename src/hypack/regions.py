@@ -12,8 +12,8 @@ uniform streams, u and v: u is the first n draws of Philox(seed) and v
 the next n, as two rng.random(n) calls would give them. Each sampler is
 a block map from a (u, v) block to points, written as its plain formula;
 the public samplers fill their outputs block by block, and estimates
-count the covered points of each block. TightPacking.covers_xy folds its
-points in blocks of the same size.
+count the covered points of each block. TightPacking.covers_xy settles
+its points' verdicts in blocks of the same size.
 
 Stripes, half-planes and bricks are all boxes {xa <= x < xb,
 la <= log y < lb}, with some edges at infinity, and a hyperbolic ball is

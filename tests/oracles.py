@@ -32,6 +32,9 @@ independent oracles:
 - ``ReplayTightPacking``, a tight packing that carries window vertices
   back by replaying each sweep of the center's fold, inversion, mirror
   and turn, on every vertex;
+- ``ChamberFoldTightPacking``, a tight packing whose coverage test folds
+  every point all the way into the chamber, far points jumped first, and
+  then compares it with the disk about (0, 1);
 - ``nearest_site``, the hyperbolically nearest site of one point and the
   margin to the second, by Euclidean disk queries of growing radius, and
   ``transport_loop``, the mass-transport mean and owners that it finds
@@ -102,8 +105,10 @@ from hypack.hgeom import (
     polar_xy,
 )
 from hypack.packings import (
+    _BLOCK,
     _COLUMN_BOUND,
     _DISK_CAP,
+    _MAX_SWEEPS,
     BoroczkyPacking,
     TightPacking,
     TransformedPacking,
@@ -653,7 +658,7 @@ class ReplayTightPacking(TightPacking):
     def _centers(self, ball: BallSpec):
         """Coordinates of the vertices in the closed ball."""
         steps: list[tuple[int, bool, bool]] = []
-        cx, cy, _ = self._fold([ball.center.x], [ball.center.y], steps)
+        cx, cy = self._fold([ball.center.x], [ball.center.y], steps)
         cd = float(cosh_distance_xy(cx[0], cy[0], 0.0, 1.0))
         reach = math.acosh(max(cd, 1.0)) + ball.radius + 1e-9
         if reach > self._reach:
@@ -678,6 +683,50 @@ class SweepTightPacking(TightPacking):
     def __init__(self, m: int):
         super().__init__(m)
         self._two_edges = math.inf
+
+
+class ChamberFoldTightPacking(TightPacking):
+    """TightPacking whose covers_xy folds every point all the way into the
+    chamber, far points jumped first, and only then compares it with the
+    disk about (0, 1): an inverted point always sweeps once more."""
+
+    def _fold(self, xs, ys, steps=None):
+        """Sweep each point into the chamber until it is not inverted.
+
+        Returns flat copies of the folded x and y and their x^2 + y^2. For
+        a single point, each sweep's (k, mirrored, inverted) goes to steps;
+        without steps, far points first jump near (0, 1) (see _jump). A
+        point's last sweep leaves it as it is, so its x^2 + y^2 is the
+        one that sweep compared with e^{2 r_m}.
+        """
+        x = np.array(xs, dtype=float).ravel()
+        y = np.array(ys, dtype=float).ravel()
+        if not (np.isfinite(x).all() and np.isfinite(y).all() and (y > 0.0).all()):
+            raise DomainError("half-plane points need finite x and finite y > 0")
+        if steps is None:
+            self._jump(x, y)
+        q = np.empty_like(x)
+        live, lx, ly = np.arange(x.size), x, y
+        for _ in range(_MAX_SWEEPS):
+            lx, ly, inv = self._sweep(lx, ly, steps)
+            x[live], y[live], q[live] = lx, ly, lx * lx + ly * ly
+            live, lx, ly = live[inv], lx[inv], ly[inv]
+            if not live.size:
+                return x, y, q
+        raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
+
+    def covers_xy(self, xs, ys):
+        """Whether each point's folded image lies within r_m of (0, 1),
+        folded and compared one regions._BLOCK of points at a time."""
+        xs = np.asarray(xs, dtype=float)
+        x, y = xs.ravel(), np.asarray(ys, dtype=float).ravel()
+        out = np.empty(x.size, dtype=bool)
+        scale = 2.0 * math.cosh(self.disk_radius)
+        for lo in range(0, x.size, _BLOCK):
+            _, fy, q = self._fold(x[lo : lo + _BLOCK], y[lo : lo + _BLOCK])
+            # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y)
+            out[lo : lo + q.size] = q + 1.0 <= fy * scale
+        return out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------- Dirichlet hulls
