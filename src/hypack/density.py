@@ -52,9 +52,6 @@ class CurvePoint:
     std_error: float
     samples: int
 
-    def __iter__(self):
-        return iter((self.radius, self.fraction, self.std_error))
-
 
 @dataclass(frozen=True)
 class DensityCurve:

@@ -60,7 +60,6 @@ class Packing:
     from _centers.
     """
 
-    label = "packing"
     fundamental_domain = None
 
     def centers_in_ball(self, ball: BallSpec) -> list[HPoint]:
@@ -79,7 +78,7 @@ def _disk_radius(target) -> float:
     r = getattr(target, "disk_radius", None)
     if r is None:
         raise UnsupportedOperationError(
-            f"{getattr(target, 'label', type(target).__name__)} is a region, not a disk packing"
+            f"{type(target).__name__} is a region, not a disk packing"
         )
     return r
 
@@ -141,10 +140,6 @@ class StripeModel(StripeRegion):
     black stripes it meets.
     """
 
-    def __init__(self, W: float):
-        super().__init__(W)
-        self.label = f"stripe(W={self.W:g})"
-
 
 # --------------------------------------------------------------------------
 # Boroczky packing
@@ -202,7 +197,6 @@ class BoroczkyPacking(Packing):
                 maximum=rho_max,
             )
         self.disk_radius = float(disk_radius)
-        self.label = f"boroczky(rho={self.disk_radius:.6g})"
 
     def center(self, j: int, k: int) -> HPoint:
         a = 2.0 * j + 0.5
@@ -397,7 +391,6 @@ class TightPacking(Packing):
     def __init__(self, m: int):
         self.m = _check_m(m)
         self.disk_radius = tight_radius(self.m)
-        self.label = f"tight(m={self.m})"
         self._e2r = math.exp(2.0 * self.disk_radius)
         # cos and sin of pi k / m: the turn by 2 pi k / m about (0, 1)
         half_turns = np.pi * np.arange(self.m) / self.m
@@ -416,28 +409,27 @@ class TightPacking(Packing):
 
     # -- the fold ------------------------------------------------------------
 
-    def _sweep(self, x, y, steps):
+    def _sweep(self, x, y):
         """Turn points into the sector straight up from (0, 1), mirror them
         into x >= 0 and invert those outside |z| = e^{r_m}.
 
-        Returns x, y and the inverted mask; appends a single point's (k,
-        mirrored, inverted) to steps.
+        Returns x, y, the inverted mask, the turn index k of each point
+        (the turn is by -2 pi k / m) and the mask of the points the turn
+        left at x < 0, which the mirror carried.
         """
         k = np.rint(_direction(x, y) * (self.m / (2.0 * math.pi))).astype(np.intp)
         # the turn by -2 pi k / m is z -> (c z - s) / (s z + c)
         s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
         x, y = mobius_xy(c, -s, s, c, x, y)
-        mirrored = steps is not None and bool(x[0] < 0.0)
+        mirrored = x < 0.0
         x = np.abs(x)
         q = x * x + y * y
         if not (np.isfinite(q).all() and (y > 0.0).all()):
             raise RangeError("points beyond float reach do not fold into the chamber")
         inv = q > self._e2r
-        if steps is not None:
-            steps.append((int(k[0]), mirrored, bool(inv[0])))
         # a factor of exactly 1.0 leaves the points inside the circle as they are
         s = np.minimum(self._e2r / q, 1.0)
-        return x * s, y * s, inv
+        return x * s, y * s, inv, k, mirrored
 
     @staticmethod
     def _points(xs, ys):
@@ -447,43 +439,37 @@ class TightPacking(Packing):
             raise DomainError("half-plane points need finite x and finite y > 0")
         return x, y
 
-    def _fold(self, xs, ys, steps=None):
-        """Sweep each point into the chamber until it is not inverted: flat
-        copies of the folded x and y. Each sweep of a single point appends
-        its (k, mirrored, inverted) to steps."""
-        x, y = self._points(xs, ys)
-        live, lx, ly = np.arange(x.size), x, y
-        for _ in range(_MAX_SWEEPS):
-            lx, ly, inv = self._sweep(lx, ly, steps)
-            x[live], y[live] = lx, ly
-            live, lx, ly = live[inv], lx[inv], ly[inv]
-            if not live.size:
-                return x, y
-        raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
-
     def _home(self, p: HPoint):
         """An Isometry g of the packing with g(p) near (0, 1), and g(p).
 
-        With sigma z = -conj(z) the mirror, a sweep's turn is (c, -s; s, c)
-        and its inversion sigma (0, -e^{2 r_m}; 1, 0); moved past a sigma, a
-        map (a, b; c, d) becomes (a, -b; -c, d), so the sweeps compose to
-        sigma^flip g. A float g is an exact isometry of a nearby group
-        element, while the folded point is off by about 1e-16 e^{d(p, (0, 1))},
-        so g(p) is folded again until it folds without an inversion."""
+        g(p), from g = identity, is swept until a sweep leaves it
+        uninverted, and each sweep composes onto h = g. With sigma z =
+        -conj(z) the mirror, a sweep's turn is (c, -s; s, c) and its
+        inversion sigma (0, -e^{2 r_m}; 1, 0); moved past a sigma, a map
+        (a, b; c, d) becomes (a, -b; -c, d), so the sweeps compose to
+        sigma^flip h. A float h is an exact isometry of a nearby group
+        element, while the swept point is off by about 1e-16 e^{d(p, (0, 1))},
+        so g = h carries p again, until g(p)'s first sweep does not invert
+        it."""
         g, x, y = Isometry.identity(), p.x, p.y
         try:
             for _ in range(_MAX_REFOLDS):
-                steps: list[tuple[int, bool, bool]] = []
-                self._fold([x], [y], steps)
-                if not any(inverted for _, _, inverted in steps):
-                    return g, x, y
-                flip = False
-                for k, mirrored, inverted in steps:
+                (lx, ly), h, flip = self._points([x], [y]), g, False
+                for sweeps in range(_MAX_SWEEPS):
+                    lx, ly, inv, k, mirrored = self._sweep(lx, ly)
+                    # as Python scalars, which cost less than numpy's in this loop
+                    (inv,), (k,), (mirrored,) = inv.tolist(), k.tolist(), mirrored.tolist()
                     c, s = self._cos[k % self.m], self._sin[k % self.m] * (-1.0 if flip else 1.0)
-                    g = Isometry(c, -s, s, c) @ g
-                    if inverted:
-                        g = Isometry(0.0, -self._e2r, 1.0, 0.0) @ g
-                    flip ^= mirrored ^ inverted
+                    h = Isometry(c, -s, s, c) @ h
+                    if not inv:
+                        break
+                    h = Isometry(0.0, -self._e2r, 1.0, 0.0) @ h
+                    flip ^= mirrored ^ inv
+                else:
+                    raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
+                if not sweeps:
+                    return g, x, y
+                g = h
                 (x,), (y,) = g.apply_xy([p.x], [p.y])
         except DomainError as exc:
             raise RangeError("floats cannot carry a window this far out home") from exc
@@ -643,7 +629,7 @@ class TightPacking(Packing):
             self._jump(lx, ly)
             live = np.arange(lo, lo + lx.size)
             for _ in range(_MAX_SWEEPS):
-                lx, ly, inv = self._sweep(lx, ly, None)
+                lx, ly, inv, _, _ = self._sweep(lx, ly)
                 # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y)
                 out[live] = hit = lx * lx + ly * ly + 1.0 <= ly * scale
                 inv &= ~hit
@@ -682,7 +668,6 @@ class TransformedPacking(Packing):
         self.g = g
         self.g_inv = g.inverse()
         self.base = base
-        self.label = f"moved({base.label})"
         self.disk_radius = getattr(base, "disk_radius", None)
 
     def covers(self, p: HPoint) -> bool:

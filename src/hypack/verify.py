@@ -11,7 +11,6 @@ criterion's result or time depends on which criteria ran before it.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -58,7 +57,6 @@ class CriterionResult:
     detail: str
     measured: dict = field(default_factory=dict)
     seconds: float = 0.0
-    scipy_modules: tuple = ()
 
 
 def _a1(bias):
@@ -316,15 +314,8 @@ _CRITERIA = {
 }
 
 
-def _scipy_loaded():
-    """The scipy subpackages in sys.modules: scipy, scipy.spatial, ..."""
-    return {".".join(m.split(".")[:2]) for m in list(sys.modules) if m.split(".")[0] == "scipy"}
-
-
 def run_criteria(ids=None, negative_control: bool = False):
-    """Run the requested criteria (all by default), in order. Each result
-    names the scipy subpackages first loaded while it ran, whose import
-    its seconds include."""
+    """Run the requested criteria (all by default), in order."""
     if ids is None:
         ids = list(_CRITERIA)
     results = []
@@ -335,7 +326,6 @@ def run_criteria(ids=None, negative_control: bool = False):
             )
         runner, tamper = _CRITERIA[cid]
         bias = tamper if negative_control else 0.0
-        loaded = _scipy_loaded()
         t0 = time.perf_counter()
         passed, detail, measured = runner(bias)
         results.append(
@@ -345,7 +335,6 @@ def run_criteria(ids=None, negative_control: bool = False):
                 detail=detail,
                 measured=measured,
                 seconds=time.perf_counter() - t0,
-                scipy_modules=tuple(sorted(_scipy_loaded() - loaded)),
             )
         )
     return results
@@ -368,7 +357,6 @@ def format_report(results):
                 "detail": r.detail,
                 "measured": r.measured,
                 "seconds": round(r.seconds, 3),
-                "scipy_modules": list(r.scipy_modules),
             }
             for r in results
         ],

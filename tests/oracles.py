@@ -29,12 +29,17 @@ independent oracles:
 - ``WallFoldTightPacking``, a tight packing that folds points into its
   chamber by reflecting them across one chamber wall at a time, and
   carries window vertices back by the word of walls crossed;
+- ``StepsTightPacking``, a tight packing whose window center folds by a
+  fold that appends each sweep's (k, mirrored, inverted) to a list, and
+  whose isometry of the center replays that list;
 - ``ReplayTightPacking``, a tight packing that carries window vertices
   back by replaying each sweep of the center's fold, inversion, mirror
   and turn, on every vertex;
 - ``ChamberFoldTightPacking``, a tight packing whose coverage test folds
   every point all the way into the chamber, far points jumped first, and
-  then compares it with the disk about (0, 1);
+  then compares it with the disk about (0, 1), and
+  ``SweepChamberFoldTightPacking``, the same fold by sweeps alone (the
+  last three derive from ``StepsTightPacking``);
 - ``nearest_site``, the hyperbolically nearest site of one point and the
   margin to the second, by Euclidean disk queries of growing radius, and
   ``transport_loop``, the mass-transport mean and owners that it finds
@@ -102,16 +107,19 @@ from hypack.hgeom import (
     _BALL_PAD,
     _SAFE_LOG,
     cosh_distance_xy,
+    mobius_xy,
     polar_xy,
 )
 from hypack.packings import (
     _BLOCK,
     _COLUMN_BOUND,
     _DISK_CAP,
+    _MAX_REFOLDS,
     _MAX_SWEEPS,
     BoroczkyPacking,
     TightPacking,
     TransformedPacking,
+    _direction,
     _too_many_disks,
 )
 from hypack.pspace import _BLOCK_PAIRS, _boundary_ring
@@ -640,7 +648,83 @@ class WallFoldTightPacking(TightPacking):
         return (cd <= math.cosh(self.disk_radius)).reshape(np.shape(xs))
 
 
-class ReplayTightPacking(TightPacking):
+class StepsTightPacking(TightPacking):
+    """TightPacking whose window center folds through a steps side channel.
+
+    Its _fold sweeps points until none is inverted, and each sweep of a
+    single point appends its (k, mirrored, inverted) to a list; _home
+    replays that list into the isometry of the center. Its _sweep takes
+    that list, so only window queries run on this class; the subclasses
+    below bring their own coverage test or keep none.
+    """
+
+    def _sweep(self, x, y, steps):
+        """Turn points into the sector straight up from (0, 1), mirror them
+        into x >= 0 and invert those outside |z| = e^{r_m}.
+
+        Returns x, y and the inverted mask; appends a single point's (k,
+        mirrored, inverted) to steps.
+        """
+        k = np.rint(_direction(x, y) * (self.m / (2.0 * math.pi))).astype(np.intp)
+        # the turn by -2 pi k / m is z -> (c z - s) / (s z + c)
+        s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
+        x, y = mobius_xy(c, -s, s, c, x, y)
+        mirrored = steps is not None and bool(x[0] < 0.0)
+        x = np.abs(x)
+        q = x * x + y * y
+        if not (np.isfinite(q).all() and (y > 0.0).all()):
+            raise RangeError("points beyond float reach do not fold into the chamber")
+        inv = q > self._e2r
+        if steps is not None:
+            steps.append((int(k[0]), mirrored, bool(inv[0])))
+        # a factor of exactly 1.0 leaves the points inside the circle as they are
+        s = np.minimum(self._e2r / q, 1.0)
+        return x * s, y * s, inv
+
+    def _fold(self, xs, ys, steps=None):
+        """Sweep each point into the chamber until it is not inverted: flat
+        copies of the folded x and y. Each sweep of a single point appends
+        its (k, mirrored, inverted) to steps."""
+        x, y = self._points(xs, ys)
+        live, lx, ly = np.arange(x.size), x, y
+        for _ in range(_MAX_SWEEPS):
+            lx, ly, inv = self._sweep(lx, ly, steps)
+            x[live], y[live] = lx, ly
+            live, lx, ly = live[inv], lx[inv], ly[inv]
+            if not live.size:
+                return x, y
+        raise RangeError(f"points did not fold into the chamber in {_MAX_SWEEPS} sweeps")
+
+    def _home(self, p: HPoint):
+        """An Isometry g of the packing with g(p) near (0, 1), and g(p).
+
+        With sigma z = -conj(z) the mirror, a sweep's turn is (c, -s; s, c)
+        and its inversion sigma (0, -e^{2 r_m}; 1, 0); moved past a sigma, a
+        map (a, b; c, d) becomes (a, -b; -c, d), so the sweeps compose to
+        sigma^flip g. A float g is an exact isometry of a nearby group
+        element, while the folded point is off by about 1e-16 e^{d(p, (0, 1))},
+        so g(p) is folded again until it folds without an inversion."""
+        g, x, y = Isometry.identity(), p.x, p.y
+        try:
+            for _ in range(_MAX_REFOLDS):
+                steps: list[tuple[int, bool, bool]] = []
+                self._fold([x], [y], steps)
+                if not any(inverted for _, _, inverted in steps):
+                    return g, x, y
+                flip = False
+                for k, mirrored, inverted in steps:
+                    c, s = self._cos[k % self.m], self._sin[k % self.m] * (-1.0 if flip else 1.0)
+                    g = Isometry(c, -s, s, c) @ g
+                    if inverted:
+                        g = Isometry(0.0, -self._e2r, 1.0, 0.0) @ g
+                    flip ^= mirrored ^ inverted
+                (x,), (y,) = g.apply_xy([p.x], [p.y])
+        except DomainError as exc:
+            raise RangeError("floats cannot carry a window this far out home") from exc
+        raise RangeError(f"a window center did not settle in {_MAX_REFOLDS} folds")
+
+
+class ReplayTightPacking(StepsTightPacking):
     """TightPacking that carries window vertices back sweep by sweep.
 
     Each sweep of the window center's fold is undone on every vertex, last
@@ -685,7 +769,7 @@ class SweepTightPacking(TightPacking):
         self._two_edges = math.inf
 
 
-class ChamberFoldTightPacking(TightPacking):
+class ChamberFoldTightPacking(StepsTightPacking):
     """TightPacking whose covers_xy folds every point all the way into the
     chamber, far points jumped first, and only then compares it with the
     disk about (0, 1): an inverted point always sweeps once more."""
@@ -727,6 +811,10 @@ class ChamberFoldTightPacking(TightPacking):
             # cosh d((x, y), (0, 1)) = (x^2 + y^2 + 1) / (2 y)
             out[lo : lo + q.size] = q + 1.0 <= fy * scale
         return out.reshape(xs.shape)
+
+
+class SweepChamberFoldTightPacking(ChamberFoldTightPacking, SweepTightPacking):
+    """ChamberFoldTightPacking that folds by sweeps alone."""
 
 
 # ---------------------------------------------------------------- Dirichlet hulls

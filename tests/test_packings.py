@@ -41,6 +41,8 @@ from oracles import (
     ChamberFoldTightPacking,
     DedupTightPacking,
     ReplayTightPacking,
+    StepsTightPacking,
+    SweepChamberFoldTightPacking,
     SweepTightPacking,
     WallFoldTightPacking,
     all_pairs_min_gap,
@@ -763,6 +765,30 @@ def test_composed_windows_match_replay(m, d, theta, radius):
         assert _nearest_gap(want, got).max() <= tol
 
 
+@pytest.mark.parametrize("m", [7, 8, 12, 18])
+def test_windows_match_the_steps_side_channel(m):
+    # _home composes its isometry from each sweep's outputs; the oracle
+    # replays the (k, mirrored, inverted) list its one-point fold filled.
+    # Far out both raise, with the same message.
+    tp, oracle = TightPacking(m), StepsTightPacking(m)
+    rng = np.random.default_rng(SEED + 70 + m)
+    raised = 0
+    for span in np.repeat([60.0, 200.0], 100):
+        y = math.exp(rng.uniform(-span, span))
+        ball = BallSpec(HPoint(rng.uniform(-1.5, 1.5) * y, y), rng.uniform(0.5, 3.0))
+        try:
+            want = oracle._centers(ball)
+        except RangeError as exc:
+            raised += 1
+            with pytest.raises(RangeError) as got:
+                tp._centers(ball)
+            assert str(got.value) == str(exc)
+            continue
+        got = tp._centers(ball)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert 0 < raised < 200
+
+
 def _assert_window_in_place(packing, ball):
     """The window's disks do not overlap, its centers lie in the ball, and
     every center 2 r_m inside the rim has its m neighbours in the window."""
@@ -914,10 +940,9 @@ def test_jumped_fold_lands_within_its_error_bound(m):
     tp, oracle = TightPacking(m), SweepTightPacking(m)
     xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 24.0), SamplePlan(seed=SEED + 30 + m, n=20_000))
     bound = 5e-15 * np.exp(np.arccosh(cosh_distance_xy(xs, ys, 0.0, 1.0)))
-    ax, ay = xs.copy(), ys.copy()
-    tp._jump(ax, ay)
-    ax, ay = tp._fold(ax, ay)
-    bx, by = oracle._fold(xs, ys)
+    # the chamber folds: jumps, then sweeps; and the sweeps alone
+    ax, ay, _ = ChamberFoldTightPacking(m)._fold(xs, ys)
+    bx, by, _ = SweepChamberFoldTightPacking(m)._fold(xs, ys)
     gap = 2.0 * np.arcsinh(np.hypot(ax - bx, ay - by) / (2.0 * np.sqrt(ay * by)))
     assert (gap <= bound).all()
     edge = np.abs(np.arccosh(cosh_distance_xy(bx, by, 0.0, 1.0)) - tp.disk_radius)
@@ -928,12 +953,11 @@ def test_jumped_fold_lands_within_its_error_bound(m):
 
 
 def test_points_past_the_jump_bound_fold_by_sweeps_alone():
-    tp, oracle = TightPacking(7), SweepTightPacking(7)
+    tp, oracle = ChamberFoldTightPacking(7), SweepChamberFoldTightPacking(7)
     xs, ys = sample_ball_uniform(BallSpec(ORIGIN, 36.0), SamplePlan(seed=SEED + 40, n=5_000))
     past = cosh_distance_xy(xs, ys, 0.0, 1.0) - 1.0 >= _JUMP_BOUND * (1.0 + 1e-9)
     assert past.mean() > 0.9
     px, py = xs[past], ys[past]
-    tp._jump(px, py)
     for got, want in zip(tp._fold(px, py), oracle._fold(xs[past], ys[past])):
         assert np.array_equal(got, want)
 
