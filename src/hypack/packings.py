@@ -378,9 +378,13 @@ class TightPacking(Packing):
     The neighbourhood is generated ring by ring from the layered structure
     of the {3,m} triangulation (Dunham, Lindgren and Witte, 1981), which
     names each vertex exactly once, so no vertex is ever deduplicated
-    (see _rings). A window that reaches past the cached radius regenerates
-    it with ln 2 of headroom, which about doubles the vertex count, so
-    generation is amortized linear in the vertices finally held. A window
+    (see _rings). The first window grows it to its own reach only. A later
+    window that reaches past the cached radius regenerates it with ln 2 of
+    headroom, which about doubles the vertex count, so a creeping window's
+    generation is amortized linear in the vertices finally held. No vertex
+    within R hangs on a parent beyond R and the sort by distance is
+    stable, so the vertices within any radius, and their order, do not
+    depend on how far the neighbourhood was grown. A window
     whose neighbourhood would exceed two million vertices raises
     RangeError. Window gaps are exact to 2e-14 about (x, y) with |x| <= y,
     and windows sit in place, out to |log y| = 60 for m = 7 and 95 for
@@ -418,8 +422,9 @@ class TightPacking(Packing):
         left at x < 0, which the mirror carried.
         """
         k = np.rint(_direction(x, y) * (self.m / (2.0 * math.pi))).astype(np.intp)
-        # the turn by -2 pi k / m is z -> (c z - s) / (s z + c)
-        s, c = self._sin.take(k, mode="wrap"), self._cos.take(k, mode="wrap")
+        # the turn by -2 pi k / m is z -> (c z - s) / (s z + c). As |k| <= (m + 1) / 2,
+        # a negative k indexes the tables from the end, at k mod m.
+        s, c = self._sin[k], self._cos[k]
         x, y = mobius_xy(c, -s, s, c, x, y)
         mirrored = x < 0.0
         x = np.abs(x)
@@ -609,7 +614,9 @@ class TightPacking(Packing):
         if reach > self._cap_radius:
             raise _too_many_disks(ball.radius)
         if reach > self._reach:
-            self._grow(min(reach + math.log(2.0), self._cap_radius))
+            # the first growth stops at the window's reach; later ones add ln 2
+            headroom = math.log(2.0) if self._reach else 0.0
+            self._grow(min(reach + headroom, self._cap_radius))
         z = self._z[: np.searchsorted(self._cd, math.cosh(reach), side="right")]
         near = cosh_distance_xy(z.real, z.imag, cx, cy) <= math.cosh(ball.radius)
         return g.inverse().apply_xy(z.real[near], z.imag[near])
@@ -688,7 +695,10 @@ class TransformedPacking(Packing):
         """
         _disk_radius(self)
         pulled = BallSpec(apply(self.g_inv, ball.center), ball.radius)
-        x, y = self.g.apply_xy(*self.base._centers(pulled))
+        centers = self.base._centers(pulled)
+        # as in apply, an over- or underflowing |c z + d|^2 is caught below
+        with np.errstate(all="ignore"):
+            x, y = self.g.apply_xy(*centers)
         if not (np.isfinite(x).all() and np.isfinite(y).all() and (y >= _MIN_IMAGE_Y).all()):
             raise RangeError(f"image heights fall below {_MIN_IMAGE_Y:g} or beyond float reach")
         return x, y

@@ -560,7 +560,8 @@ def test_tight_windows_match_dedup_oracle(m, u, log_y, radius):
 
 def test_tight_growth_is_amortized():
     # a window creeping outwards regenerates the neighbourhood with ln 2
-    # of headroom, not once per step
+    # of headroom after the first growth, which reaches the first window
+    # only, not once per step
     tp = TightPacking(7)
     radii = []
     grow = tp._grow
@@ -572,6 +573,48 @@ def test_tight_growth_is_amortized():
     old = DedupTightPacking(7)
     old._grow(radii[-1])
     assert np.array_equal(np.sort_complex(tp._z), np.sort_complex(old._z))
+
+
+def test_first_window_grows_to_its_reach_only():
+    # deep's transport window: no headroom on the first growth, ln 2 after
+    tp = TightPacking(7)
+    reach = 7.0 + 4.0 * tp.disk_radius
+    tp._centers(BallSpec(ORIGIN, reach))
+    assert tp._reach == reach + 1e-9
+    assert tp._z.size == 29_149
+    tp._centers(BallSpec(ORIGIN, reach + 0.5))
+    assert tp._reach == reach + 0.5 + 1e-9 + math.log(2.0)
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 12, 18])
+def test_first_growth_matches_a_pregrown_neighbourhood(m):
+    # a vertex within R never hangs on a parent beyond R, and the stable
+    # sort keeps the order of the vertices both hold: the exact first
+    # growth is the prefix of one grown with ln 2 of headroom
+    rng = np.random.default_rng(SEED + m)
+    for _ in range(8):
+        y = math.exp(rng.uniform(-8.0, 8.0))
+        ball = BallSpec(HPoint(rng.uniform(-1.5, 1.5) * y, y), rng.uniform(0.5, 5.0))
+        fresh, pre = TightPacking(m), TightPacking(m)
+        got = fresh._centers(ball)
+        pre._grow(min(fresh._reach + math.log(2.0), pre._cap_radius))
+        want = pre._centers(ball)
+        assert pre._reach > fresh._reach
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert fresh._z.tobytes() == pre._z[: fresh._z.size].tobytes()
+        assert fresh._cd.tobytes() == pre._cd[: fresh._cd.size].tobytes()
+
+
+@pytest.mark.parametrize("m", range(7, 25))
+def test_sweep_turn_index_stays_within_the_tables(m):
+    # directions +-pi (x = -0.0 and 0.0 below (0, 1)) and one ulp inside
+    # them round to the largest |k|, which must index the m-entry tables
+    y = np.array([0.5, 0.5, 0.5, 0.5, 1e-300, 1e-300])
+    x = np.array([-0.0, 0.0, -1e-300, 1e-300, -0.0, 0.0])
+    assert np.abs(_direction(x, y)).max() == math.pi
+    k = TightPacking(m)._sweep(x, y)[3]
+    assert (np.abs(k) < m).all()
 
 
 # ---------------------------------------------------------------- tight fold oracles
@@ -1060,6 +1103,8 @@ def test_transformed_covers_on_region_and_packing_bases():
     v=st.floats(-2.0, 2.0),
     radius=st.one_of(st.floats(0.1, 3.0), st.floats(14.0, 30.0)),
 )
+# |c z + d|^2 overflows in apply_xy, which must raise RangeError, not warn
+@example(log_lam=-689.0, shift=0.0, theta=2.0, u=-0.625, v=0.0, radius=3.0)
 def test_moved_tight_window_matches_per_center_apply(tight7, log_lam, shift, theta, u, v,
                                                      radius):
     # g carries (0, 1) to lam (shift + i); near log-height -690 some image
