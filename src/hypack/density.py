@@ -79,10 +79,6 @@ class DensityCurve:
     def fractions(self):
         return np.array([pt.fraction for pt in self.points])
 
-    @property
-    def std_errors(self):
-        return np.array([pt.std_error for pt in self.points])
-
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for pt in self.points:

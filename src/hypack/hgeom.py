@@ -277,10 +277,6 @@ class Isometry:
         s = math.sqrt(det)
         self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
 
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
     @classmethod
     def identity(cls) -> "Isometry":
         return cls(1.0, 0.0, 0.0, 1.0)
@@ -321,9 +317,6 @@ class Isometry:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __call__(self, p: HPoint) -> HPoint:
-        return apply(self, p)
 
     def apply_xy(self, xs, ys):
         """Vectorized action on coordinate arrays (safe-range heights only)."""

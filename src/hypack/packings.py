@@ -42,6 +42,7 @@ from .regions import (
     StripeRegion,
     _BLOCK,
     _box_area_in_ball,
+    _covers_point,
     _fill,
 )
 
@@ -54,13 +55,17 @@ class Packing:
     """Closed disks of one radius with pairwise disjoint interiors.
 
     Subclasses provide disk_radius, covers_xy(xs, ys) for coordinate
-    arrays, covers(p) for one point, and the one window primitive
+    arrays, the one coverage predicate, and the one window primitive
     _centers(ball) -> (xs, ys): the coordinates of the disk centers in the
-    closed ball. The base class derives centers_in_ball and bodies_in_ball
+    closed ball. The base class derives covers(p), covers_xy on one point
+    (see regions._covers_point), and centers_in_ball and bodies_in_ball
     from _centers.
     """
 
     fundamental_domain = None
+
+    def covers(self, p: HPoint) -> bool:
+        return _covers_point(self, p)
 
     def centers_in_ball(self, ball: BallSpec) -> list[HPoint]:
         """Disk centers lying in the closed ball."""
@@ -207,13 +212,15 @@ class BoroczkyPacking(Packing):
             raise RangeError(f"center ({j}, {k}) overflows the x coordinate")
         return HPoint.from_log(x, a)
 
-    def _covers(self, xs, L):
-        """Coverage of points given by x and log-height L.
+    def covers_xy(self, xs, ys):
+        """Whether each point lies in a disk.
 
         In row units (u, v) = (x, y) / e^a the row's centers sit at
         (k + 1/2, 1), and the nearest of them, k = floor(u), is the only
         one that can cover the point.
         """
+        xs = np.asarray(xs, dtype=float)
+        L = np.log(np.asarray(ys, dtype=float))
         a = 2.0 * np.floor(L / 2.0) + 0.5
         v = np.exp(L - a)
         # x beyond the float range of the row spacing gives u = inf: uncovered
@@ -222,13 +229,6 @@ class BoroczkyPacking(Packing):
             u = (xs * scale) * scale
             du = u - (np.floor(u) + 0.5)
             return 1.0 + (du * du + (v - 1.0) ** 2) / (2.0 * v) <= math.cosh(self.disk_radius)
-
-    def covers(self, p: HPoint) -> bool:
-        # log_y stays finite where y itself under- or overflows
-        return bool(self._covers(p.x, p.log_y))
-
-    def covers_xy(self, xs, ys):
-        return self._covers(np.asarray(xs, dtype=float), np.log(np.asarray(ys, dtype=float)))
 
     def _centers(self, ball: BallSpec):
         """Coordinates of the centers in the closed ball, one row at a time.
@@ -621,9 +621,6 @@ class TightPacking(Packing):
         near = cosh_distance_xy(z.real, z.imag, cx, cy) <= math.cosh(ball.radius)
         return g.inverse().apply_xy(z.real[near], z.imag[near])
 
-    def covers(self, p: HPoint) -> bool:
-        return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])
-
     def covers_xy(self, xs, ys):
         """Whether each point lies in a disk, one regions._BLOCK of points at
         a time: jumped near (0, 1), then swept until its verdict settles."""
@@ -677,10 +674,6 @@ class TransformedPacking(Packing):
         self.base = base
         self.disk_radius = getattr(base, "disk_radius", None)
 
-    def covers(self, p: HPoint) -> bool:
-        q = apply(self.g_inv, p)
-        return bool(self.base.covers_xy(np.array([q.x]), np.array([q.y]))[0])
-
     def covers_xy(self, xs, ys):
         bx, by = self.g_inv.apply_xy(xs, ys)
         return self.base.covers_xy(bx, by)
@@ -714,8 +707,9 @@ class BrickTile:
 
     Bricks of a fixed (family_offset, width_param) family tile the plane;
     all bricks are isometric with hyperbolic area w (1 - e^{-2}). The
-    boundary convention is half-open from below in both coordinates so
-    the family is an exact partition.
+    boundary convention is half-open from below in both coordinates, and
+    a brick's top is the float bottom of the brick above it, so the family
+    is an exact partition.
     """
 
     j: int = 0
@@ -747,39 +741,29 @@ class BrickTile:
         return (ws * self.k, ws * (self.k + 1))
 
     @property
+    def _log_top(self) -> float:
+        # the next brick's log_s, so that the family partitions exactly
+        return 2.0 * (self.j + 1) + self.family_offset
+
+    @property
     def y_bounds(self) -> tuple[float, float]:
-        return (self.s, math.exp(self.log_s + 2.0))
+        return (self.s, math.exp(self._log_top))
 
     def area(self) -> float:
         """Closed-form hyperbolic area, independent of j and k."""
         return self.width_param * (1.0 - math.exp(-2.0))
 
-    @classmethod
-    def containing(cls, p: HPoint, family_offset: float = 0.0,
-                   width_param: float = math.exp(0.5)) -> "BrickTile":
-        """The unique family brick whose half-open box contains p."""
-        j = math.floor((p.log_y - family_offset) / 2.0)
-        s = math.exp(2.0 * j + family_offset)
-        k = math.floor(p.x / (width_param * s))
-        return cls(j=j, k=k, family_offset=family_offset, width_param=width_param)
-
 
 class BrickRegion(Region):
     """Indicator region of one brick.
 
-    The brick is the box {xa <= x < xb, log s <= log y < log s + 2}, so its
-    area inside a ball is the box-in-ball quadrature of the regions module.
+    The brick is the box {xa <= x < xb, log s <= log y < log s + 2}, with
+    the next brick's bottom as its top, so its area inside a ball is the
+    box-in-ball quadrature of the regions module.
     """
 
     def __init__(self, tile: BrickTile):
         self.tile = tile
-
-    def contains(self, p: HPoint) -> bool:
-        t = self.tile
-        if not (t.log_s <= p.log_y < t.log_s + 2.0):
-            return False
-        xa, xb = t.x_bounds
-        return xa <= p.x < xb
 
     def covers_xy(self, xs, ys):
         t = self.tile
@@ -792,7 +776,7 @@ class BrickRegion(Region):
     def exact_area_in_ball(self, ball: BallSpec) -> float:
         t = self.tile
         xa, xb = t.x_bounds
-        return _box_area_in_ball(ball.radius, ball.center, xa, xb, t.log_s, t.log_s + 2.0)
+        return _box_area_in_ball(ball.radius, ball.center, xa, xb, t.log_s, t._log_top)
 
     def sample_uniform(self, plan: SamplePlan):
         """Area-uniform sample of the brick: x uniform, 1/y^2 in height.

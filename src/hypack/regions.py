@@ -32,11 +32,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .hgeom import (
     BallSpec,
     Geodesic,
@@ -82,15 +83,28 @@ class AreaEstimate:
         return cls(frac, math.sqrt(frac * (1.0 - frac) / n), n, "mc")
 
 
+def _covers_point(target, p: HPoint) -> bool:
+    """target.covers_xy on the one point p.
+
+    Raises RangeError where p's height y is not a normal float: 0 or
+    subnormal below log y of about -708.4, inf above about 709.8. There y
+    holds too few digits of p, or none, to decide coverage from (x, y).
+    """
+    if not (sys.float_info.min <= p.y < math.inf):
+        raise RangeError(f"log-height {p.log_y:.6g} is beyond float heights")
+    return bool(target.covers_xy(np.array([p.x]), np.array([p.y]))[0])
+
+
 class Region:
     """Measurable subset of the half-plane (indicator interface).
 
-    Subclasses provide covers_xy(xs, ys) for coordinate arrays; contains(p)
-    tests one point with it unless a subclass overrides it.
+    Subclasses provide covers_xy(xs, ys) for coordinate arrays, the one
+    coverage predicate; contains(p) is covers_xy on one point (see
+    _covers_point).
     """
 
-    def contains(self, p):
-        return bool(self.covers_xy(np.array([p.x]), np.array([p.y]))[0])
+    def contains(self, p: HPoint) -> bool:
+        return _covers_point(self, p)
 
     def exact_area_in_ball(self, ball: BallSpec):
         """Exact covered area inside the ball, or None when unavailable."""
@@ -208,17 +222,10 @@ class StripeRegion(Region):
             raise DomainError(f"stripe width must be positive and finite, got {W!r}")
         self.W = W
 
-    def _black(self, log_y):
-        """Whether log-heights fall in a black (odd-index) stripe."""
-        j = np.floor(log_y / self.W - 0.5)
-        return 2.0 * np.floor(0.5 * j) != j
-
-    def contains(self, p):
-        # log_y stays finite where y itself under- or overflows
-        return bool(self._black(p.log_y))
-
     def covers_xy(self, xs, ys):
-        return self._black(np.log(np.asarray(ys, dtype=float)))
+        """Whether points fall in a black (odd-index) stripe."""
+        j = np.floor(np.log(np.asarray(ys, dtype=float)) / self.W - 0.5)
+        return 2.0 * np.floor(0.5 * j) != j
 
     def exact_area_in_ball(self, ball):
         frac = quad_black_fraction(self.W, ball.radius, center_log_y=ball.center.log_y)

@@ -56,6 +56,8 @@ independent oracles:
   was with a KD-tree (``kdtree_directed_cosh``): each point's Euclidean
   nearest site gives an upper bound and the Euclidean distance a lower
   one;
+- ``brick_containing``, the brick of a family that holds a point, read
+  off the point's log-height;
 - ``all_pairs_min_gap``, the smallest gap between disks over every pair,
   in chunks of the all-pairs distance matrix, and ``kdtree_min_gap``, the
   smallest gap from each center's second ``kdtree_nearest_sites`` hit on
@@ -117,6 +119,7 @@ from hypack.packings import (
     _MAX_REFOLDS,
     _MAX_SWEEPS,
     BoroczkyPacking,
+    BrickTile,
     TightPacking,
     TransformedPacking,
     _direction,
@@ -1076,6 +1079,18 @@ def kdtree_hausdorff(a, c) -> float:
     c = np.asarray(c, dtype=float)
     worst = kdtree_directed_cosh(a, c, 1.0)
     return float(np.arccosh(kdtree_directed_cosh(c, a, worst)))
+
+
+# ---------------------------------------------------------------- bricks
+
+def brick_containing(p: HPoint, family_offset: float = 0.0,
+                     width_param: float = math.exp(0.5)) -> BrickTile:
+    """The brick of the (family_offset, width_param) family whose
+    half-open box contains p, by floor((log y - offset) / 2)."""
+    j = math.floor((p.log_y - family_offset) / 2.0)
+    s = math.exp(2.0 * j + family_offset)
+    k = math.floor(p.x / (width_param * s))
+    return BrickTile(j=j, k=k, family_offset=family_offset, width_param=width_param)
 
 
 # ---------------------------------------------------------------- disks

@@ -117,17 +117,34 @@ def test_public_surface_is_what_its_users_take():
     assert len(used) <= 55
 
 
+def _called_names(source):
+    """The attribute names in Python source and the string arguments of
+    its calls, as getattr and the tracer's wrappers take a method's name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call):
+            names |= {arg.value for arg in node.args
+                      if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+    return names
+
+
 def test_every_public_definition_has_a_caller():
     # a module-level function or class of src/hypack is exported or used by
     # other package code: names, attributes and imports count, text in
     # docstrings does not. An underscored helper must be used by package
     # code; one that only tests use belongs in tests/oracles.py
-    defined, used = {}, set()
+    defined, used, methods = {}, set(), {}
     for path in sorted((ROOT / "src" / "hypack").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                methods.update((f"{node.name}.{item.name}", item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and (item.name == "__call__" or not item.name.endswith("__")))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -139,6 +156,21 @@ def test_every_public_definition_has_a_caller():
     unused = {name: module for name, module in defined.items()
               if name not in used and name not in hypack.__all__}
     assert unused == {}
+
+    # a method or property of a package class, dunders aside but __call__
+    # among them, is called by name in the package, the benchmark or the
+    # README sketch. Packing.covers and Region.contains, covers_xy on one
+    # point, are the library's own one-point predicates
+    called = set()
+    for path in [*(ROOT / "src" / "hypack").glob("*.py"), *PERFBENCH.glob("*.py")]:
+        called |= _called_names(path.read_text(encoding="utf-8"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        called |= _called_names(block)
+    assert "Packing.covers" in methods and "Region.contains" in methods
+    uncalled = sorted(key for key, name in methods.items()
+                      if name not in called and key not in ("Packing.covers", "Region.contains"))
+    assert uncalled == []
 
 
 def _import_time_nodes(node):

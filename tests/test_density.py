@@ -73,7 +73,7 @@ def test_stripe_curve_is_exact_quadrature():
     radii = stripe_radii(5.0, 1, 8)
     curve = density_curve(sm, ORIGIN, radii, SamplePlan(seed=SEED, n=100))
     assert curve.method == "quadrature"
-    assert np.all(curve.std_errors == 0.0)
+    assert all(pt.std_error == 0.0 for pt in curve.points)
     for pt in curve.points:
         assert pt.samples == 0
         assert abs(pt.fraction - quad_black_fraction(5.0, pt.radius)) <= 1e-12
@@ -238,7 +238,7 @@ def test_tile_density_zero_area_rejected(tight7):
 def test_annulus_curve_closed_form():
     curve = annulus_density_curve([10, 11, 12])
     assert curve.method == "closed-form"
-    assert np.all(curve.std_errors == 0.0)
+    assert all(pt.std_error == 0.0 for pt in curve.points)
     for frac, want in zip(curve.fractions, (4.0 / 5.0, 1.0 / 5.0, 4.0 / 5.0)):
         assert abs(frac - want) <= 0.02 * want
     with pytest.raises(DomainError):

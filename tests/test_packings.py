@@ -46,6 +46,7 @@ from oracles import (
     SweepTightPacking,
     WallFoldTightPacking,
     all_pairs_min_gap,
+    brick_containing,
     distance,
     kdtree_min_gap,
     window_centers,
@@ -177,7 +178,7 @@ def test_boroczky_covers_matches_bodies():
 def test_boroczky_covers_scalar_vector_and_row_shift(u, log_y, k):
     # (x, log y) -> (e^{2k} x, log y + 2k) is the dilation by e^{2k},
     # which maps the packing to itself; |k| up to 400 puts the image at
-    # log-heights up to 803, where y itself under- or overflows
+    # log-heights up to 803, where y is no normal float and covers raises
     bp = BoroczkyPacking()
     x = u * math.exp(log_y)
     p = HPoint.from_log(x, log_y)
@@ -189,7 +190,12 @@ def test_boroczky_covers_scalar_vector_and_row_shift(u, log_y, k):
     x_img = (x * math.exp(k)) * math.exp(k)
     # the image x must carry the digits of x: finite and not subnormal
     assume(x == 0.0 or sys.float_info.min <= abs(x_img) < math.inf)
-    assert bp.covers(HPoint.from_log(x_img, log_y + 2.0 * k)) == covered
+    image = HPoint.from_log(x_img, log_y + 2.0 * k)
+    if sys.float_info.min <= image.y < math.inf:
+        assert bp.covers(image) == covered
+    else:
+        with pytest.raises(RangeError):
+            bp.covers(image)
 
 
 def test_boroczky_dilation_invariance():
@@ -1156,13 +1162,27 @@ def test_brick_family_partitions_plane():
     for offset, w in ((0.0, math.exp(0.5)), (1.0, math.exp(1.5)), (0.3, 2.0)):
         for _ in range(25):
             p = HPoint(float(rng.uniform(-5, 5)), math.exp(float(rng.uniform(-3, 3))))
-            home = BrickTile.containing(p, offset, w)
+            home = brick_containing(p, offset, w)
             hits = 0
             for dj in (-1, 0, 1):
                 for dk in (-1, 0, 1):
                     t = BrickTile(home.j + dj, home.k + dk, offset, w)
                     hits += brick_region(t).contains(p)
             assert hits == 1
+
+
+def test_brick_tops_are_the_next_bottoms():
+    # log s + 2 and the next brick's log s round apart for some offsets;
+    # the top is taken from the next brick, so a shared boundary height
+    # lies in exactly one of the two bricks
+    for offset in (0.3, 0.7, 1.3, 0.123456789):
+        for j in range(-340, 341):
+            lower, upper = BrickTile(j, 0, offset), BrickTile(j + 1, 0, offset)
+            top = lower.y_bounds[1]
+            assert top == upper.y_bounds[0]
+            hits = [brick_region(t).covers_xy(np.array([0.0]), np.array([top]))[0]
+                    for t in (lower, upper)]
+            assert sum(hits) == 1, (offset, j)
 
 
 def test_brick_nests_one_disk_tangent():

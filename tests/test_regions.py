@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import hypack
-from hypack.errors import DomainError
+from hypack.errors import DomainError, RangeError
 from hypack.hgeom import (
     angle_of_parallelism,
     apply,
@@ -48,7 +48,14 @@ from hypack.regions import (
     _box_area_in_ball,
     _uniform_blocks,
 )
-from hypack.packings import BrickTile, TightPacking, brick_region
+from hypack.packings import (
+    BoroczkyPacking,
+    BrickTile,
+    StripeModel,
+    TightPacking,
+    TransformedPacking,
+    brick_region,
+)
 from hypack.voronoi import packing_cell
 from oracles import (
     ArcGeodesic,
@@ -165,13 +172,19 @@ def test_stripe_region_membership_and_boundaries():
 )
 def test_stripe_contains_invariant_under_double_period(W, log_y, k, x):
     # log y -> log y + 2kW maps the black stripes to themselves; shifts
-    # up to 10^4 reach log-heights where y itself under- or overflows
+    # up to 10^4 reach log-heights where y is no normal float and
+    # contains raises
     reg = StripeRegion(W)
     s = log_y / W - 0.5
     assume(abs(s - round(s)) > 1e-9)
     black = reg.contains(HPoint.from_log(x, log_y))
     assert bool(reg.covers_xy(np.array([x]), np.array([math.exp(log_y)]))[0]) == black
-    assert reg.contains(HPoint.from_log(x, log_y + 2.0 * k * W)) == black
+    shifted = HPoint.from_log(x, log_y + 2.0 * k * W)
+    if sys.float_info.min <= shifted.y < math.inf:
+        assert reg.contains(shifted) == black
+    else:
+        with pytest.raises(RangeError):
+            reg.contains(shifted)
 
 
 def test_stripe_partition_sums_to_ball_area():
@@ -275,13 +288,20 @@ def test_halfspace_contains_closed_boundary():
 
 
 def test_halfspace_boundary_beyond_float_heights():
-    # y = e^-800 underflows to 0; the point still lies on the closed boundary
-    p = HPoint.from_log(0.0, -800.0)
+    # covers_xy reads x alone: at the extreme float heights the boundary
+    # point still lies on the closed boundary, and nothing warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert HalfSpaceRegion(Geodesic.vertical(0.0), +1).contains(p)
-        assert HalfSpaceRegion(Geodesic.vertical(0.0), -1).contains(p)
-        assert not HalfSpaceRegion(Geodesic.vertical(1.0), +1).contains(p)
+        for height in (5e-324, 1.7e308):
+            x, y = np.array([0.0]), np.array([height])
+            assert HalfSpaceRegion(Geodesic.vertical(0.0), +1).covers_xy(x, y)[0]
+            assert HalfSpaceRegion(Geodesic.vertical(0.0), -1).covers_xy(x, y)[0]
+            assert not HalfSpaceRegion(Geodesic.vertical(1.0), +1).covers_xy(x, y)[0]
+    # y = e^-800 underflows to 0, e^800 overflows and 5e-324 holds one
+    # bit: contains takes normal float heights only
+    for p in (HPoint.from_log(0.0, -800.0), HPoint.from_log(0.0, 800.0), HPoint(0.0, 5e-324)):
+        with pytest.raises(RangeError):
+            HalfSpaceRegion(Geodesic.vertical(0.0), +1).contains(p)
 
 
 def test_halfspace_covers_matches_signed_distance():
@@ -501,14 +521,40 @@ def test_polygon_matches_arc_oracle(m, cell, log_height, shift, theta, seed):
     assert got[clear].any() and not got[clear].all()
 
 
-def test_polygon_contains_is_covers_xy_on_one_point():
-    tri = _tight_polygons(7)[0]
-    reg = PolygonRegion(tri)
+# each family with a ball (center, radius) that meets both verdicts
+_ONE_POINT_TARGETS = {
+    "tight": (lambda: TightPacking(7), ORIGIN, 2.0),
+    "boroczky": (BoroczkyPacking, ORIGIN, 2.0),
+    "moved-tight": (lambda: TransformedPacking(Isometry.translation(0.37), TightPacking(7)),
+                    ORIGIN, 2.0),
+    "moved-stripe": (lambda: TransformedPacking(Isometry.dilation(math.exp(0.2)),
+                                                StripeModel(1.0)), ORIGIN, 2.0),
+    "stripe": (lambda: StripeRegion(1.0), ORIGIN, 2.0),
+    "half-space": (lambda: HalfSpaceRegion(Geodesic.vertical(0.3), -1), ORIGIN, 1.0),
+    "polygon": (lambda: PolygonRegion(_tight_polygons(7)[0]), ORIGIN, 1.0),
+    "brick": (lambda: brick_region(BrickTile(0, 0)), HPoint(0.8, math.e), 1.5),
+    "full-plane": (FullPlane, ORIGIN, 1.0),
+    "empty-region": (EmptyRegion, ORIGIN, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_POINT_TARGETS))
+def test_scalar_predicate_is_covers_xy_on_one_point(name):
+    make, center, radius = _ONE_POINT_TARGETS[name]
+    target = make()
+    one = getattr(target, "covers", None) or target.contains
     rng = np.random.default_rng(SEED + 4)
-    xs, ys = polar_xy(0.0, 1.0, rng.uniform(0.0, 1.0, 300), rng.uniform(0.0, 6.3, 300))
-    got = [reg.contains(HPoint(x, y)) for x, y in zip(xs, ys)]
-    assert got == reg.covers_xy(xs, ys).tolist()
-    assert any(got) and not all(got)
+    xs, ys = polar_xy(center.x, center.y, rng.uniform(0.0, radius, 300),
+                      rng.uniform(0.0, 6.3, 300))
+    got = [one(HPoint(x, y)) for x, y in zip(xs, ys)]
+    assert all(type(v) is bool for v in got)
+    assert got == target.covers_xy(xs, ys).tolist()
+    if name not in ("full-plane", "empty-region"):
+        assert any(got) and not all(got)
+    # y = e^-800 underflows to 0 and e^800 overflows: no float height
+    for log_y in (-800.0, 800.0):
+        with pytest.raises(RangeError):
+            one(HPoint.from_log(0.0, log_y))
 
 
 def test_polygon_sampler_a1_points_inside():
